@@ -21,6 +21,7 @@ from .estimator import (
     IdentifiabilityError,
     Periodogram,
     assemble_cap,
+    average_periodograms,
     estimate_correlated_bins,
     estimate_multicluster,
     ls_reconstruct_rbar,
@@ -29,26 +30,21 @@ from .estimator import (
 )
 from .patterns import (
     CosetPattern,
-    ModularDifferenceSet,
     PatternFamily,
     RulerSearchResult,
     design_pair_cover_family,
     exhaustive_minimal_ruler,
     is_circular_sparse_ruler,
     minimal_circular_sparse_ruler,
-    modular_difference_set,
-    verify_pair_coverage,
 )
 from .sensing import (
     CosetObservationSet,
     ScenarioConfig,
     SensingRun,
     UserSpec,
-    coset_dtft,
     dbm_to_linear,
     extract_coset_observations,
     generate_user_signal,
-    linear_density,
     synthesize_observations,
 )
 from .structure import (
@@ -60,7 +56,6 @@ from .structure import (
     build_psi,
     build_repetition_matrix,
     build_system_matrix,
-    check_identifiability,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import NAP, Periodogram, estimate_multicluster
+from .estimator import NAP, Periodogram, average_periodograms, estimate_multicluster
 from .patterns import CosetPattern
 from .sensing import ScenarioConfig, dbm_to_linear, synthesize_observations
 from .structure import SystemMatrixRc, build_system_matrix
@@ -32,22 +32,6 @@ def nyquist_ap(records: np.ndarray) -> Periodogram:
         values=values,
         estimator=NAP,
         count=tau,
-    )
-
-
-def average_periodograms(parts: list[Periodogram]) -> Periodogram:
-    """Equal-weight average, e.g. of per-cluster baselines."""
-    if not parts:
-        raise ValueError("nothing to average")
-    values = np.mean([p.values for p in parts], axis=0)
-    return Periodogram(
-        thetas=parts[0].thetas,
-        values=values,
-        estimator=parts[0].estimator,
-        count=sum(p.count for p in parts),
-        clusters=len(parts),
-        source=parts[0].source,
-        max_imag_ratio=max(p.max_imag_ratio for p in parts),
     )
 
 
@@ -144,17 +128,16 @@ def propagate_variance(
     """Per-bin periodogram variance implied by a covariance of the
     vectorized coset covariance estimate.
 
-    Chains the LS solve (normal matrix diag(gamma)), the circulant
-    expansion, and the de-modulation, whose diagonal reduces to a
-    quadratic form in the lag-domain covariance.
+    Chains the LS solve (the system matrix's averaging operator), the
+    circulant expansion, and the de-modulation, whose diagonal reduces to
+    a quadratic form in the lag-domain covariance.
     """
     n = sysmat.pattern.period
-    m2 = sysmat.row_map.size
+    op = sysmat.operator
+    m2 = op.shape[0]
     if sigma_ry.shape != (m2, m2):
         raise ValueError(f"expected {(m2, m2)} covariance, got {sigma_ry.shape}")
-    rc = np.zeros((m2, n))
-    rc[np.arange(m2), sysmat.row_map] = 1.0
-    sigma_lag = (rc.T @ sigma_ry @ rc) / np.outer(sysmat.gamma, sysmat.gamma)
+    sigma_lag = op.T @ sigma_ry @ op
     bins = np.arange(n)
     phase = np.exp(2j * np.pi * np.outer(bins, bins) / n)   # phase[i, k]
     n_grid = n * samples_per_coset
@@ -194,6 +177,19 @@ def run_seed(base_seed: int, run_index: int) -> tuple[int, int]:
     return (int(base_seed), int(run_index))
 
 
+def dispatch_runs(one, runs: int, threads: int = 1) -> None:
+    """Call ``one(run)`` for every run, on ``threads`` worker threads if more
+    than one.  Each run is keyed by its index and stores its own result, so
+    callers aggregate in run order afterwards, whatever the thread count.
+    """
+    if threads <= 1:
+        for run in range(runs):
+            one(run)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(one, range(runs)))
+
+
 def mc_caps(
     config: ScenarioConfig,
     runs: int,
@@ -221,12 +217,7 @@ def mc_caps(
             parts = [nyquist_ap(obs.full_rate) for obs in sensed.sets]
             naps[run] = average_periodograms(parts).values
 
-    if threads <= 1:
-        for run in range(runs):
-            one(run)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(runs)))
+    dispatch_runs(one, runs, threads)
     return caps, naps
 
 
@@ -390,12 +381,7 @@ def roc_harness(
         active_stats[run] = averaged.values[active_blocks].mean(axis=1)
         quiet_stats[run] = averaged.values[quiet_blocks].mean(axis=1)
 
-    if threads <= 1:
-        for run in range(runs):
-            one(run)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(runs)))
+    dispatch_runs(one, runs, threads)
     curve = roc_from_scores(active_stats, quiet_stats)
     curve.runs = runs
     curve.avg_width = detector.avg_width

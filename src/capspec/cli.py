@@ -18,14 +18,10 @@ from .patterns import (
     exhaustive_minimal_ruler,
     is_circular_sparse_ruler,
     minimal_circular_sparse_ruler,
-    verify_pair_coverage,
 )
 from .runner import parse_manifest, run_manifest
-from .structure import build_system_matrix
-
-
-def _marks_arg(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+from .scenarios import parse_marks
+from .structure import build_psi, build_system_matrix
 
 
 def _pattern_line(pattern: CosetPattern, status: str) -> str:
@@ -48,7 +44,7 @@ def cmd_design_ruler(args) -> int:
 
 def cmd_design_family(args) -> int:
     family = design_pair_cover_family(args.period, args.marks)
-    complete = verify_pair_coverage(family)
+    complete = build_psi(family).identifiable
     for pattern in family.patterns:
         print(_pattern_line(pattern, "member"))
     print(f"groups={family.size}  pair-coverage={'complete' if complete else 'INCOMPLETE'}")
@@ -56,7 +52,7 @@ def cmd_design_family(args) -> int:
 
 
 def cmd_inspect_pattern(args) -> int:
-    pattern = CosetPattern(args.period, _marks_arg(args.marks))
+    pattern = CosetPattern(args.period, parse_marks(args.marks))
     sysmat = build_system_matrix(pattern)
     print(_pattern_line(pattern, f"ruler={'yes' if sysmat.identifiable else 'no'}"))
     print("gamma=" + ",".join(str(int(g)) for g in sysmat.gamma))

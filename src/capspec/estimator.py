@@ -1,16 +1,16 @@
 """Least-squares reconstruction of the averaged periodogram.
 
-The pipeline per in-bin frequency point: average per-sensor outer
-products of the coset DTFT vectors into a sample covariance, map its
-entries onto circulant lags via the gamma diagonal (the closed form of
-the LS normal equations, since Rc^T Rc is diagonal), and read the
-periodogram off the diagonal of the de-modulated bin covariance, which
-a length-N transform of the lag vector delivers in O(N log N) per point.
+Both estimators, CAP-UB and CAP-CB, share one core.  Per in-bin
+frequency point, per-sensor outer products of the coset DTFT vectors
+are averaged into sample covariances; the design's averaging operator
+(see ``structure``) maps them, stacked and vectorized, to the N
+circulant lags in one product, the closed-form LS solution; and a
+length-N transform of the lags gives the periodogram in O(N log N).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,16 +84,12 @@ class Periodogram:
                 f.write(f"{float(theta)!r},{float(value)!r},{self.estimator},{run_id}\n")
 
 
-def _grid(period: int, samples_per_coset: int) -> np.ndarray:
-    return np.arange(period * samples_per_coset) / (period * samples_per_coset)
-
-
 def sample_covariance(observations: CosetObservationSet) -> CovarianceStack:
     """Average the per-sensor outer products of the coset DTFT vectors."""
     y = observations.dtft
     tau = y.shape[0]
     if tau == 0:
-        raise ValueError("no sensors to average over")
+        raise ValueError(f"cluster/group {observations.label} is empty")
     matrices = np.einsum("tml,tnl->lmn", y, y.conj()) / tau
     n_grid = observations.pattern.period * y.shape[2]
     thetas = np.arange(y.shape[2]) / n_grid
@@ -102,13 +98,27 @@ def sample_covariance(observations: CosetObservationSet) -> CovarianceStack:
     )
 
 
+def _solve_lags(stacks: list[CovarianceStack], operator: np.ndarray) -> np.ndarray:
+    """Apply a design's averaging operator to its stacked covariances.
+
+    Each matrix is vectorized column-major (q = M*col + row) and the
+    stacks are concatenated in order, matching the operator's rows.
+    """
+    l_pts = stacks[0].matrices.shape[0]
+    vec = np.concatenate(
+        [s.matrices.transpose(0, 2, 1).reshape(l_pts, -1) for s in stacks], axis=1
+    )
+    return vec @ operator
+
+
 def ls_reconstruct_rbar(
     stack: CovarianceStack, sysmat: SystemMatrixRc | None = None
 ) -> CosetCorrelationVector:
     """Solve the per-point LS problem for the circulant lag vector.
 
     Because the normal matrix is diag(gamma), the solution for lag k is
-    the mean of the covariance entries whose mark difference is k.
+    the mean of the covariance entries whose mark difference is k; the
+    system matrix's averaging operator computes all lags in one product.
     Raises IdentifiabilityError when some lag is observed by no pair.
     """
     if sysmat is None:
@@ -122,16 +132,10 @@ def ls_reconstruct_rbar(
             f"modular differences {list(missing)} are unrealized",
             missing=missing,
         )
-    n = stack.pattern.period
-    m = stack.pattern.size
-    l_pts = stack.matrices.shape[0]
-    # vec ordering q = M*col + row, matching the row map.
-    vec = stack.matrices.transpose(0, 2, 1).reshape(l_pts, m * m)
-    values = np.zeros((l_pts, n), dtype=complex)
-    np.add.at(values, (slice(None), sysmat.row_map), vec)
-    values /= sysmat.gamma
     return CosetCorrelationVector(
-        thetas=stack.thetas, values=values, pattern=stack.pattern
+        thetas=stack.thetas,
+        values=_solve_lags([stack], sysmat.operator),
+        pattern=stack.pattern,
     )
 
 
@@ -140,10 +144,13 @@ def assemble_cap(
 ) -> Periodogram:
     """Expand lag vectors to the periodogram on the full frequency grid.
 
-    The de-modulated bin covariance is circulant, so its diagonal is N
-    times the forward length-N transform of the lag vector; dividing by
-    the grid size leaves fft(rbar)/L per bin.  Values are kept as-is
-    (small negatives included); the worst imaginary residue is recorded.
+    The diagonal of the de-modulated bin covariance depends only on the
+    mean of each modular diagonal (the lag vector): it is N times the
+    forward length-N transform of the lags; dividing by the grid size
+    leaves fft(rbar)/L per bin.  This holds whether or not the
+    covariance is circulant, so both estimators end here.  Values are
+    kept as-is (small negatives included); the worst imaginary residue
+    is recorded.
     """
     l_pts, n = rbar.values.shape
     if samples_per_coset is None:
@@ -156,7 +163,7 @@ def assemble_cap(
     # bin i of point l sits at global grid index i*L + l
     values = diag.real.T.reshape(-1).copy()
     return Periodogram(
-        thetas=_grid(n, samples_per_coset),
+        thetas=np.arange(n * samples_per_coset) / (n * samples_per_coset),
         values=values,
         estimator=CAP_UB,
         source=str(rbar.pattern),
@@ -182,23 +189,26 @@ def estimate_multicluster(
     if not observation_sets:
         raise ValueError("no clusters to estimate from")
     for obs in observation_sets:
-        if obs.count == 0:
-            raise ValueError(f"cluster {obs.label} is empty")
         if obs.pattern != observation_sets[0].pattern:
             raise ValueError("clusters use different patterns")
     sysmat = build_system_matrix(observation_sets[0].pattern)
     caps = [reconstruct_cap(obs, sysmat) for obs in observation_sets]
-    mean_values = np.mean([c.values for c in caps], axis=0)
-    averaged = Periodogram(
-        thetas=caps[0].thetas,
-        values=mean_values,
-        estimator=CAP_UB,
-        count=sum(c.count for c in caps),
-        clusters=len(caps),
-        source=caps[0].source,
-        max_imag_ratio=max(c.max_imag_ratio for c in caps),
+    return caps, average_periodograms(caps)
+
+
+def average_periodograms(parts: list[Periodogram]) -> Periodogram:
+    """Equal-weight average, e.g. of per-cluster estimates or baselines."""
+    if not parts:
+        raise ValueError("nothing to average")
+    return Periodogram(
+        thetas=parts[0].thetas,
+        values=np.mean([p.values for p in parts], axis=0),
+        estimator=parts[0].estimator,
+        count=sum(p.count for p in parts),
+        clusters=len(parts),
+        source=parts[0].source,
+        max_imag_ratio=max(p.max_imag_ratio for p in parts),
     )
-    return caps, averaged
 
 
 def estimate_correlated_bins(
@@ -210,9 +220,9 @@ def estimate_correlated_bins(
     Per grid point, the per-group sample covariances provide one equation
     per ordered coset pair; with Psi^T Psi diagonal the LS solution for
     each bin-covariance entry is the mean of its observations across the
-    groups that saw that pair.  The periodogram is then the diagonal of
-    the de-modulated matrix, evaluated through modular-diagonal sums and
-    a length-N transform.
+    groups that saw that pair.  The family's averaging operator folds
+    that mean and the mean over each modular diagonal into one product,
+    and the periodogram is assembled as for CAP-UB.
     """
     if not group_observations:
         raise ValueError("no groups to estimate from")
@@ -231,34 +241,18 @@ def estimate_correlated_bins(
             "the bin covariance is not identifiable",
             missing=missing,
         )
-
-    n = family.period
-    m = family.marks_per_pattern
-    l_pts = group_observations[0].dtft.shape[2]
-    acc = np.zeros((l_pts, n * n), dtype=complex)
-    for z, obs in enumerate(group_observations):
-        if obs.count == 0:
-            raise ValueError(f"group {z} is empty")
-        if obs.dtft.shape[2] != l_pts:
-            raise ValueError("groups disagree on grid size")
-        cov = np.einsum("tml,tnl->lmn", obs.dtft, obs.dtft.conj()) / obs.count
-        np.add.at(acc, (slice(None), psi.vec_index[z].reshape(-1)), cov.reshape(l_pts, -1))
-    acc /= psi.pair_counts
-
-    # vec index q = N*col + row: reshape then swap to (row, col)
-    rbarx = acc.reshape(l_pts, n, n).transpose(0, 2, 1)
-    lag = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    sums = np.zeros((l_pts, n), dtype=complex)
-    np.add.at(sums, (slice(None), lag.reshape(-1)), rbarx.reshape(l_pts, -1))
-    diag = np.fft.fft(sums, axis=1) / (n * l_pts)
-    scale = np.max(np.abs(diag))
-    max_imag = float(np.max(np.abs(diag.imag)) / scale) if scale > 0 else 0.0
-    return Periodogram(
-        thetas=_grid(n, l_pts),
-        values=diag.real.T.reshape(-1).copy(),
+    stacks = [sample_covariance(obs) for obs in group_observations]
+    if len({s.matrices.shape[0] for s in stacks}) != 1:
+        raise ValueError("groups disagree on grid size")
+    rbar = CosetCorrelationVector(
+        thetas=stacks[0].thetas,
+        values=_solve_lags(stacks, psi.operator),
+        pattern=family.patterns[0],
+    )
+    return replace(
+        assemble_cap(rbar),
         estimator=CAP_CB,
-        count=sum(obs.count for obs in group_observations),
-        clusters=len(group_observations),
-        source=f"family Z={family.size}, M={m}, N={n}",
-        max_imag_ratio=max_imag,
+        count=sum(s.count for s in stacks),
+        clusters=family.size,
+        source=f"family Z={family.size}, M={family.marks_per_pattern}, N={family.period}",
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -45,23 +45,6 @@ class CosetPattern:
 
     def __str__(self) -> str:
         return f"{{{','.join(map(str, self.marks))}}} mod {self.period}"
-
-
-@dataclass(frozen=True)
-class ModularDifferenceSet:
-    """All values ``(a - b) mod period`` over ordered mark pairs, with counts."""
-
-    period: int
-    differences: frozenset[int]
-    multiplicity: dict[int, int] = field(compare=False)
-
-    @property
-    def missing(self) -> tuple[int, ...]:
-        return tuple(d for d in range(self.period) if d not in self.differences)
-
-    @property
-    def is_complete(self) -> bool:
-        return len(self.differences) == self.period
 
 
 @dataclass(frozen=True)
@@ -105,20 +88,10 @@ class RulerSearchResult:
     nodes: int
 
 
-def modular_difference_set(pattern: CosetPattern) -> ModularDifferenceSet:
-    """Enumerate ``(a - b) mod N`` over all ordered pairs of marks."""
-    n = pattern.period
-    counts = Counter(
-        (a - b) % n for a in pattern.marks for b in pattern.marks
-    )
-    return ModularDifferenceSet(
-        period=n, differences=frozenset(counts), multiplicity=dict(counts)
-    )
-
-
 def is_circular_sparse_ruler(pattern: CosetPattern) -> bool:
     """True iff the modular differences of the marks cover 0..N-1."""
-    return modular_difference_set(pattern).is_complete
+    n = pattern.period
+    return len({(a - b) % n for a in pattern.marks for b in pattern.marks}) == n
 
 
 def _pair_differences(mark: int, marks: tuple[int, ...], n: int) -> int:
@@ -310,26 +283,3 @@ def _greedy_pattern(
                 best, best_key = c, key
         chosen.append(best)
     return tuple(sorted(chosen))
-
-
-def verify_pair_coverage(family: PatternFamily) -> bool:
-    """True iff every unordered coset pair and every singleton is covered."""
-    n = family.period
-    seen_pairs: set[tuple[int, int]] = set()
-    seen_single: set[int] = set()
-    for pattern in family.patterns:
-        seen_single.update(pattern.marks)
-        seen_pairs.update(_pairs_of(pattern.marks))
-    all_pairs = set(itertools.combinations(range(n), 2))
-    return seen_single == set(range(n)) and seen_pairs == all_pairs
-
-
-def uncovered_pairs(family: PatternFamily) -> list[tuple[int, int]]:
-    """Ordered coset pairs (including singletons) observed by no pattern."""
-    n = family.period
-    counts = [[0] * n for _ in range(n)]
-    for pattern in family.patterns:
-        for a in pattern.marks:
-            for b in pattern.marks:
-                counts[a][b] += 1
-    return [(a, b) for a in range(n) for b in range(n) if counts[a][b] == 0]

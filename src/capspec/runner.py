@@ -12,15 +12,15 @@ from __future__ import annotations
 import configparser
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis
-from .analysis import DetectorSpec, average_periodograms, nmse, nyquist_ap, run_seed
+from .analysis import DetectorSpec, dispatch_runs, nmse, nyquist_ap, run_seed
 from .estimator import (
+    average_periodograms,
     estimate_correlated_bins,
     estimate_multicluster,
     ls_reconstruct_rbar,
@@ -28,7 +28,7 @@ from .estimator import (
     sample_covariance,
 )
 from .patterns import CosetPattern
-from .scenarios import scenario_from_parser, load_scenario, with_overrides
+from .scenarios import scenario_from_parser, load_scenario
 from .sensing import ScenarioConfig, extract_coset_observations, synthesize_observations
 
 KINDS = ("reconstruct", "nmse-sweep", "roc", "variance-check", "bench")
@@ -241,7 +241,7 @@ def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
     ]
     scores = np.empty((len(combos), manifest.runs))
     base_by_sigma = {
-        sigma: with_overrides(config, sensors_per_cluster=tau_max, noise_dbm=sigma)
+        sigma: replace(config, sensors_per_cluster=tau_max, noise_dbm=sigma)
         for sigma in sweep.sigmas_dbm
     }
 
@@ -264,7 +264,7 @@ def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
                     idx = combos.index((pattern, tau, sigma))
                     scores[idx, run] = nmse(cap, nap)
 
-    _dispatch(one, manifest.runs, manifest.threads)
+    dispatch_runs(one, manifest.runs, manifest.threads)
 
     rows = []
     for idx, (pattern, tau, sigma) in enumerate(combos):
@@ -299,7 +299,7 @@ def run_roc(manifest: ExperimentManifest) -> dict:
     aucs = {}
     paths = {}
     for setting in manifest.sweep.roc_settings:
-        config = with_overrides(
+        config = replace(
             manifest.scenario,
             sensors_per_cluster=setting.tau,
             noise_dbm=setting.sigma2_dbm,
@@ -338,7 +338,7 @@ def run_variance_check(manifest: ExperimentManifest) -> dict:
     rows = []
     for pattern in manifest.sweep.patterns:
         for tau in manifest.sweep.taus:
-            cfg = with_overrides(config, pattern=pattern, sensors_per_cluster=tau)
+            cfg = replace(config, pattern=pattern, sensors_per_cluster=tau)
             report = analysis.whitenoise_variance_report(
                 cfg, runs=manifest.runs, seed=manifest.seed, threads=manifest.threads
             )
@@ -410,7 +410,7 @@ def run_bench(manifest: ExperimentManifest) -> dict:
     taus = sorted(manifest.sweep.taus)
     stages: dict[int, dict[str, float]] = {}
     for tau in taus:
-        cfg = with_overrides(config, sensors_per_cluster=tau)
+        cfg = replace(config, sensors_per_cluster=tau)
         sensed = synthesize_observations(cfg, seed=run_seed(manifest.seed, 0))
         obs = sensed.sets[0]
         stack = sample_covariance(obs)
@@ -445,15 +445,6 @@ def run_bench(manifest: ExperimentManifest) -> dict:
     if not payload["passed"]:
         raise RuntimeError(f"bench scaling checks failed: see {out / 'bench.json'}")
     return {"bench": out / "bench.json"}
-
-
-def _dispatch(fn, runs: int, threads: int) -> None:
-    if threads <= 1:
-        for run in range(runs):
-            fn(run)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fn, range(runs)))
 
 
 RUNNERS = {

@@ -10,7 +10,6 @@ per rad/sample.
 from __future__ import annotations
 
 import configparser
-from dataclasses import replace
 from importlib import resources
 
 from .analysis import DetectorSpec
@@ -74,7 +73,7 @@ def load_fixture(name: str) -> ScenarioConfig:
     return scenario_from_parser(parser)
 
 
-def _parse_marks(text: str) -> tuple[int, ...]:
+def parse_marks(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
 
 
@@ -104,11 +103,11 @@ def scenario_from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
     pattern = None
     family = None
     if bin_mode == "uncorrelated":
-        pattern = CosetPattern(period, _parse_marks(sec.get("marks")))
+        pattern = CosetPattern(period, parse_marks(sec.get("marks")))
     else:
         if sec.get("family", None):
             groups = [
-                _parse_marks(chunk) for chunk in sec.get("family").split("|") if chunk.strip()
+                parse_marks(chunk) for chunk in sec.get("family").split("|") if chunk.strip()
             ]
             family = PatternFamily(
                 period, tuple(CosetPattern(period, g) for g in groups)
@@ -131,11 +130,6 @@ def scenario_from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
         bin_mode=bin_mode,
         seed=sec.getint("seed", fallback=0),
     )
-
-
-def with_overrides(config: ScenarioConfig, **fields) -> ScenarioConfig:
-    """Dataclass replace with scenario-level validation re-run."""
-    return replace(config, **fields)
 
 
 def multiband_detector() -> DetectorSpec:

@@ -2,7 +2,7 @@
 
 Generates multiband user signals over fading channels at clusters of
 sensors, adds white noise, and reduces each sensor's Nyquist-grid record
-to its active cosets together with their per-bin DTFT values.  All
+to the per-bin DTFT values of its active cosets.  All
 randomness is drawn from counter-style keyed generators so that any
 sensor's record is reproducible independently of evaluation order.
 """
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sig
 
 from .patterns import CosetPattern, PatternFamily
 
@@ -30,15 +29,6 @@ _R_SIGNAL, _R_SHARED_SIGNAL, _R_FADING, _R_NOISE, _R_SYMBOL, _R_SHARED_SYMBOL = 
 def dbm_to_linear(dbm: float) -> float:
     """0 dBm maps to linear power 1.0; -inf dBm maps to 0."""
     return 10.0 ** (dbm / 10.0)
-
-
-def linear_density(power_dbm: float) -> float:
-    """Linear power density per unit normalized frequency.
-
-    Densities are relative powers on the common 0 dBm = 1.0 reference;
-    only ratios against the noise level matter downstream.
-    """
-    return dbm_to_linear(power_dbm)
 
 
 @dataclass(frozen=True)
@@ -135,21 +125,20 @@ class ScenarioConfig:
 
 @dataclass
 class CosetObservationSet:
-    """Per-sensor coset samples and their DTFT values for one cluster/group.
+    """Per-sensor coset DTFT values for one cluster/group.
 
-    ``samples[t, m, l]`` is the l-th sample of coset ``pattern.marks[m]``
-    at sensor t; ``dtft[t, m, l]`` its DTFT at theta = l / grid_size.
+    ``dtft[t, m, l]`` is the DTFT of the samples of coset
+    ``pattern.marks[m]`` at sensor t, at theta = l / grid_size.
     """
 
     pattern: CosetPattern
-    samples: np.ndarray
     dtft: np.ndarray
     label: int = 0
     full_rate: np.ndarray | None = None
 
     @property
     def count(self) -> int:
-        return self.samples.shape[0]
+        return self.dtft.shape[0]
 
 
 @dataclass
@@ -180,8 +169,9 @@ def bandpass_response(
 ) -> np.ndarray:
     """Frequency response of the user-band shaping filter on the full grid.
 
-    Windowed-sinc (Hamming) lowpass of ``taps`` coefficients modulated to
-    the band center, applied circularly, normalized to unit peak gain.
+    Windowed-sinc (Hamming) lowpass of ``taps`` coefficients, cutoff
+    ``width / 2`` and unit DC gain, modulated to the band center, applied
+    circularly, normalized to unit peak gain.
     """
     lo, hi = band
     width = hi - lo if hi > lo else (hi - lo) % 1.0
@@ -189,7 +179,12 @@ def bandpass_response(
         raise ValueError(f"band {band} has zero width")
     if width >= 1.0 - 2.0 / n_grid:
         return np.ones(n_grid, dtype=complex)
-    lowpass = sig.firwin(taps, width / 2.0, window="hamming", fs=1.0)
+    m = np.arange(taps) - (taps - 1) / 2
+    # 1 - 0.54 (not 0.46) keeps the coefficients equal to the usual
+    # firwin(taps, width / 2, window="hamming", fs=1) to the last bit.
+    window = 0.54 + (1 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, taps))
+    lowpass = width * np.sinc(width * m) * window
+    lowpass /= np.sum(lowpass)
     center = (lo + width / 2.0) % 1.0
     taps_idx = np.arange(taps)
     response = np.fft.fft(lowpass * np.exp(2j * np.pi * center * taps_idx), n_grid)
@@ -219,30 +214,12 @@ def generate_user_signal(
     in-band density, shaped by the unit-gain band filter via circular
     convolution; in-band power density then matches ``spec.power_dbm``.
     """
-    density = linear_density(spec.power_dbm)
+    density = dbm_to_linear(spec.power_dbm)
     if density == 0.0:
         return np.zeros(length, dtype=complex)
     driving = _crandn(rng, length, density)
     response = bandpass_response(spec.band, length)
     return np.fft.ifft(np.fft.fft(driving) * response)
-
-
-def coset_dtft(
-    samples: np.ndarray, coset: int, period: int, samples_per_coset: int
-) -> np.ndarray:
-    """DTFT of one coset's samples at theta_l = l / (period*samples_per_coset).
-
-    Equals the full-grid DTFT of the coset-decimated record: a length-L
-    transform of the coset sequence times the per-coset phase ramp.
-    """
-    samples = np.asarray(samples)
-    if samples.shape[-1] != samples_per_coset:
-        raise ValueError(
-            f"expected {samples_per_coset} samples per coset, got {samples.shape[-1]}"
-        )
-    l = np.arange(samples_per_coset)
-    phase = np.exp(-2j * np.pi * l * coset / (period * samples_per_coset))
-    return np.fft.fft(samples, axis=-1) * phase
 
 
 def extract_coset_observations(
@@ -254,13 +231,12 @@ def extract_coset_observations(
     if n * l_per != x.shape[1]:
         raise ValueError("record length is not a multiple of the period")
     marks = list(pattern.marks)
-    samples = x.reshape(x.shape[0], l_per, n)[:, :, marks].transpose(0, 2, 1).copy()
+    samples = x.reshape(x.shape[0], l_per, n)[:, :, marks].transpose(0, 2, 1)
     l = np.arange(l_per)
     phase = np.exp(-2j * np.pi * l[None, :] * np.asarray(marks)[:, None] / (n * l_per))
     dtft = np.fft.fft(samples, axis=2) * phase[None, :, :]
     return CosetObservationSet(
         pattern=pattern,
-        samples=samples,
         dtft=dtft,
         label=label,
         full_rate=x if keep_full_rate else None,
@@ -345,7 +321,7 @@ def _correlated_component(
     idx = band_grid_indices(user.band, n_grid)
     if idx.size == 0:
         raise ValueError(f"band {user.band} covers no grid point at {n_grid} points")
-    density = linear_density(user.power_dbm)
+    density = dbm_to_linear(user.power_dbm)
     spectrum = np.zeros(n_grid, dtype=complex)
     spectrum[idx] = math.sqrt(n_grid * density) * symbol
     return np.fft.ifft(spectrum)

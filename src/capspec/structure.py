@@ -3,11 +3,14 @@
 The model chains three linear maps: an inverse-DFT-style modulation
 matrix B couples the N frequency bins to the N coset spectra, a
 repetition matrix T expands the N circulant lags to all N^2 covariance
-entries, and selection matrices C pick the active cosets.  The
-compressed system matrix Rc = (C kron C) T is never materialized in the
-reconstruction hot path; its rows are rows of the identity indexed by
-modular mark differences, so the whole least-squares solve reduces to
-index bookkeeping.  Dense builders are provided for verification.
+entries, and selection matrices C pick the active cosets.  Both LS
+systems have a diagonal normal matrix (Rc^T Rc = diag(gamma) for one
+pattern, with Rc = (C kron C) T; Psi^T Psi = diag(pair counts) for a
+family), so each design is solved by one real averaging operator, built
+here from index maps, that takes the column-major vectorized sample
+covariances to the N circulant lags.  The dense builders (``dense_rc``,
+``dense_psi``, ``build_selection_matrix``, ``build_repetition_matrix``)
+materialize the model matrices and serve as test oracles.
 """
 
 from __future__ import annotations
@@ -53,11 +56,14 @@ class SystemMatrixRc:
     (q = M*col + row), the modular difference (marks[row] - marks[col])
     mod N, i.e. which lag that entry observes.  ``gamma[k]`` counts the
     entries observing lag k; it is exactly the diagonal of Rc^T Rc.
+    ``operator`` is the M^2 x N averaging operator pinv(Rc)^T: row q
+    holds 1/gamma[row_map[q]] in column row_map[q].
     """
 
     pattern: CosetPattern
     row_map: np.ndarray = field(repr=False, compare=False)
     gamma: np.ndarray = field(repr=False, compare=False)
+    operator: np.ndarray = field(repr=False, compare=False)
 
     @property
     def identifiable(self) -> bool:
@@ -72,15 +78,17 @@ class SystemMatrixRc:
 class PsiMatrix:
     """Index form of the stacked per-group selection system.
 
-    ``vec_index[z, m, mp]`` is the vectorized position (N*col + row) of
-    the coset-correlation entry observed by group z at covariance slot
-    (m, mp).  ``pair_counts`` is the diagonal of Psi^T Psi: how many
-    groups observe each ordered coset pair.
+    ``pair_counts[N*col + row]`` is the diagonal of Psi^T Psi: how many
+    groups observe the ordered coset pair (row, col).  ``operator`` is
+    the (Z M^2) x N averaging operator: row z*M^2 + M*mp + m routes the
+    covariance slot (m, mp) of group z to lag (marks[m] - marks[mp]) mod
+    N with weight 1/(N * pair count), so one product yields the mean of
+    each modular diagonal of the LS estimate of the N x N matrix.
     """
 
     family: PatternFamily
-    vec_index: np.ndarray = field(repr=False, compare=False)
     pair_counts: np.ndarray = field(repr=False, compare=False)
+    operator: np.ndarray = field(repr=False, compare=False)
 
     @property
     def identifiable(self) -> bool:
@@ -119,17 +127,28 @@ def build_selection_matrix(pattern: CosetPattern) -> np.ndarray:
     return c
 
 
+def _averaging_operator(lags: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Rows x N matrix with ``weights[q]`` in column ``lags[q]`` of row q."""
+    operator = np.zeros((lags.size, n))
+    operator[np.arange(lags.size), lags] = weights
+    operator.setflags(write=False)
+    return operator
+
+
 def build_system_matrix(pattern: CosetPattern) -> SystemMatrixRc:
-    """Row map and gamma diagonal of Rc = (C kron C) T for ``pattern``."""
+    """Row map, gamma diagonal and averaging operator of Rc = (C kron C) T."""
     n = pattern.period
     marks = np.asarray(pattern.marks)
     # vec ordering is column-major (q = M*col + row), so
     # row_map[q] = (marks[q % M] - marks[q // M]) mod N.
     row_map = ((marks[None, :] - marks[:, None]) % n).reshape(-1)
     gamma = np.bincount(row_map, minlength=n)
+    operator = _averaging_operator(row_map, 1.0 / gamma[row_map], n)
     row_map.setflags(write=False)
     gamma.setflags(write=False)
-    return SystemMatrixRc(pattern=pattern, row_map=row_map, gamma=gamma)
+    return SystemMatrixRc(
+        pattern=pattern, row_map=row_map, gamma=gamma, operator=operator
+    )
 
 
 def dense_rc(pattern: CosetPattern) -> np.ndarray:
@@ -139,25 +158,19 @@ def dense_rc(pattern: CosetPattern) -> np.ndarray:
     return np.kron(c, c) @ t
 
 
-def check_identifiability(pattern: CosetPattern) -> bool:
-    """True iff every modular difference is realized (min gamma >= 1)."""
-    return build_system_matrix(pattern).identifiable
-
-
 def build_psi(family: PatternFamily) -> PsiMatrix:
-    """Vectorized-index map and ordered-pair counts for a pattern family."""
+    """Ordered-pair counts and averaging operator for a pattern family."""
     n = family.period
-    m = family.marks_per_pattern
-    z = family.size
-    vec_index = np.empty((z, m, m), dtype=np.int64)
-    for zi, pattern in enumerate(family.patterns):
-        marks = np.asarray(pattern.marks)
-        # Slot (m, mp) observes the entry at row marks[m], column marks[mp].
-        vec_index[zi] = n * marks[None, :] + marks[:, None]
-    pair_counts = np.bincount(vec_index.reshape(-1), minlength=n * n)
-    vec_index.setflags(write=False)
+    marks = np.array([pattern.marks for pattern in family.patterns])[:, None, :]
+    # Column-major slot (mp, m) of group z observes row marks[m] and
+    # column marks[mp] of the N x N matrix.
+    rows, cols = marks, marks.transpose(0, 2, 1)
+    vec_index = (n * cols + rows).reshape(-1)
+    pair_counts = np.bincount(vec_index, minlength=n * n)
+    lags = ((rows - cols) % n).reshape(-1)
+    operator = _averaging_operator(lags, 1.0 / (n * pair_counts[vec_index]), n)
     pair_counts.setflags(write=False)
-    return PsiMatrix(family=family, vec_index=vec_index, pair_counts=pair_counts)
+    return PsiMatrix(family=family, pair_counts=pair_counts, operator=operator)
 
 
 def dense_psi(family: PatternFamily) -> np.ndarray:

@@ -41,13 +41,13 @@ def population_stack(pattern, rx_diags):
 def observations_from_vectors(pattern, vectors, l_pts=4):
     """Constant-in-theta DTFT snapshots with prescribed sensor vectors."""
     dtft = np.repeat(np.asarray(vectors)[:, :, None], l_pts, axis=2)
-    return CosetObservationSet(pattern=pattern, samples=dtft.copy(), dtft=dtft)
+    return CosetObservationSet(pattern=pattern, dtft=dtft)
 
 
 def random_observations(rng, pattern, tau=6, l_pts=5):
     m = pattern.size
     dtft = rng.standard_normal((tau, m, l_pts)) + 1j * rng.standard_normal((tau, m, l_pts))
-    return CosetObservationSet(pattern=pattern, samples=dtft.copy(), dtft=dtft)
+    return CosetObservationSet(pattern=pattern, dtft=dtft)
 
 
 class TestSampleCovariance:
@@ -65,11 +65,7 @@ class TestSampleCovariance:
         assert np.allclose(stack.matrices, np.outer(v, v.conj()), atol=1e-13)
 
     def test_empty_rejected(self, ruler18):
-        obs = CosetObservationSet(
-            pattern=ruler18,
-            samples=np.empty((0, 5, 3), complex),
-            dtft=np.empty((0, 5, 3), complex),
-        )
+        obs = CosetObservationSet(pattern=ruler18, dtft=np.empty((0, 5, 3), complex))
         with pytest.raises(ValueError):
             sample_covariance(obs)
 
@@ -289,6 +285,17 @@ class TestCorrelatedBins:
         cap = estimate_correlated_bins(obs)
         want = np.repeat(np.real(np.diag(rx)), 2) / (n * 2)
         assert np.max(np.abs(cap.values - want)) < 1e-10
+
+    def test_single_full_group_equals_cap_ub(self, rng):
+        # with every coset observed, both designs average each modular
+        # diagonal of the same matrix, circulant or not
+        pattern = CosetPattern(7, tuple(range(7)))
+        obs = random_observations(rng, pattern, tau=4, l_pts=6)
+        cb = estimate_correlated_bins([obs])
+        ub = reconstruct_cap(obs)
+        scale = np.max(np.abs(ub.values))
+        assert np.max(np.abs(cb.values - ub.values)) < 1e-12 * scale
+        assert cb.estimator == "CAP-CB" and ub.estimator == "CAP-UB"
 
     def test_uncovered_pair_is_reported(self, rng):
         from capspec.patterns import PatternFamily

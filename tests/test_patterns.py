@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from capspec.patterns import (
@@ -9,10 +10,8 @@ from capspec.patterns import (
     exhaustive_minimal_ruler,
     is_circular_sparse_ruler,
     minimal_circular_sparse_ruler,
-    modular_difference_set,
-    uncovered_pairs,
-    verify_pair_coverage,
 )
+from capspec.structure import build_psi, build_system_matrix
 from conftest import random_pattern
 
 
@@ -37,29 +36,30 @@ class TestCosetPattern:
 
 class TestModularDifferenceSet:
     def test_ruler18_is_complete(self, ruler18):
-        diffs = modular_difference_set(ruler18)
-        assert diffs.is_complete
-        assert diffs.missing == ()
+        sysm = build_system_matrix(ruler18)
+        assert sysm.identifiable
+        assert sysm.missing_differences == ()
 
     def test_single_mark(self):
-        diffs = modular_difference_set(CosetPattern(1, (0,)))
-        assert diffs.differences == frozenset({0})
-        assert diffs.multiplicity == {0: 1}
+        sysm = build_system_matrix(CosetPattern(1, (0,)))
+        assert sysm.gamma.tolist() == [1]
 
     def test_three_marks_of_six(self):
         # all 9 ordered pairs of {0,1,2} mod 6: 3 is never realized
-        diffs = modular_difference_set(CosetPattern(6, (0, 1, 2)))
-        assert diffs.differences == frozenset({0, 1, 2, 4, 5})
-        assert diffs.missing == (3,)
+        sysm = build_system_matrix(CosetPattern(6, (0, 1, 2)))
+        assert set(np.flatnonzero(sysm.gamma).tolist()) == {0, 1, 2, 4, 5}
+        assert sysm.missing_differences == (3,)
 
     def test_multiplicity_identities(self, rng):
         # counts sum to M^2 and the zero difference appears exactly M times
         for _ in range(60):
             p = random_pattern(rng)
-            diffs = modular_difference_set(p)
-            assert sum(diffs.multiplicity.values()) == p.size**2
-            assert diffs.multiplicity[0] == p.size
-            assert diffs.differences == brute_force_differences(p.marks, p.period)
+            gamma = build_system_matrix(p).gamma
+            assert gamma.sum() == p.size**2
+            assert gamma[0] == p.size
+            assert set(np.flatnonzero(gamma).tolist()) == brute_force_differences(
+                p.marks, p.period
+            )
 
 
 class TestIsCircularSparseRuler:
@@ -125,13 +125,13 @@ class TestPairCoverFamily:
     def test_small_family_matches_known_group_count(self):
         family = design_pair_cover_family(5, 3)
         assert family.size == 4
-        assert verify_pair_coverage(family)
+        assert build_psi(family).identifiable
 
     def test_full_pattern_single_group(self):
         for n in (2, 5, 7):
             family = design_pair_cover_family(n, n)
             assert family.size == 1
-            assert verify_pair_coverage(family)
+            assert build_psi(family).identifiable
 
     def test_rejects_single_mark(self):
         with pytest.raises(ValueError):
@@ -143,14 +143,14 @@ class TestPairCoverFamily:
         for _ in range(25):
             n = int(rng.integers(3, 13))
             m = int(rng.integers(2, n + 1))
-            family = design_pair_cover_family(n, m)
-            assert verify_pair_coverage(family)
-            assert uncovered_pairs(family) == []
+            psi = build_psi(design_pair_cover_family(n, m))
+            assert psi.identifiable
+            assert psi.uncovered == ()
 
     def test_large_family_group_count(self):
         # the wideband fixture needs 12 groups of 14 cosets out of 40
         family = design_pair_cover_family(40, 14)
-        assert verify_pair_coverage(family)
+        assert build_psi(family).identifiable
         assert family.size <= 12
 
     def test_verifier_accepts_handbuilt_cover(self):
@@ -158,12 +158,12 @@ class TestPairCoverFamily:
             CosetPattern(5, marks)
             for marks in [(0, 1, 2), (0, 3, 4), (1, 3, 4), (2, 3, 4)]
         )
-        assert verify_pair_coverage(PatternFamily(5, patterns))
+        assert build_psi(PatternFamily(5, patterns)).identifiable
 
     def test_verifier_rejects_partial_cover(self):
-        family = PatternFamily(5, (CosetPattern(5, (0, 1, 2)),))
-        assert not verify_pair_coverage(family)
-        assert (3, 4) in uncovered_pairs(family)
+        psi = build_psi(PatternFamily(5, (CosetPattern(5, (0, 1, 2)),)))
+        assert not psi.identifiable
+        assert (3, 4) in psi.uncovered
 
     def test_verifier_by_enumeration(self, rng):
         # independent check: coverage flag equals brute-force pair enumeration
@@ -181,4 +181,4 @@ class TestPairCoverFamily:
                 seen.update(itertools.combinations(p.marks, 2))
                 seen.update((a, a) for a in p.marks)
             want = set(itertools.combinations(range(n), 2)) | {(a, a) for a in range(n)}
-            assert verify_pair_coverage(family) == (seen == want)
+            assert build_psi(family).identifiable == (seen == want)

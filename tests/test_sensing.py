@@ -1,16 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import capspec
 from capspec.patterns import CosetPattern, PatternFamily
+from capspec.scenarios import load_fixture
 from capspec.sensing import (
+    FILTER_TAPS,
     ScenarioConfig,
     UserSpec,
     bandpass_response,
-    coset_dtft,
     dbm_to_linear,
     extract_coset_observations,
     generate_user_signal,
-    linear_density,
     synthesize_observations,
 )
 from capspec.structure import build_modulation_matrix, build_selection_matrix
@@ -30,7 +36,7 @@ class TestUserSignal:
     def test_full_band_passthrough_variance(self, rng):
         spec = UserSpec(band=(0.0, 1.0), power_dbm=0.0, path_loss_db=(0.0,))
         x = generate_user_signal(spec, GRID, rng)
-        assert abs(np.var(x) - linear_density(0.0)) / linear_density(0.0) < 0.05
+        assert abs(np.var(x) - dbm_to_linear(0.0)) / dbm_to_linear(0.0) < 0.05
 
     def test_inband_density_matches_request(self, rng):
         spec = UserSpec(band=(0.205, 0.245), power_dbm=12.0, path_loss_db=(0.0,))
@@ -38,7 +44,7 @@ class TestUserSignal:
         psd = np.abs(np.fft.fft(x)) ** 2 / GRID
         theta = np.arange(GRID) / GRID
         core = (theta >= 0.21) & (theta <= 0.24)
-        assert abs(psd[core].mean() - linear_density(12.0)) / linear_density(12.0) < 0.1
+        assert abs(psd[core].mean() - dbm_to_linear(12.0)) / dbm_to_linear(12.0) < 0.1
 
     def test_band_energy_concentrated(self, rng):
         spec = UserSpec(band=(0.205, 0.245), power_dbm=10.0, path_loss_db=(0.0,))
@@ -58,6 +64,23 @@ class TestUserSignal:
         inside = (theta >= 0.97 - transition) | (theta < 0.03 + transition)
         assert spectrum[inside].sum() / spectrum.sum() >= 0.95
 
+    def test_filter_matches_scipy_firwin_bit_for_bit(self):
+        signal = pytest.importorskip("scipy.signal")
+        bands = {((0.1, 0.1 + w), GRID) for w in (0.001, 0.0123, 0.25, 0.5, 0.9)}
+        bands.add(((0.97, 0.03), GRID))
+        for name in ("table2.ini", "table4.ini", "table5.ini"):
+            config = load_fixture(name)
+            bands |= {(user.band, config.grid_size) for user in config.users}
+        taps = np.arange(FILTER_TAPS)
+        for band, n_grid in sorted(bands):
+            lo, hi = band
+            width = hi - lo if hi > lo else (hi - lo) % 1.0
+            lowpass = signal.firwin(FILTER_TAPS, width / 2.0, window="hamming", fs=1.0)
+            center = (lo + width / 2.0) % 1.0
+            want = np.fft.fft(lowpass * np.exp(2j * np.pi * center * taps), n_grid)
+            want /= np.max(np.abs(want))
+            assert np.array_equal(bandpass_response(band, n_grid), want), band
+
     def test_zero_power_gives_zeros(self, rng):
         spec = UserSpec(band=(0.1, 0.2), power_dbm=-np.inf, path_loss_db=(0.0,))
         assert np.all(generate_user_signal(spec, GRID, rng) == 0)
@@ -71,22 +94,22 @@ class TestUserSignal:
 
 class TestCosetDtft:
     def test_zeros(self):
-        out = coset_dtft(np.zeros(16, dtype=complex), coset=3, period=4, samples_per_coset=16)
-        assert np.all(out == 0)
+        obs = extract_coset_observations(np.zeros(64, dtype=complex), CosetPattern(4, (3,)))
+        assert np.all(obs.dtft == 0)
 
     def test_unit_impulse_phase_ramp(self):
         # impulse at the first coset sample: transform is the pure phase ramp
         period, l_per, coset = 5, 12, 3
-        samples = np.zeros(l_per, dtype=complex)
-        samples[0] = 1.0
-        out = coset_dtft(samples, coset, period, l_per)
+        x = np.zeros(period * l_per, dtype=complex)
+        x[coset] = 1.0
+        out = extract_coset_observations(x, CosetPattern(period, (coset,))).dtft[0, 0]
         l = np.arange(l_per)
         want = np.exp(-2j * np.pi * l * coset / (period * l_per))
         assert np.max(np.abs(out - want)) < 1e-12
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            coset_dtft(np.zeros(7), coset=0, period=3, samples_per_coset=8)
+            extract_coset_observations(np.zeros(7), CosetPattern(3, (0,)))
 
     def test_aliasing_identity(self, rng):
         # stacked coset DTFTs equal C B x(theta) built from the full-rate DFT
@@ -140,7 +163,7 @@ class TestSynthesize:
         theta = np.arange(x.shape[1]) / x.shape[1]
         core = (theta >= 0.06) & (theta <= 0.09)
         mean_pl = (dbm_to_linear(-12.0) + dbm_to_linear(-10.0)) / 2
-        want = linear_density(34.0) * mean_pl + dbm_to_linear(7.0)
+        want = dbm_to_linear(34.0) * mean_pl + dbm_to_linear(7.0)
         assert abs(psd[core].mean() - want) / want < 0.15
 
     def test_synchronized_sensors_share_user_component(self):
@@ -224,3 +247,13 @@ class TestScenarioValidation:
                 period=4, samples_per_coset=10, users=(), noise_dbm=0.0,
                 pattern=CosetPattern(4, (0, 1)), sync="sometimes",
             )
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(capspec.__file__).resolve().parents[1])
+    code = "import sys, capspec; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

@@ -13,7 +13,6 @@ from capspec.structure import (
     build_repetition_matrix,
     build_selection_matrix,
     build_system_matrix,
-    check_identifiability,
     dense_psi,
     dense_rc,
 )
@@ -88,25 +87,31 @@ class TestSystemMatrix:
             eye = np.eye(p.period)
             assert np.array_equal(rc, eye[build_system_matrix(p).row_map])
 
+    def test_operator_is_dense_pseudoinverse(self, rng):
+        for _ in range(20):
+            p = random_pattern(rng)
+            op = build_system_matrix(p).operator
+            assert np.allclose(op, np.linalg.pinv(dense_rc(p)).T, atol=1e-12)
+
 
 class TestIdentifiability:
     def test_examples(self, ruler18):
-        assert check_identifiability(ruler18)
-        assert not check_identifiability(CosetPattern(6, (0, 1, 2)))
-        assert check_identifiability(CosetPattern(5, tuple(range(5))))
+        assert build_system_matrix(ruler18).identifiable
+        assert not build_system_matrix(CosetPattern(6, (0, 1, 2))).identifiable
+        assert build_system_matrix(CosetPattern(5, tuple(range(5)))).identifiable
 
     def test_matches_ruler_criterion_exhaustively(self):
         for n in range(1, 13):
             for mask in range(1, 2**n):
                 marks = tuple(i for i in range(n) if mask >> i & 1)
                 p = CosetPattern(n, marks)
-                assert check_identifiability(p) == is_circular_sparse_ruler(p)
+                assert build_system_matrix(p).identifiable == is_circular_sparse_ruler(p)
 
     def test_matches_numerical_rank(self, rng):
         for _ in range(30):
             p = random_pattern(rng)
             full_rank = np.linalg.matrix_rank(dense_rc(p)) == p.period
-            assert check_identifiability(p) == full_rank
+            assert build_system_matrix(p).identifiable == full_rank
 
     def test_missing_differences_reported(self):
         sysm = build_system_matrix(CosetPattern(6, (0, 1, 2)))
@@ -147,6 +152,11 @@ class TestPsi:
             normal = dense.T @ dense
             assert np.array_equal(normal, np.diag(psi.pair_counts))
             assert psi.identifiable == (np.linalg.matrix_rank(dense) == n * n)
+            if psi.identifiable:
+                # LS solve, then mean over each modular diagonal
+                t = build_repetition_matrix(n).matrix
+                want = np.linalg.pinv(dense).T @ t / n
+                assert np.allclose(psi.operator, want, atol=1e-12)
 
     def test_greedy_family_full_rank_at_small_size(self):
         family = design_pair_cover_family(8, 3)
