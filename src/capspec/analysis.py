@@ -17,21 +17,25 @@ import numpy as np
 
 from .estimator import NAP, Periodogram, average_periodograms, estimate_multicluster
 from .patterns import CosetPattern
-from .sensing import ScenarioConfig, dbm_to_linear, synthesize_observations
+from .sensing import (
+    ScenarioConfig,
+    band_grid_indices,
+    dbm_to_linear,
+    synthesize_observations,
+)
 from .structure import SystemMatrixRc, build_system_matrix
 
 
 def nyquist_ap(records: np.ndarray) -> Periodogram:
     """Averaged periodogram of full-rate records (sensors x grid points)."""
     x = np.atleast_2d(records)
-    tau, n_grid = x.shape
+    n_grid = x.shape[1]
     spectra = np.fft.fft(x, axis=1)
     values = np.mean(np.abs(spectra) ** 2, axis=0) / n_grid
     return Periodogram(
         thetas=np.arange(n_grid) / n_grid,
         values=values,
         estimator=NAP,
-        count=tau,
     )
 
 
@@ -172,11 +176,6 @@ def whitenoise_variance_closed_form(
     return WhiteNoiseVariance(variance, variance / sigma2**2, True)
 
 
-def run_seed(base_seed: int, run_index: int) -> tuple[int, int]:
-    """Entropy key for one Monte Carlo run."""
-    return (int(base_seed), int(run_index))
-
-
 def dispatch_runs(one, runs: int, threads: int = 1) -> None:
     """Call ``one(run)`` for every run, on ``threads`` worker threads if more
     than one.  Each run is keyed by its index and stores its own result, so
@@ -209,7 +208,7 @@ def mc_caps(
 
     def one(run: int) -> None:
         sensed = synthesize_observations(
-            config, seed=run_seed(seed, run), keep_full_rate=keep_nap
+            config, seed=(seed, run), keep_full_rate=keep_nap
         )
         _, averaged = estimate_multicluster(sensed.sets)
         caps[run] = averaged.values
@@ -225,10 +224,6 @@ def mc_caps(
 class VarianceReport:
     """Analytical vs Monte Carlo per-bin variance for one configuration."""
 
-    pattern: CosetPattern
-    tau: int
-    sigma2_dbm: float
-    runs: int
     analytical_variance: float
     analytical_nmse: float
     empirical_by_theta: np.ndarray = field(repr=False)
@@ -264,10 +259,6 @@ def whitenoise_variance_report(
     empirical = np.var(caps, axis=0, ddof=1)
     emp_nmse = float(np.mean((caps - sigma2) ** 2) / sigma2**2)
     return VarianceReport(
-        pattern=config.pattern,
-        tau=tau,
-        sigma2_dbm=config.noise_dbm,
-        runs=runs,
         analytical_variance=closed.variance,
         analytical_nmse=closed.nmse,
         empirical_by_theta=empirical,
@@ -284,7 +275,8 @@ class DetectorSpec:
     points (non-overlapping blocks); detection events are counted on
     blocks inside the active bands, false alarms on blocks inside the
     quiet bands.  ``points_per_band`` trims each active band to a fixed
-    number of centered grid points (a multiple of ``avg_width``).
+    number of centered grid points (a multiple of ``avg_width``).  A band
+    holds the grid points of [lo, hi); lo > hi wraps around 1.
     """
 
     active_bands: tuple[tuple[float, float], ...]
@@ -294,21 +286,27 @@ class DetectorSpec:
     quiet_points: int | None = None
 
     def __post_init__(self):
-        for lo, hi in self.active_bands:
-            for qlo, qhi in self.quiet_bands:
-                if max(lo, qlo) < min(hi, qhi):
-                    raise ValueError(
-                        f"active band ({lo},{hi}) overlaps quiet band ({qlo},{qhi})"
-                    )
+        for active in self.active_bands:
+            for quiet in self.quiet_bands:
+                if any(
+                    max(lo, qlo) < min(hi, qhi)
+                    for lo, hi in _unwrapped(active)
+                    for qlo, qhi in _unwrapped(quiet)
+                ):
+                    raise ValueError(f"active band {active} overlaps quiet band {quiet}")
+
+
+def _unwrapped(band: tuple[float, float]) -> tuple[tuple[float, float], ...]:
+    """A band as intervals within [0, 1]: a wrapped one is [lo, 1) and [0, hi)."""
+    lo, hi = band
+    return ((lo, hi),) if lo <= hi else ((lo, 1.0), (0.0, hi))
 
 
 def _band_blocks(
     band: tuple[float, float], n_grid: int, width: int, points: int | None
 ) -> np.ndarray:
-    lo, hi = band
-    first = math.ceil(lo * n_grid)
-    last = math.floor(hi * n_grid)
-    count = last - first + 1
+    points_in_band = band_grid_indices(band, n_grid)
+    count = points_in_band.size
     usable = (count // width) * width
     if points is not None:
         if points % width:
@@ -316,8 +314,8 @@ def _band_blocks(
         usable = min(usable, points)
     if usable < width:
         raise ValueError(f"band {band} holds no full {width}-point block")
-    start = first + (count - usable) // 2
-    return np.arange(start, start + usable).reshape(-1, width)
+    start = (count - usable) // 2
+    return points_in_band[start : start + usable].reshape(-1, width)
 
 
 def detection_blocks(
@@ -342,8 +340,6 @@ class RocCurve:
     thresholds: np.ndarray
     pfa: np.ndarray
     pd: np.ndarray
-    runs: int = 0
-    avg_width: int = 11
 
     @property
     def auc(self) -> float:
@@ -376,13 +372,10 @@ def roc_harness(
     quiet_stats = np.empty((runs, quiet_blocks.shape[0]))
 
     def one(run: int) -> None:
-        sensed = synthesize_observations(config, seed=run_seed(seed, run))
+        sensed = synthesize_observations(config, seed=(seed, run))
         _, averaged = estimate_multicluster(sensed.sets)
         active_stats[run] = averaged.values[active_blocks].mean(axis=1)
         quiet_stats[run] = averaged.values[quiet_blocks].mean(axis=1)
 
     dispatch_runs(one, runs, threads)
-    curve = roc_from_scores(active_stats, quiet_stats)
-    curve.runs = runs
-    curve.avg_width = detector.avg_width
-    return curve
+    return roc_from_scores(active_stats, quiet_stats)

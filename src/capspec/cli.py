@@ -7,6 +7,7 @@ Exit codes: 0 on success, 2 on identifiability or configuration errors,
 from __future__ import annotations
 
 import argparse
+import configparser
 import sys
 from pathlib import Path
 
@@ -75,7 +76,6 @@ def _experiment_command(args) -> int:
         manifest.output = Path(args.output)
     if args.runs is not None:
         manifest.runs = args.runs
-    manifest.validate()
     paths = run_manifest(manifest)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")
@@ -131,8 +131,9 @@ def main(argv=None) -> int:
     except IdentifiabilityError as exc:
         print(f"error: identifiability: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
+    except (ValueError, configparser.Error) as exc:
+        # configparser messages span lines; the reason stays on one
+        print("error: config: " + " ".join(str(exc).split()), file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)

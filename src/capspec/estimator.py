@@ -39,7 +39,6 @@ class CovarianceStack:
     at theta = l / (period * L).
     """
 
-    thetas: np.ndarray
     matrices: np.ndarray
     count: int
     pattern: CosetPattern
@@ -56,9 +55,7 @@ class CovarianceStack:
 class CosetCorrelationVector:
     """Reconstructed circulant lags, one length-N vector per grid point."""
 
-    thetas: np.ndarray
     values: np.ndarray          # (L, N) complex
-    pattern: CosetPattern
 
 
 @dataclass
@@ -68,9 +65,6 @@ class Periodogram:
     thetas: np.ndarray
     values: np.ndarray
     estimator: str
-    count: int = 0
-    clusters: int = 1
-    source: str = ""
     max_imag_ratio: float = 0.0
 
     @property
@@ -91,11 +85,7 @@ def sample_covariance(observations: CosetObservationSet) -> CovarianceStack:
     if tau == 0:
         raise ValueError(f"cluster/group {observations.label} is empty")
     matrices = np.einsum("tml,tnl->lmn", y, y.conj()) / tau
-    n_grid = observations.pattern.period * y.shape[2]
-    thetas = np.arange(y.shape[2]) / n_grid
-    return CovarianceStack(
-        thetas=thetas, matrices=matrices, count=tau, pattern=observations.pattern
-    )
+    return CovarianceStack(matrices=matrices, count=tau, pattern=observations.pattern)
 
 
 def _solve_lags(stacks: list[CovarianceStack], operator: np.ndarray) -> np.ndarray:
@@ -132,11 +122,7 @@ def ls_reconstruct_rbar(
             f"modular differences {list(missing)} are unrealized",
             missing=missing,
         )
-    return CosetCorrelationVector(
-        thetas=stack.thetas,
-        values=_solve_lags([stack], sysmat.operator),
-        pattern=stack.pattern,
-    )
+    return CosetCorrelationVector(values=_solve_lags([stack], sysmat.operator))
 
 
 def assemble_cap(
@@ -166,7 +152,6 @@ def assemble_cap(
         thetas=np.arange(n * samples_per_coset) / (n * samples_per_coset),
         values=values,
         estimator=CAP_UB,
-        source=str(rbar.pattern),
         max_imag_ratio=max_imag,
     )
 
@@ -175,11 +160,7 @@ def reconstruct_cap(
     observations: CosetObservationSet, sysmat: SystemMatrixRc | None = None
 ) -> Periodogram:
     """Full single-cluster pipeline: covariance, LS lags, periodogram."""
-    stack = sample_covariance(observations)
-    rbar = ls_reconstruct_rbar(stack, sysmat)
-    cap = assemble_cap(rbar)
-    cap.count = stack.count
-    return cap
+    return assemble_cap(ls_reconstruct_rbar(sample_covariance(observations), sysmat))
 
 
 def estimate_multicluster(
@@ -204,9 +185,6 @@ def average_periodograms(parts: list[Periodogram]) -> Periodogram:
         thetas=parts[0].thetas,
         values=np.mean([p.values for p in parts], axis=0),
         estimator=parts[0].estimator,
-        count=sum(p.count for p in parts),
-        clusters=len(parts),
-        source=parts[0].source,
         max_imag_ratio=max(p.max_imag_ratio for p in parts),
     )
 
@@ -244,15 +222,5 @@ def estimate_correlated_bins(
     stacks = [sample_covariance(obs) for obs in group_observations]
     if len({s.matrices.shape[0] for s in stacks}) != 1:
         raise ValueError("groups disagree on grid size")
-    rbar = CosetCorrelationVector(
-        thetas=stacks[0].thetas,
-        values=_solve_lags(stacks, psi.operator),
-        pattern=family.patterns[0],
-    )
-    return replace(
-        assemble_cap(rbar),
-        estimator=CAP_CB,
-        count=sum(s.count for s in stacks),
-        clusters=family.size,
-        source=f"family Z={family.size}, M={family.marks_per_pattern}, N={family.period}",
-    )
+    rbar = CosetCorrelationVector(values=_solve_lags(stacks, psi.operator))
+    return replace(assemble_cap(rbar), estimator=CAP_CB)

@@ -85,7 +85,6 @@ class RulerSearchResult:
 
     pattern: CosetPattern
     minimal: bool
-    nodes: int
 
 
 def is_circular_sparse_ruler(pattern: CosetPattern) -> bool:
@@ -121,13 +120,13 @@ def _greedy_ruler(n: int) -> tuple[int, ...]:
     return tuple(sorted(marks))
 
 
-def _dfs_ruler(n: int, size: int, budget: int) -> tuple[tuple[int, ...] | None, bool, int]:
+def _dfs_ruler(n: int, size: int, budget: int) -> tuple[tuple[int, ...] | None, bool]:
     """Depth-first search for a complete ruler with ``size`` marks, 0 anchored.
 
     Candidates are explored in ascending order so the first solution is the
-    lexicographically smallest one.  Returns (marks or None, truncated,
-    nodes used).  ``truncated`` means the budget ran out before the level
-    was exhausted, so absence of a solution is not proven.
+    lexicographically smallest one.  Returns (marks or None, truncated).
+    ``truncated`` means the budget of ``budget`` visited nodes ran out
+    before the level was exhausted, so absence of a solution is not proven.
     """
     full = (1 << n) - 1
     nodes = 0
@@ -158,9 +157,9 @@ def _dfs_ruler(n: int, size: int, budget: int) -> tuple[tuple[int, ...] | None, 
         return None
 
     if size == 1:
-        return ((0,), False, 0) if n == 1 else (None, False, 0)
+        return ((0,), False) if n == 1 else (None, False)
     sol = rec([0], 1)
-    return sol, truncated, nodes
+    return sol, truncated
 
 
 def minimal_circular_sparse_ruler(
@@ -178,27 +177,21 @@ def minimal_circular_sparse_ruler(
     if n < 1:
         raise ValueError(f"period must be positive, got {n}")
     if n == 1:
-        return RulerSearchResult(CosetPattern(1, (0,)), True, 0)
+        return RulerSearchResult(CosetPattern(1, (0,)), True)
 
     fallback = _greedy_ruler(n)
     lower = 2
     while lower * (lower - 1) + 1 < n:
         lower += 1
 
-    total_nodes = 0
     any_truncated = False
     for size in range(lower, len(fallback) + 1):
-        marks, truncated, nodes = _dfs_ruler(n, size, node_budget)
-        total_nodes += nodes
+        marks, truncated = _dfs_ruler(n, size, node_budget)
         any_truncated = any_truncated or truncated
         if marks is not None:
-            return RulerSearchResult(
-                CosetPattern(n, marks), minimal=not any_truncated, nodes=total_nodes
-            )
+            return RulerSearchResult(CosetPattern(n, marks), minimal=not any_truncated)
     # Every level up to the greedy size was truncated without a solution.
-    return RulerSearchResult(
-        CosetPattern(n, fallback), minimal=False, nodes=total_nodes
-    )
+    return RulerSearchResult(CosetPattern(n, fallback), minimal=False)
 
 
 def exhaustive_minimal_ruler(n: int) -> CosetPattern:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .analysis import DetectorSpec, dispatch_runs, nmse, nyquist_ap, run_seed
+from .analysis import DetectorSpec, dispatch_runs, nmse, nyquist_ap
 from .estimator import (
     average_periodograms,
     estimate_correlated_bins,
@@ -28,7 +28,14 @@ from .estimator import (
     sample_covariance,
 )
 from .patterns import CosetPattern
-from .scenarios import scenario_from_parser, load_scenario
+from .scenarios import (
+    _parse_floats,
+    load_scenario,
+    parse_band,
+    parse_marks,
+    required,
+    scenario_from_parser,
+)
 from .sensing import ScenarioConfig, extract_coset_observations, synthesize_observations
 
 KINDS = ("reconstruct", "nmse-sweep", "roc", "variance-check", "bench")
@@ -88,21 +95,14 @@ class ExperimentManifest:
 
 
 def _parse_bands(text: str) -> tuple[tuple[float, float], ...]:
-    bands = []
-    for chunk in text.split("|"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        lo, hi = (float(tok) for tok in chunk.split(","))
-        bands.append((lo, hi))
-    return tuple(bands)
+    return tuple(parse_band(chunk) for chunk in text.split("|") if chunk.strip())
 
 
 def parse_manifest(path, kind: str | None = None) -> ExperimentManifest:
     """Read a manifest INI file; ``kind`` overrides the [experiment] key."""
     path = Path(path)
     parser = configparser.ConfigParser()
-    parser.read_string(path.read_text(encoding="utf-8"))
+    parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
     if "experiment" not in parser:
         raise ValueError("manifest is missing its [experiment] section")
     exp = parser["experiment"]
@@ -115,35 +115,30 @@ def parse_manifest(path, kind: str | None = None) -> ExperimentManifest:
     sweep = SweepSpec()
     if "sweep" in parser:
         swp = parser["sweep"]
-        if swp.get("tau", None):
-            sweep.taus = tuple(int(t) for t in swp["tau"].split(","))
-        if swp.get("sigma2_dbm", None):
-            sweep.sigmas_dbm = tuple(float(s) for s in swp["sigma2_dbm"].split(","))
-        if swp.get("patterns", None):
-            sweep.patterns = tuple(
-                CosetPattern(
-                    scenario.period,
-                    tuple(int(m) for m in chunk.replace(" ", "").split(",")),
-                )
-                for chunk in swp["patterns"].split("|")
-                if chunk.strip()
-            )
-        if swp.get("settings", None):
-            entries = []
-            for chunk in swp["settings"].split("|"):
-                parts = [tok.strip() for tok in chunk.split(",") if tok.strip()]
-                if not parts:
-                    continue
-                sync = parts[2] if len(parts) > 2 else "unsynchronized"
-                entries.append(RocSetting(int(parts[0]), float(parts[1]), sync))
-            sweep.roc_settings = tuple(entries)
+        sweep.taus = parse_marks(swp.get("tau", ""))
+        sweep.sigmas_dbm = _parse_floats(swp.get("sigma2_dbm", ""))
+        sweep.patterns = tuple(
+            CosetPattern(scenario.period, parse_marks(chunk))
+            for chunk in swp.get("patterns", "").split("|")
+            if chunk.strip()
+        )
+        entries = []
+        for chunk in swp.get("settings", "").split("|"):
+            parts = [tok.strip() for tok in chunk.split(",") if tok.strip()]
+            if not parts:
+                continue
+            if len(parts) not in (2, 3):
+                raise ValueError(f"[sweep] settings entry {chunk!r} is not tau,sigma2[,sync]")
+            sync = parts[2] if len(parts) > 2 else "unsynchronized"
+            entries.append(RocSetting(int(parts[0]), float(parts[1]), sync))
+        sweep.roc_settings = tuple(entries)
 
     detector = None
     if "detector" in parser:
         det = parser["detector"]
         detector = DetectorSpec(
-            active_bands=_parse_bands(det.get("active_bands")),
-            quiet_bands=_parse_bands(det.get("quiet_bands")),
+            active_bands=required(det, "active_bands", _parse_bands),
+            quiet_bands=required(det, "quiet_bands", _parse_bands),
             avg_width=det.getint("avg_width", fallback=11),
             points_per_band=det.getint("points_per_band", fallback=None),
             quiet_points=det.getint("quiet_points", fallback=None),
@@ -165,7 +160,8 @@ def parse_manifest(path, kind: str | None = None) -> ExperimentManifest:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _csv_rows(path: Path, header: str, rows) -> None:
@@ -187,7 +183,7 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
     out = manifest.output
     out.mkdir(parents=True, exist_ok=True)
     sensed = synthesize_observations(
-        config, seed=run_seed(manifest.seed, 0), keep_full_rate=manifest.keep_nap
+        config, seed=(manifest.seed, 0), keep_full_rate=manifest.keep_nap
     )
     if config.bin_mode == "uncorrelated":
         _, cap = estimate_multicluster(sensed.sets)
@@ -249,7 +245,7 @@ def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
         for sigma in sweep.sigmas_dbm:
             sensed = synthesize_observations(
                 base_by_sigma[sigma],
-                seed=run_seed(manifest.seed, run),
+                seed=(manifest.seed, run),
                 keep_full_rate=True,
             )
             full = [s.full_rate for s in sensed.sets]
@@ -411,7 +407,7 @@ def run_bench(manifest: ExperimentManifest) -> dict:
     stages: dict[int, dict[str, float]] = {}
     for tau in taus:
         cfg = replace(config, sensors_per_cluster=tau)
-        sensed = synthesize_observations(cfg, seed=run_seed(manifest.seed, 0))
+        sensed = synthesize_observations(cfg, seed=(manifest.seed, 0))
         obs = sensed.sets[0]
         stack = sample_covariance(obs)
         stages[tau] = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 from importlib import resources
+from pathlib import Path
 
 from .analysis import DetectorSpec
 from .patterns import CosetPattern, PatternFamily, design_pair_cover_family
@@ -57,20 +58,18 @@ def fixture_path(name: str):
 
 
 def load_scenario(source) -> ScenarioConfig:
-    """Read a scenario INI file (path, or file-like via .read_string)."""
+    """Read a scenario INI file (path, or file-like via .read)."""
     parser = configparser.ConfigParser()
     if hasattr(source, "read"):
         parser.read_string(source.read())
     else:
-        with open(source, "r", encoding="utf-8") as f:
-            parser.read_string(f.read())
+        parser.read_string(Path(source).read_text(encoding="utf-8"), source=str(source))
     return scenario_from_parser(parser)
 
 
 def load_fixture(name: str) -> ScenarioConfig:
-    parser = configparser.ConfigParser()
-    parser.read_string(fixture_path(name).read_text(encoding="utf-8"))
-    return scenario_from_parser(parser)
+    with fixture_path(name).open("r", encoding="utf-8") as f:
+        return load_scenario(f)
 
 
 def parse_marks(text: str) -> tuple[int, ...]:
@@ -81,29 +80,47 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
 
 
+def parse_band(text: str) -> tuple[float, float]:
+    """``lo,hi`` in normalized frequency; exactly two values."""
+    band = _parse_floats(text)
+    if len(band) != 2:
+        raise ValueError(f"a band needs two values lo,hi, got {text!r}")
+    return band
+
+
+def required(section: configparser.SectionProxy, key: str, convert=str):
+    """Value of a required key, converted; errors name the section and key."""
+    text = section.get(key, None)
+    if text is None or not text.strip():
+        raise ValueError(f"[{section.name}] needs a value for {key!r}")
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"[{section.name}] {key}: {exc}") from None
+
+
 def scenario_from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
     if "scenario" not in parser:
         raise ValueError("scenario file is missing its [scenario] section")
     sec = parser["scenario"]
-    period = sec.getint("period")
+    period = required(sec, "period", int)
     users = []
     for name in parser.sections():
         if not name.startswith("user"):
             continue
         usec = parser[name]
-        band = _parse_floats(usec.get("band"))
         users.append(
             UserSpec(
-                band=(band[0], band[1]),
-                power_dbm=usec.getfloat("power_dbm"),
-                path_loss_db=_parse_floats(usec.get("path_loss_db")),
+                band=required(usec, "band", parse_band),
+                power_dbm=required(usec, "power_dbm", float),
+                path_loss_db=required(usec, "path_loss_db", _parse_floats),
             )
         )
     bin_mode = sec.get("bin_mode", "uncorrelated")
     pattern = None
     family = None
     if bin_mode == "uncorrelated":
-        pattern = CosetPattern(period, parse_marks(sec.get("marks")))
+        pattern = CosetPattern(period, required(sec, "marks", parse_marks))
     else:
         if sec.get("family", None):
             groups = [
@@ -114,13 +131,13 @@ def scenario_from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
             )
         else:
             family = design_pair_cover_family(
-                period, sec.getint("family_marks_per_pattern")
+                period, required(sec, "family_marks_per_pattern", int)
             )
     return ScenarioConfig(
         period=period,
-        samples_per_coset=sec.getint("samples_per_coset"),
+        samples_per_coset=required(sec, "samples_per_coset", int),
         users=tuple(users),
-        noise_dbm=sec.getfloat("noise_dbm"),
+        noise_dbm=required(sec, "noise_dbm", float),
         pattern=pattern,
         family=family,
         clusters=sec.getint("clusters", fallback=1),

@@ -1,10 +1,12 @@
 """Scenario synthesis and multi-coset acquisition.
 
-Generates multiband user signals over fading channels at clusters of
+Generates multiband user signals over fading channels at groups of
 sensors, adds white noise, and reduces each sensor's Nyquist-grid record
-to the per-bin DTFT values of its active cosets.  All
-randomness is drawn from counter-style keyed generators so that any
-sensor's record is reproducible independently of evaluation order.
+to the per-bin DTFT values of its active cosets.  Uncorrelated and
+correlated bins share this acquisition model and one synthesis loop;
+they differ only in how a user's component is drawn.  All randomness is
+drawn from counter-style keyed generators so that any sensor's record
+is reproducible independently of evaluation order.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ def dbm_to_linear(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
+def _check_level(name: str, dbm: float) -> None:
+    """A level in dB may be -inf (zero power), never NaN or +inf."""
+    if math.isnan(dbm) or dbm == math.inf:
+        raise ValueError(f"{name} must be finite or -inf, got {dbm}")
+
+
 @dataclass(frozen=True)
 class UserSpec:
     """One active user: an occupied band and its transmit power density.
@@ -50,6 +58,11 @@ class UserSpec:
         object.__setattr__(
             self, "path_loss_db", tuple(float(p) for p in self.path_loss_db)
         )
+        if not all(map(math.isfinite, self.band)):
+            raise ValueError(f"band {self.band} has a non-finite edge")
+        _check_level("power_dbm", self.power_dbm)
+        for loss in self.path_loss_db:
+            _check_level("path_loss_db", loss)
         if self.width <= 0.0:
             raise ValueError(f"band {self.band} has zero width")
 
@@ -86,6 +99,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.period < 1 or self.samples_per_coset < 1:
             raise ValueError("period and samples_per_coset must be positive")
+        _check_level("noise_dbm", self.noise_dbm)
         if self.sync not in SYNC_MODES:
             raise ValueError(f"sync must be one of {SYNC_MODES}")
         if self.bin_mode not in BIN_MODES:
@@ -136,14 +150,9 @@ class CosetObservationSet:
     label: int = 0
     full_rate: np.ndarray | None = None
 
-    @property
-    def count(self) -> int:
-        return self.dtft.shape[0]
-
 
 @dataclass
 class SensingRun:
-    config: ScenarioConfig
     sets: list[CosetObservationSet]
     warnings: list[str] = field(default_factory=list)
 
@@ -194,15 +203,16 @@ def bandpass_response(
 
 
 def band_grid_indices(band: tuple[float, float], n_grid: int) -> np.ndarray:
-    """Grid points k with k / n_grid inside [lo, hi), wrap-aware."""
+    """Grid points k with k / n_grid inside [lo, hi), in band order.
+
+    A band that wraps around 1 (lo > hi) lists [lo, 1) and then [0, hi).
+    """
     lo, hi = band
     k = np.arange(n_grid)
     theta = k / n_grid
     if lo <= hi:
-        mask = (theta >= lo) & (theta < hi)
-    else:
-        mask = (theta >= lo) | (theta < hi)
-    return k[mask]
+        return k[(theta >= lo) & (theta < hi)]
+    return np.concatenate([k[theta >= lo], k[theta < hi]])
 
 
 def generate_user_signal(
@@ -252,13 +262,20 @@ def synthesize_observations(
     (uncorrelated bins) or per group (correlated bins).
 
     ``seed`` overrides ``config.seed`` and may be a tuple, which lets
-    Monte Carlo drivers key whole runs.  Synchronized sensors share one
-    realization of each user signal; unsynchronized sensors draw
-    independent realizations.  Fading is one complex Gaussian gain per
-    (user, sensor), flat across the user's band, with variance equal to
-    the linear path loss of the sensor's cluster.
+    Monte Carlo drivers key whole runs.  One loop serves both bin modes:
+    sensor t of group g records white noise plus, per user, a complex
+    Gaussian fading gain (variance: the linear path loss in the group's
+    column, flat across the band) times the user's component, and keeps
+    the cosets of the group's pattern.  The mode sets only the groups,
+    the RNG roles and the per-user draw: clusters d of ``config.pattern``
+    with column d and a bandlimited Gaussian signal (uncorrelated bins),
+    or groups z of ``family.patterns[z]`` with column 0 and one symbol
+    times the user's fixed in-band waveform (correlated bins, so a user's
+    occupied grid points are fully coherent).  Synchronized sensors share
+    one draw per user; unsynchronized sensors draw their own.
     """
     key = config.seed if seed is None else seed
+    n_grid = config.grid_size
     warnings: list[str] = []
     if config.bin_mode == "uncorrelated":
         offenders = config.bin_width_violations()
@@ -267,97 +284,59 @@ def synthesize_observations(
                 f"{len(offenders)} user band(s) exceed the bin width "
                 f"1/{config.period}; the uncorrelated-bins model is violated"
             )
-        sets = _synthesize_uncorrelated(config, key, keep_full_rate)
+        groups = [
+            (d, config.pattern, config.sensors_per_cluster, d)
+            for d in range(config.clusters)
+        ]
+        own_role, shared_role = _R_SIGNAL, _R_SHARED_SIGNAL
+
+        def draw(k, rng):
+            return generate_user_signal(config.users[k], n_grid, rng)
+
     else:
-        sets = _synthesize_correlated(config, key, keep_full_rate)
-    return SensingRun(config=config, sets=sets, warnings=warnings)
+        groups = [
+            (z, pattern, config.sensors_per_group, 0)
+            for z, pattern in enumerate(config.family.patterns)
+        ]
+        own_role, shared_role = _R_SYMBOL, _R_SHARED_SYMBOL
+        waveforms = []
+        for user in config.users:
+            idx = band_grid_indices(user.band, n_grid)
+            if idx.size == 0:
+                raise ValueError(
+                    f"band {user.band} covers no grid point at {n_grid} points"
+                )
+            spectrum = np.zeros(n_grid, dtype=complex)
+            spectrum[idx] = math.sqrt(n_grid * dbm_to_linear(user.power_dbm))
+            waveforms.append(np.fft.ifft(spectrum))
 
+        def draw(k, rng):
+            return _crandn(rng, 1, 1.0)[0] * waveforms[k]
 
-def _shared_signals(config: ScenarioConfig, key) -> list[np.ndarray]:
-    n_grid = config.grid_size
-    return [
-        generate_user_signal(user, n_grid, _rng(key, _R_SHARED_SIGNAL, k))
-        for k, user in enumerate(config.users)
-    ]
-
-
-def _synthesize_uncorrelated(
-    config: ScenarioConfig, key, keep_full_rate: bool
-) -> list[CosetObservationSet]:
-    n_grid = config.grid_size
+    shared = None
+    if config.sync == "synchronized":
+        shared = [draw(k, _rng(key, shared_role, k)) for k in range(len(config.users))]
     noise_var = dbm_to_linear(config.noise_dbm)
-    shared = _shared_signals(config, key) if config.sync == "synchronized" else None
     sets = []
-    for d in range(config.clusters):
-        x = np.empty((config.sensors_per_cluster, n_grid), dtype=complex)
-        for t in range(config.sensors_per_cluster):
-            rec = _crandn(_rng(key, _R_NOISE, d, t), n_grid, noise_var)
+    for label, pattern, sensors, column in groups:
+        x = np.empty((sensors, n_grid), dtype=complex)
+        for t in range(sensors):
+            rec = _crandn(_rng(key, _R_NOISE, label, t), n_grid, noise_var)
             for k, user in enumerate(config.users):
                 if shared is not None:
                     component = shared[k]
                 else:
-                    component = generate_user_signal(
-                        user, n_grid, _rng(key, _R_SIGNAL, d, t, k)
-                    )
+                    component = draw(k, _rng(key, own_role, label, t, k))
                 gain = _crandn(
-                    _rng(key, _R_FADING, d, t, k),
+                    _rng(key, _R_FADING, label, t, k),
                     1,
-                    dbm_to_linear(user.path_loss_db[d]),
+                    dbm_to_linear(user.path_loss_db[column]),
                 )[0]
                 rec = rec + gain * component
             x[t] = rec
         sets.append(
             extract_coset_observations(
-                x, config.pattern, label=d, keep_full_rate=keep_full_rate
+                x, pattern, label=label, keep_full_rate=keep_full_rate
             )
         )
-    return sets
-
-
-def _correlated_component(
-    user: UserSpec, n_grid: int, symbol: complex
-) -> np.ndarray:
-    """Time-domain signal carrying one symbol on every occupied grid point."""
-    idx = band_grid_indices(user.band, n_grid)
-    if idx.size == 0:
-        raise ValueError(f"band {user.band} covers no grid point at {n_grid} points")
-    density = dbm_to_linear(user.power_dbm)
-    spectrum = np.zeros(n_grid, dtype=complex)
-    spectrum[idx] = math.sqrt(n_grid * density) * symbol
-    return np.fft.ifft(spectrum)
-
-
-def _synthesize_correlated(
-    config: ScenarioConfig, key, keep_full_rate: bool
-) -> list[CosetObservationSet]:
-    n_grid = config.grid_size
-    noise_var = dbm_to_linear(config.noise_dbm)
-    shared_symbols = None
-    if config.sync == "synchronized":
-        shared_symbols = [
-            _crandn(_rng(key, _R_SHARED_SYMBOL, k), 1, 1.0)[0]
-            for k in range(len(config.users))
-        ]
-    sets = []
-    for z, pattern in enumerate(config.family.patterns):
-        x = np.empty((config.sensors_per_group, n_grid), dtype=complex)
-        for p in range(config.sensors_per_group):
-            rec = _crandn(_rng(key, _R_NOISE, z, p), n_grid, noise_var)
-            for k, user in enumerate(config.users):
-                if shared_symbols is not None:
-                    symbol = shared_symbols[k]
-                else:
-                    symbol = _crandn(_rng(key, _R_SYMBOL, z, p, k), 1, 1.0)[0]
-                gain = _crandn(
-                    _rng(key, _R_FADING, z, p, k),
-                    1,
-                    dbm_to_linear(user.path_loss_db[0]),
-                )[0]
-                rec = rec + gain * _correlated_component(user, n_grid, symbol)
-            x[p] = rec
-        sets.append(
-            extract_coset_observations(
-                x, pattern, label=z, keep_full_rate=keep_full_rate
-            )
-        )
-    return sets
+    return SensingRun(sets=sets, warnings=warnings)

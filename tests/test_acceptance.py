@@ -159,8 +159,7 @@ def test_criterion_4_exact_recovery_correlated():
         worst_cb = max(worst_cb, float(np.max(np.abs(cap_cb.values * n - truth))))
 
         stack = CovarianceStack(
-            thetas=np.zeros(1), matrices=(c_ub @ rxbar @ c_ub.T)[None],
-            count=1, pattern=ub_pattern,
+            matrices=(c_ub @ rxbar @ c_ub.T)[None], count=1, pattern=ub_pattern,
         )
         cap_ub = assemble_cap(ls_reconstruct_rbar(stack)).values * n
         min_ub = min(min_ub, float(np.linalg.norm(cap_ub - truth) / np.linalg.norm(truth)))

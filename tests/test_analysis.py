@@ -240,6 +240,28 @@ class TestDetection:
                 quiet_bands=((0.15, 0.3),),
             )
 
+    def test_wrapped_active_band_yields_full_blocks(self):
+        spec = DetectorSpec(
+            active_bands=((0.9, 0.1),), quiet_bands=((0.4, 0.6),), avg_width=4
+        )
+        active, quiet = detection_blocks(spec, 100)
+        assert active.shape == (5, 4) and quiet.shape == (5, 4)
+        assert active.ravel().tolist() == list(range(90, 100)) + list(range(10))
+
+    def test_edge_on_grid_point_excludes_hi(self):
+        spec = DetectorSpec(
+            active_bands=((0.2, 0.3),), quiet_bands=((0.5, 0.6),), avg_width=1
+        )
+        active, quiet = detection_blocks(spec, 100)
+        assert active.ravel().tolist() == list(range(20, 30))
+        assert quiet.ravel().tolist() == list(range(50, 60))
+
+    def test_wrapped_band_overlapping_quiet_band_rejected(self):
+        with pytest.raises(ValueError):
+            DetectorSpec(active_bands=((0.9, 0.1),), quiet_bands=((0.05, 0.2),))
+        with pytest.raises(ValueError):
+            DetectorSpec(active_bands=((0.3, 0.4),), quiet_bands=((0.95, 0.35),))
+
     def test_roc_is_monotone_with_endpoints(self, rng):
         curve = roc_from_scores(rng.random(500) + 0.3, rng.random(500))
         assert np.all(np.diff(curve.pd) <= 0)

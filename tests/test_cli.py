@@ -146,6 +146,49 @@ class TestReconstruct:
         assert "io" in capsys.readouterr().err
 
 
+BAD_INPUTS = {
+    "scenario without period": (
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        "[scenario]\nsamples_per_coset = 10\nmarks = 0,1,3\nnoise_dbm = 0\n",
+        "period",
+    ),
+    "band with one value": (
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO.replace("band = 0.2,0.3", "band = 0.1"),
+        "band",
+    ),
+    "manifest without section header": (
+        "kind = reconstruct\noutput = OUT\n" + SMALL_SCENARIO,
+        "section header",
+    ),
+    "noise_dbm nan": (
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO.replace("noise_dbm = 0", "noise_dbm = nan"),
+        "noise_dbm",
+    ),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exits_2_with_one_line_and_writes_nothing(self, tmp_path, capsys, case):
+        body, field = BAD_INPUTS[case]
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, body.replace("OUT", str(out)))
+        assert main(["reconstruct", "--manifest", str(manifest), "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and err.count("\n") == 1, err
+        assert "Traceback" not in err and field in err
+        assert not out.exists()
+
+    def test_summary_json_refuses_nan(self, tmp_path):
+        from capspec.runner import _write_json
+
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "summary.json", {"nmse_vs_nap": float("nan")})
+        assert not (tmp_path / "summary.json").exists()
+
+
 class TestSweeps:
     def test_nmse_sweep_rows_and_determinism(self, tmp_path):
         body = (

@@ -32,10 +32,7 @@ def population_stack(pattern, rx_diags):
     b = build_modulation_matrix(n).matrix
     c = build_selection_matrix(pattern)
     mats = np.array([c @ (b @ np.diag(d) @ b.conj().T) @ c.T for d in rx_diags])
-    l_pts = len(rx_diags)
-    return CovarianceStack(
-        thetas=np.arange(l_pts) / (n * l_pts), matrices=mats, count=1, pattern=pattern
-    )
+    return CovarianceStack(matrices=mats, count=1, pattern=pattern)
 
 
 def observations_from_vectors(pattern, vectors, l_pts=4):
@@ -90,9 +87,7 @@ class TestLsReconstruction:
         pattern = CosetPattern(n, tuple(range(n)))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         herm = (a + a.conj().T) / 2
-        stack = CovarianceStack(
-            thetas=np.zeros(1), matrices=herm[None], count=1, pattern=pattern
-        )
+        stack = CovarianceStack(matrices=herm[None], count=1, pattern=pattern)
         rbar = ls_reconstruct_rbar(stack).values[0]
         for k in range(n):
             entries = [herm[r, c] for r in range(n) for c in range(n) if (r - c) % n == k]
@@ -100,7 +95,6 @@ class TestLsReconstruction:
 
     def test_zero_input_zero_output(self, ruler18):
         stack = CovarianceStack(
-            thetas=np.zeros(2),
             matrices=np.zeros((2, 5, 5), complex),
             count=1,
             pattern=ruler18,
@@ -114,9 +108,7 @@ class TestLsReconstruction:
             m = pattern.size
             a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             herm = (a + a.conj().T) / 2
-            stack = CovarianceStack(
-                thetas=np.zeros(1), matrices=herm[None], count=1, pattern=pattern
-            )
+            stack = CovarianceStack(matrices=herm[None], count=1, pattern=pattern)
             fast = ls_reconstruct_rbar(stack).values[0]
             dense = np.linalg.pinv(dense_rc(pattern)) @ herm.T.reshape(-1)
             assert np.max(np.abs(fast - dense)) < 1e-10
@@ -124,7 +116,6 @@ class TestLsReconstruction:
     def test_nonidentifiable_pattern_names_missing_lags(self):
         pattern = CosetPattern(6, (0, 1, 2))
         stack = CovarianceStack(
-            thetas=np.zeros(1),
             matrices=np.zeros((1, 3, 3), complex),
             count=1,
             pattern=pattern,
@@ -142,9 +133,7 @@ class TestAssembleCap:
 
         values = np.zeros((l_pts, 18), complex)
         values[:, 0] = 2.5
-        rbar = CosetCorrelationVector(
-            thetas=np.arange(l_pts) / (18 * l_pts), values=values, pattern=ruler18
-        )
+        rbar = CosetCorrelationVector(values=values)
         cap = assemble_cap(rbar)
         assert np.allclose(cap.values, 2.5 / l_pts, atol=1e-13)
 
@@ -178,9 +167,7 @@ class TestAssembleCap:
             else:
                 lags[:, k] = rng.standard_normal(l_pts) + 1j * rng.standard_normal(l_pts)
                 lags[:, n - k] = lags[:, k].conj()
-        rbar = CosetCorrelationVector(
-            thetas=np.arange(l_pts) / (n * l_pts), values=lags, pattern=ruler18
-        )
+        rbar = CosetCorrelationVector(values=lags)
         cap = assemble_cap(rbar)
         b = build_modulation_matrix(n).matrix
         t = build_repetition_matrix(n).matrix

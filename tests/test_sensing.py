@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,14 +6,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capspec
 from capspec.patterns import CosetPattern, PatternFamily
 from capspec.scenarios import load_fixture
 from capspec.sensing import (
+    _R_FADING,
+    _R_NOISE,
+    _R_SHARED_SIGNAL,
+    _R_SHARED_SYMBOL,
+    _R_SIGNAL,
+    _R_SYMBOL,
+    BIN_MODES,
     FILTER_TAPS,
+    SYNC_MODES,
     ScenarioConfig,
     UserSpec,
+    _crandn,
+    _rng,
+    band_grid_indices,
     bandpass_response,
     dbm_to_linear,
     extract_coset_observations,
@@ -228,7 +242,128 @@ class TestSynthesize:
         assert np.array_equal(a.sets[0].dtft, b.sets[0].dtft)
 
 
+def rebuilt_record(config, key, g, t):
+    """Sensor t of group g straight from its keyed streams: noise plus, per
+    user, fading gain times component; no other sensor is synthesized."""
+    n_grid = config.grid_size
+    uncorrelated = config.bin_mode == "uncorrelated"
+    shared = config.sync == "synchronized"
+    rec = _crandn(_rng(key, _R_NOISE, g, t), n_grid, dbm_to_linear(config.noise_dbm))
+    for k, user in enumerate(config.users):
+        if uncorrelated:
+            rng = _rng(key, _R_SHARED_SIGNAL, k) if shared else _rng(key, _R_SIGNAL, g, t, k)
+            component = generate_user_signal(user, n_grid, rng)
+        else:
+            rng = _rng(key, _R_SHARED_SYMBOL, k) if shared else _rng(key, _R_SYMBOL, g, t, k)
+            spectrum = np.zeros(n_grid, dtype=complex)
+            level = math.sqrt(n_grid * dbm_to_linear(user.power_dbm))
+            spectrum[band_grid_indices(user.band, n_grid)] = level * _crandn(rng, 1, 1.0)[0]
+            component = np.fft.ifft(spectrum)
+        loss = user.path_loss_db[g if uncorrelated else 0]
+        gain = _crandn(_rng(key, _R_FADING, g, t, k), 1, dbm_to_linear(loss))[0]
+        rec = rec + gain * component
+    return rec
+
+
+@st.composite
+def small_scenarios(draw):
+    period = draw(st.integers(2, 6))
+    per_coset = draw(st.integers(2, 8))
+    n_grid = period * per_coset
+    bin_mode = draw(st.sampled_from(BIN_MODES))
+    groups = draw(st.integers(1, 3))
+    sensors = draw(st.integers(1, 3))
+    # correlated bins read only column 0 of however many entries there are
+    columns = groups if bin_mode == "uncorrelated" else draw(st.integers(1, 3))
+    level = st.floats(-10.0, 10.0)
+    users = []
+    for _ in range(draw(st.integers(0, 2))):
+        lo = draw(st.floats(0.0, 1.0, exclude_max=True))
+        # at least 1.5 grid spacings wide, so a correlated band covers a point
+        width = draw(st.floats(1.5 / n_grid, 0.9))
+        users.append(
+            UserSpec(
+                band=(lo, (lo + width) % 1.0),
+                power_dbm=draw(level),
+                path_loss_db=tuple(draw(level) for _ in range(columns)),
+            )
+        )
+    marks = tuple(draw(st.sets(st.integers(0, period - 1), min_size=1)))
+    if bin_mode == "uncorrelated":
+        layout = dict(
+            pattern=CosetPattern(period, marks), clusters=groups, sensors_per_cluster=sensors
+        )
+    else:
+        shifted = (
+            CosetPattern(period, tuple((m + z) % period for m in marks)) for z in range(groups)
+        )
+        layout = dict(family=PatternFamily(period, tuple(shifted)), sensors_per_group=sensors)
+    return ScenarioConfig(
+        period=period,
+        samples_per_coset=per_coset,
+        users=tuple(users),
+        noise_dbm=draw(st.one_of(st.just(-math.inf), level)),
+        sync=draw(st.sampled_from(SYNC_MODES)),
+        bin_mode=bin_mode,
+        **layout,
+    )
+
+
+class TestOneSynthesisLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(config=small_scenarios(), key=st.tuples(st.integers(0, 99), st.integers(0, 9)))
+    def test_any_sensor_rebuilds_from_its_keyed_streams(self, config, key):
+        run = synthesize_observations(config, seed=key, keep_full_rate=True)
+        for g, obs in enumerate(run.sets):
+            assert obs.label == g
+            for t, got in enumerate(obs.full_rate):
+                want = rebuilt_record(config, key, g, t)
+                if config.bin_mode == "uncorrelated":
+                    assert np.array_equal(got, want), (g, t)
+                else:
+                    # symbol * ifft(s) rounds unlike ifft(symbol * s)
+                    err = np.max(np.abs(got - want), initial=0.0)
+                    assert err <= 1e-12 * np.max(np.abs(want), initial=0.0), (g, t)
+                assert np.array_equal(
+                    obs.dtft[t], extract_coset_observations(got, obs.pattern).dtft[0]
+                )
+
+    def test_correlated_band_between_grid_points_rejected(self):
+        user = UserSpec(band=(0.01, 0.05), power_dbm=0.0, path_loss_db=(0.0,))
+        config = ScenarioConfig(
+            period=5, samples_per_coset=2, users=(user,), noise_dbm=0.0,
+            family=PatternFamily(5, (CosetPattern(5, (0, 1, 2)),)), bin_mode="correlated",
+        )
+        with pytest.raises(ValueError, match="covers no grid point"):
+            synthesize_observations(config, seed=0)
+
+
+class TestBandGridIndices:
+    def test_plain_band_is_half_open(self):
+        assert band_grid_indices((0.2, 0.3), 10).tolist() == [2]
+
+    def test_wrapped_band_in_band_order(self):
+        assert band_grid_indices((0.8, 0.2), 10).tolist() == [8, 9, 0, 1]
+
+
 class TestScenarioValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_levels_reject_nan_and_plus_inf(self, bad):
+        with pytest.raises(ValueError, match="power_dbm"):
+            UserSpec(band=(0.1, 0.2), power_dbm=bad, path_loss_db=(0.0,))
+        with pytest.raises(ValueError, match="path_loss_db"):
+            UserSpec(band=(0.1, 0.2), power_dbm=0.0, path_loss_db=(0.0, bad))
+        with pytest.raises(ValueError, match="noise_dbm"):
+            noise_only_config(tau=1, noise_dbm=bad)
+
+    def test_minus_inf_level_means_zero_power(self):
+        UserSpec(band=(0.1, 0.2), power_dbm=-math.inf, path_loss_db=(-math.inf,))
+        noise_only_config(tau=1, noise_dbm=-math.inf)
+
+    def test_band_edges_must_be_finite(self):
+        with pytest.raises(ValueError):
+            UserSpec(band=(math.nan, 0.2), power_dbm=0.0, path_loss_db=(0.0,))
+
     def test_pattern_required_for_uncorrelated(self):
         with pytest.raises(ValueError):
             ScenarioConfig(period=4, samples_per_coset=10, users=(), noise_dbm=0.0)
