@@ -238,13 +238,6 @@ class VarianceReport:
     def relative_gap(self) -> float:
         return abs(self.empirical_variance - self.analytical_variance) / self.analytical_variance
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write("theta,analytical,empirical\n")
-            analytical = float(self.analytical_variance)
-            for theta, emp in zip(self.thetas, self.empirical_by_theta):
-                f.write(f"{float(theta)!r},{analytical!r},{float(emp)!r}\n")
-
 
 def whitenoise_variance_report(
     config: ScenarioConfig, runs: int, seed: int, threads: int = 1
@@ -366,16 +359,12 @@ def roc_harness(
     seed: int,
     threads: int = 1,
 ) -> RocCurve:
-    """Monte Carlo detection experiment on the reconstructed periodogram."""
+    """Monte Carlo detection experiment on the reconstructed periodogram:
+    each run's statistics are the block means of its ``mc_caps`` row."""
     active_blocks, quiet_blocks = detection_blocks(detector, config.grid_size)
-    active_stats = np.empty((runs, active_blocks.shape[0]))
-    quiet_stats = np.empty((runs, quiet_blocks.shape[0]))
-
-    def one(run: int) -> None:
-        sensed = synthesize_observations(config, seed=(seed, run))
-        _, averaged = estimate_multicluster(sensed.sets)
-        active_stats[run] = averaged.values[active_blocks].mean(axis=1)
-        quiet_stats[run] = averaged.values[quiet_blocks].mean(axis=1)
-
-    dispatch_runs(one, runs, threads)
-    return roc_from_scores(active_stats, quiet_stats)
+    caps, _ = mc_caps(config, runs, seed, threads=threads)
+    # row by row: a 3-D mean over all runs at once sums in another order
+    return roc_from_scores(
+        np.array([cap[active_blocks].mean(axis=1) for cap in caps]),
+        np.array([cap[quiet_blocks].mean(axis=1) for cap in caps]),
+    )

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 2 on identifiability or configuration errors,
-3 on I/O errors; stderr carries the reason.
+Exit codes: 0 on success, 1 when a bench scaling check fails (``bench.json``
+is still written), 2 on identifiability or configuration errors, 3 on I/O
+errors; stderr carries the reason in one line.  A run that fails before its
+outputs are written leaves no output directory behind.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .patterns import (
     is_circular_sparse_ruler,
     minimal_circular_sparse_ruler,
 )
-from .runner import parse_manifest, run_manifest
+from .runner import RUNNERS, BenchGateError, parse_manifest, run_manifest
 from .scenarios import parse_marks
 from .structure import build_psi, build_system_matrix
 
@@ -106,16 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marks", type=str, required=True, help="comma-separated coset indices")
     p.set_defaults(fn=cmd_inspect_pattern)
 
-    for kind, needs_seed in (
-        ("reconstruct", True),
-        ("nmse-sweep", True),
-        ("roc", True),
-        ("variance-check", True),
-        ("bench", False),
-    ):
+    for kind in RUNNERS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment manifest")
         p.add_argument("--manifest", type=str, required=True)
-        p.add_argument("--seed", type=int, required=needs_seed, default=None)
+        p.add_argument("--seed", type=int, required=kind != "bench", default=None)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--output", type=str, default=None)
         p.add_argument("--runs", type=int, default=None)
@@ -138,6 +134,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 3
+    except BenchGateError as exc:
+        print(f"error: bench: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """Experiment orchestration: manifests, worker pools, CSV/JSON emission.
 
 A manifest is a flat INI file with section headers ([experiment],
-[scenario], [sweep], [detector]).  Monte Carlo runs are dispatched to a
-thread pool and keyed by (seed, run index), and all aggregation happens
-in run order afterwards, so output files are byte-identical for any
-worker count.
+[scenario], [sweep], [detector]).  Every kind runs in three steps:
+``run_manifest`` validates the manifest, ``run_<kind>`` computes all of
+its results in memory, and ``_write_outputs`` alone then creates the
+output directory and writes the files, so a run that fails writes
+nothing.  Monte Carlo runs are dispatched to a thread pool and keyed by
+(seed, run index), and all aggregation happens in run order afterwards,
+so output files are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import configparser
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +41,6 @@ from .scenarios import (
     scenario_from_parser,
 )
 from .sensing import ScenarioConfig, extract_coset_observations, synthesize_observations
-
-KINDS = ("reconstruct", "nmse-sweep", "roc", "variance-check", "bench")
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,14 @@ class ExperimentManifest:
     detector: DetectorSpec | None = None
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.runs < 1:
             raise ValueError("runs must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.kind != "reconstruct" and self.scenario.bin_mode != "uncorrelated":
+            raise ValueError(f"{self.kind} runs on uncorrelated-bins scenarios")
         if self.kind == "nmse-sweep":
             if not (self.sweep.taus and self.sweep.sigmas_dbm and self.sweep.patterns):
                 raise ValueError("nmse-sweep needs tau, sigma2_dbm and patterns axes")
@@ -96,6 +100,13 @@ class ExperimentManifest:
 
 def _parse_bands(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(parse_band(chunk) for chunk in text.split("|") if chunk.strip())
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
 def parse_manifest(path, kind: str | None = None) -> ExperimentManifest:
@@ -139,24 +150,22 @@ def parse_manifest(path, kind: str | None = None) -> ExperimentManifest:
         detector = DetectorSpec(
             active_bands=required(det, "active_bands", _parse_bands),
             quiet_bands=required(det, "quiet_bands", _parse_bands),
-            avg_width=det.getint("avg_width", fallback=11),
-            points_per_band=det.getint("points_per_band", fallback=None),
-            quiet_points=det.getint("quiet_points", fallback=None),
+            avg_width=required(det, "avg_width", int, 11),
+            points_per_band=required(det, "points_per_band", int, None),
+            quiet_points=required(det, "quiet_points", int, None),
         )
 
-    manifest = ExperimentManifest(
+    return ExperimentManifest(
         kind=kind if kind is not None else exp.get("kind"),
         scenario=scenario,
         output=Path(exp.get("output", "out")),
-        runs=exp.getint("runs", fallback=1),
-        seed=exp.getint("seed", fallback=0),
-        threads=exp.getint("threads", fallback=1),
-        keep_nap=exp.getboolean("keep_nap", fallback=True),
+        runs=required(exp, "runs", int, 1),
+        seed=required(exp, "seed", int, 0),
+        threads=required(exp, "threads", int, 1),
+        keep_nap=required(exp, "keep_nap", _parse_bool, True),
         sweep=sweep,
         detector=detector,
     )
-    manifest.validate()
-    return manifest
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -177,11 +186,24 @@ def _csv_rows(path: Path, header: str, rows) -> None:
             f.write("\n")
 
 
+def _write_outputs(
+    manifest: ExperimentManifest, files: dict, summary: dict | None = None
+) -> dict:
+    """Create the output directory and write ``files`` (file name -> writer
+    taking the path) and, unless None, ``summary`` as ``summary.json`` under
+    the shared kind/seed header.  Returns file stem -> path."""
+    if summary is not None:
+        summary = {"kind": manifest.kind, "seed": manifest.seed, **summary}
+        files = {**files, "summary.json": partial(_write_json, payload=summary)}
+    manifest.output.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(manifest.output / name)
+    return {Path(name).stem: manifest.output / name for name in files}
+
+
 def run_reconstruct(manifest: ExperimentManifest) -> dict:
     """One seeded realization: CAP (and NAP baseline) to CSV plus summary."""
     config = manifest.scenario
-    out = manifest.output
-    out.mkdir(parents=True, exist_ok=True)
     sensed = synthesize_observations(
         config, seed=(manifest.seed, 0), keep_full_rate=manifest.keep_nap
     )
@@ -189,29 +211,21 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
         _, cap = estimate_multicluster(sensed.sets)
     else:
         cap = estimate_correlated_bins(sensed.sets)
-    cap_path = out / "cap.csv"
-    cap.write_csv(cap_path, run_id=0)
+    files = {"cap.csv": cap.write_csv}
     summary = {
-        "kind": manifest.kind,
-        "seed": manifest.seed,
         "estimator": cap.estimator,
         "grid_points": int(cap.values.size),
         "negative_values": cap.negative_count,
         "max_imag_ratio": cap.max_imag_ratio,
         "warnings": sensed.warnings,
     }
-    paths = {"cap": cap_path}
     if manifest.keep_nap:
         nap = average_periodograms([nyquist_ap(s.full_rate) for s in sensed.sets])
-        nap_path = out / "nap.csv"
-        nap.write_csv(nap_path, run_id=0)
+        files["nap.csv"] = nap.write_csv
         summary["nmse_vs_nap"] = (
             nmse(cap, nap) if np.any(nap.values) else None
         )
-        paths["nap"] = nap_path
-    _write_json(out / "summary.json", summary)
-    paths["summary"] = out / "summary.json"
-    return paths
+    return _write_outputs(manifest, files, summary)
 
 
 def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
@@ -222,12 +236,8 @@ def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
     comparisons across the sweep are paired.
     """
     config = manifest.scenario
-    if config.bin_mode != "uncorrelated":
-        raise ValueError("nmse-sweep runs on uncorrelated-bins scenarios")
     sweep = manifest.sweep
     tau_max = max(sweep.taus)
-    out = manifest.output
-    out.mkdir(parents=True, exist_ok=True)
 
     combos = [
         (pattern, tau, sigma)
@@ -274,26 +284,17 @@ def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
                 '"' + ",".join(map(str, pattern.marks)) + '"',
             )
         )
-    nmse_path = out / "nmse.csv"
-    _csv_rows(nmse_path, "tau,rate,sigma2,nmse,runs,marks", rows)
-    _write_json(
-        out / "summary.json",
-        {
-            "kind": manifest.kind,
-            "seed": manifest.seed,
-            "runs": manifest.runs,
-            "combos": len(combos),
-        },
+    return _write_outputs(
+        manifest,
+        {"nmse.csv": partial(_csv_rows, header="tau,rate,sigma2,nmse,runs,marks", rows=rows)},
+        {"runs": manifest.runs, "combos": len(combos)},
     )
-    return {"nmse": nmse_path, "summary": out / "summary.json"}
 
 
 def run_roc(manifest: ExperimentManifest) -> dict:
     """Detection ROC per sweep setting; one curve CSV each, AUCs to summary."""
-    out = manifest.output
-    out.mkdir(parents=True, exist_ok=True)
+    files = {}
     aucs = {}
-    paths = {}
     for setting in manifest.sweep.roc_settings:
         config = replace(
             manifest.scenario,
@@ -309,28 +310,17 @@ def run_roc(manifest: ExperimentManifest) -> dict:
             threads=manifest.threads,
         )
         aucs[setting.label] = curve.auc
-        rows = [
-            (float(t), float(pfa), float(pd))
-            for t, pfa, pd in zip(curve.thresholds, curve.pfa, curve.pd)
-        ]
-        path = out / f"roc_{setting.label}.csv"
-        _csv_rows(path, "threshold,pfa,pd", rows)
-        paths[f"roc_{setting.label}"] = path
-    _write_json(
-        out / "summary.json",
-        {"kind": manifest.kind, "seed": manifest.seed, "runs": manifest.runs, "auc": aucs},
-    )
-    paths["summary"] = out / "summary.json"
-    return paths
+        rows = list(zip(curve.thresholds, curve.pfa, curve.pd))
+        files[f"roc_{setting.label}.csv"] = partial(
+            _csv_rows, header="threshold,pfa,pd", rows=rows
+        )
+    return _write_outputs(manifest, files, {"runs": manifest.runs, "auc": aucs})
 
 
 def run_variance_check(manifest: ExperimentManifest) -> dict:
     """White-noise variance closed form vs Monte Carlo over the sweep."""
     config = manifest.scenario
-    if config.users:
-        raise ValueError("variance-check expects a noise-only (white) scenario")
-    out = manifest.output
-    out.mkdir(parents=True, exist_ok=True)
+    files = {}
     rows = []
     for pattern in manifest.sweep.patterns:
         for tau in manifest.sweep.taus:
@@ -339,7 +329,13 @@ def run_variance_check(manifest: ExperimentManifest) -> dict:
                 cfg, runs=manifest.runs, seed=manifest.seed, threads=manifest.threads
             )
             marks = ",".join(map(str, pattern.marks))
-            report.write_csv(out / f"variance_theta_{pattern.size}of{pattern.period}_tau{tau}.csv")
+            detail = [
+                (theta, report.analytical_variance, emp)
+                for theta, emp in zip(report.thetas, report.empirical_by_theta)
+            ]
+            files[f"variance_theta_{pattern.size}of{pattern.period}_tau{tau}.csv"] = partial(
+                _csv_rows, header="theta,analytical,empirical", rows=detail
+            )
             rows.append(
                 (
                     '"' + marks + '"',
@@ -353,23 +349,15 @@ def run_variance_check(manifest: ExperimentManifest) -> dict:
                     report.relative_gap,
                 )
             )
-    var_path = out / "variance.csv"
-    _csv_rows(
-        var_path,
-        "marks,tau,sigma2_dbm,runs,analytical_variance,empirical_variance,"
+    files["variance.csv"] = partial(
+        _csv_rows,
+        header="marks,tau,sigma2_dbm,runs,analytical_variance,empirical_variance,"
         "analytical_nmse,empirical_nmse,relative_gap",
-        rows,
+        rows=rows,
     )
-    _write_json(
-        out / "summary.json",
-        {
-            "kind": manifest.kind,
-            "seed": manifest.seed,
-            "runs": manifest.runs,
-            "max_relative_gap": max(r[-1] for r in rows),
-        },
+    return _write_outputs(
+        manifest, files, {"runs": manifest.runs, "max_relative_gap": max(r[-1] for r in rows)}
     )
-    return {"variance": var_path, "summary": out / "summary.json"}
 
 
 def _timed(fn, min_time: float = 0.05, batches: int = 5) -> float:
@@ -393,16 +381,19 @@ def _timed(fn, min_time: float = 0.05, batches: int = 5) -> float:
     return float(np.median(samples))
 
 
+class BenchGateError(RuntimeError):
+    """A bench scaling check failed; ``bench.json`` holds the numbers."""
+
+
 def run_bench(manifest: ExperimentManifest) -> dict:
     """Wall-time per pipeline stage across the tau sweep, with scaling checks.
 
     The covariance stage must scale close to linearly in tau, and the
     reconstruction stage (LS solve plus periodogram assembly) must not
-    depend on tau at all.
+    depend on tau at all.  A failed check raises ``BenchGateError`` after
+    ``bench.json`` is written.
     """
     config = manifest.scenario
-    out = manifest.output
-    out.mkdir(parents=True, exist_ok=True)
     taus = sorted(manifest.sweep.taus)
     stages: dict[int, dict[str, float]] = {}
     for tau in taus:
@@ -437,10 +428,10 @@ def run_bench(manifest: ExperimentManifest) -> dict:
         "checks": checks,
         "passed": all(c["ok"] for c in checks.values()),
     }
-    _write_json(out / "bench.json", payload)
+    paths = _write_outputs(manifest, {"bench.json": partial(_write_json, payload=payload)})
     if not payload["passed"]:
-        raise RuntimeError(f"bench scaling checks failed: see {out / 'bench.json'}")
-    return {"bench": out / "bench.json"}
+        raise BenchGateError(f"scaling checks failed, see {paths['bench']}")
+    return paths
 
 
 RUNNERS = {

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .analysis import DetectorSpec
 from .patterns import CosetPattern, PatternFamily, design_pair_cover_family
-from .sensing import ScenarioConfig, UserSpec
+from .sensing import BIN_MODES, ScenarioConfig, UserSpec
 
 # Extra cosets activating a milder compression on top of the base ruler,
 # in activation order (fixture data for the reconstruction experiments).
@@ -88,9 +88,17 @@ def parse_band(text: str) -> tuple[float, float]:
     return band
 
 
-def required(section: configparser.SectionProxy, key: str, convert=str):
-    """Value of a required key, converted; errors name the section and key."""
+_NO_DEFAULT = object()
+
+
+def required(
+    section: configparser.SectionProxy, key: str, convert=str, default=_NO_DEFAULT
+):
+    """Value of a key, converted; a missing key gives ``default`` if one is
+    given, else an error.  Errors name the section and key."""
     text = section.get(key, None)
+    if text is None and default is not _NO_DEFAULT:
+        return default
     if text is None or not text.strip():
         raise ValueError(f"[{section.name}] needs a value for {key!r}")
     try:
@@ -117,6 +125,8 @@ def scenario_from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
             )
         )
     bin_mode = sec.get("bin_mode", "uncorrelated")
+    if bin_mode not in BIN_MODES:
+        raise ValueError(f"[scenario] bin_mode {bin_mode!r} is not one of {BIN_MODES}")
     pattern = None
     family = None
     if bin_mode == "uncorrelated":
@@ -140,12 +150,12 @@ def scenario_from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
         noise_dbm=required(sec, "noise_dbm", float),
         pattern=pattern,
         family=family,
-        clusters=sec.getint("clusters", fallback=1),
-        sensors_per_cluster=sec.getint("sensors_per_cluster", fallback=1),
-        sensors_per_group=sec.getint("sensors_per_group", fallback=1),
+        clusters=required(sec, "clusters", int, 1),
+        sensors_per_cluster=required(sec, "sensors_per_cluster", int, 1),
+        sensors_per_group=required(sec, "sensors_per_group", int, 1),
         sync=sec.get("sync", "unsynchronized"),
         bin_mode=bin_mode,
-        seed=sec.getint("seed", fallback=0),
+        seed=required(sec, "seed", int, 0),
     )
 
 

@@ -16,8 +16,9 @@ from capspec.analysis import (
     whitenoise_variance_closed_form,
     whitenoise_variance_report,
 )
+from capspec.estimator import estimate_multicluster
 from capspec.patterns import CosetPattern
-from capspec.sensing import ScenarioConfig, dbm_to_linear
+from capspec.sensing import ScenarioConfig, dbm_to_linear, synthesize_observations
 from capspec.structure import (
     build_modulation_matrix,
     build_repetition_matrix,
@@ -283,3 +284,26 @@ class TestDetection:
         )
         curve = roc_harness(config, detector, runs=1000, seed=321)
         assert abs(curve.auc - 0.5) < 0.05
+
+    def test_harness_matches_per_run_reference(self):
+        # the per-run loop roc_harness had before it went through mc_caps;
+        # 11-point blocks are long enough for numpy's pairwise summation
+        config = ScenarioConfig(
+            period=6, samples_per_coset=30, users=(), noise_dbm=0.0,
+            pattern=CosetPattern(6, (0, 1, 3)), sensors_per_cluster=3,
+        )
+        detector = DetectorSpec(
+            active_bands=((0.1, 0.35),), quiet_bands=((0.6, 0.85),), avg_width=11
+        )
+        active_blocks, quiet_blocks = detection_blocks(detector, config.grid_size)
+        active, quiet = [], []
+        for run in range(5):
+            _, cap = estimate_multicluster(
+                synthesize_observations(config, seed=(8, run)).sets
+            )
+            active.append(cap.values[active_blocks].mean(axis=1))
+            quiet.append(cap.values[quiet_blocks].mean(axis=1))
+        want = roc_from_scores(np.array(active), np.array(quiet))
+        got = roc_harness(config, detector, runs=5, seed=8, threads=2)
+        for field in ("thresholds", "pfa", "pd"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field

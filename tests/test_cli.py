@@ -1,10 +1,17 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from capspec import runner
+from capspec.analysis import DetectorSpec
 from capspec.cli import main
+from capspec.patterns import CosetPattern
 from capspec.scenarios import fixture_path
+from capspec.sensing import SYNC_MODES, ScenarioConfig, UserSpec
 
 SMALL_SCENARIO = """
 [scenario]
@@ -133,6 +140,7 @@ class TestReconstruct:
         assert main(["reconstruct", "--manifest", str(manifest), "--seed", "0"]) == 2
         err = capsys.readouterr().err
         assert "identifiability" in err and "3" in err
+        assert not (tmp_path / "bad").exists()
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -146,36 +154,83 @@ class TestReconstruct:
         assert "io" in capsys.readouterr().err
 
 
+DETECTOR = "[detector]\nactive_bands = 0.2,0.3\nquiet_bands = 0.6,0.9\navg_width = 4\n"
+
+# every axis of every sweep kind, on a correlated-bins scenario whose
+# family is given, so that no family design runs at load time
+CORRELATED_RUN = (
+    "[experiment]\noutput = OUT\n"
+    "[scenario]\nperiod = 5\nsamples_per_coset = 10\nbin_mode = correlated\n"
+    "family = 0,1,2 | 0,3,4 | 1,2,3 | 1,2,4\nnoise_dbm = 0\nsensors_per_group = 2\n"
+    "[sweep]\ntau = 2,4\nsigma2_dbm = 0\npatterns = 0,1,2\nsettings = 2,0\n" + DETECTOR
+)
+
+# case -> (command, manifest, text the one-line reason must hold)
 BAD_INPUTS = {
     "scenario without period": (
+        "reconstruct",
         "[experiment]\nkind = reconstruct\noutput = OUT\n"
         "[scenario]\nsamples_per_coset = 10\nmarks = 0,1,3\nnoise_dbm = 0\n",
         "period",
     ),
     "band with one value": (
+        "reconstruct",
         "[experiment]\nkind = reconstruct\noutput = OUT\n"
         + SMALL_SCENARIO.replace("band = 0.2,0.3", "band = 0.1"),
         "band",
     ),
     "manifest without section header": (
+        "reconstruct",
         "kind = reconstruct\noutput = OUT\n" + SMALL_SCENARIO,
         "section header",
     ),
     "noise_dbm nan": (
+        "reconstruct",
         "[experiment]\nkind = reconstruct\noutput = OUT\n"
         + SMALL_SCENARIO.replace("noise_dbm = 0", "noise_dbm = nan"),
         "noise_dbm",
     ),
+    "misspelled bin_mode": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO.replace("bin_mode = uncorrelated", "bin_mode = uncorelated"),
+        "bin_mode",
+    ),
+    "avg_width not an integer": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO
+        + DETECTOR.replace("avg_width = 4", "avg_width = x"),
+        "avg_width",
+    ),
+    "sensors_per_cluster not an integer": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO.replace("sensors_per_cluster = 6", "sensors_per_cluster = x"),
+        "sensors_per_cluster",
+    ),
+    "roc settings nan": (
+        "roc",
+        "[experiment]\nkind = roc\noutput = OUT\n"
+        + SMALL_SCENARIO
+        + "\n[sweep]\nsettings = 3,nan\n"
+        + DETECTOR,
+        "noise_dbm",
+    ),
+    **{
+        f"{kind} on correlated bins": (kind, CORRELATED_RUN, "uncorrelated-bins")
+        for kind in ("nmse-sweep", "roc", "variance-check", "bench")
+    },
 }
 
 
 class TestBadInput:
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_exits_2_with_one_line_and_writes_nothing(self, tmp_path, capsys, case):
-        body, field = BAD_INPUTS[case]
+        command, body, field = BAD_INPUTS[case]
         out = tmp_path / "out"
         manifest = write_manifest(tmp_path, body.replace("OUT", str(out)))
-        assert main(["reconstruct", "--manifest", str(manifest), "--seed", "0"]) == 2
+        assert main([command, "--manifest", str(manifest), "--seed", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and err.count("\n") == 1, err
         assert "Traceback" not in err and field in err
@@ -325,3 +380,112 @@ class TestBench:
             stack = sample_covariance(obs)
             times[period] = _timed(lambda: assemble_cap(ls_reconstruct_rbar(stack)))
         assert times[36] / times[18] <= 4.0
+
+    def test_failed_gate_exits_1_and_keeps_bench_json(self, tmp_path, capsys, monkeypatch):
+        # a constant timer makes the covariance ratio 1 where 2 is expected
+        monkeypatch.setattr(runner, "_timed", lambda fn: 1.0)
+        manifest = write_manifest(
+            tmp_path,
+            f"[experiment]\nkind = bench\noutput = {tmp_path/'b'}\n"
+            + SMALL_SCENARIO
+            + "\n[sweep]\ntau = 2,4\n",
+        )
+        assert main(["bench", "--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bench:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        payload = json.loads((tmp_path / "b" / "bench.json").read_text())
+        assert payload["passed"] is False
+        assert not payload["checks"]["covariance_2_to_4"]["ok"]
+
+
+NOISE_SCENARIO = (
+    "[scenario]\nperiod = 6\nsamples_per_coset = 10\nmarks = 0,1,3\nnoise_dbm = 0\n"
+)
+
+# kind -> manifest body after its [experiment] section
+EVERY_KIND = {
+    "reconstruct": SMALL_SCENARIO,
+    "nmse-sweep": SMALL_SCENARIO + "[sweep]\ntau = 3,6\nsigma2_dbm = 0\npatterns = 0,1,3\n",
+    "roc": SMALL_SCENARIO + "[sweep]\nsettings = 6,0 | 3,3\n" + DETECTOR,
+    "variance-check": NOISE_SCENARIO + "[sweep]\ntau = 2\npatterns = 0,1,3 | 0,1,2,3\n",
+    "bench": SMALL_SCENARIO + "[sweep]\ntau = 2,4\n",
+}
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("kind", list(runner.RUNNERS))
+    def test_returned_paths_are_the_files_written(self, tmp_path, monkeypatch, kind):
+        # bench: covariance time doubles with tau, reconstruction time stays flat
+        times = iter([1.0, 1.0, 2.0, 1.0])
+        monkeypatch.setattr(runner, "_timed", lambda fn: next(times))
+        out = tmp_path / "out"
+        manifest = write_manifest(
+            tmp_path,
+            f"[experiment]\nkind = {kind}\nruns = 3\noutput = {out}\n" + EVERY_KIND[kind],
+        )
+        paths = runner.run_manifest(runner.parse_manifest(manifest))
+        assert sorted(paths.values()) == sorted(out.iterdir())
+        assert all(path.stem == name for name, path in paths.items())
+
+
+RULERS = ((4, (0, 1, 2)), (6, (0, 1, 3)), (7, (0, 1, 3)), (8, (0, 1, 2, 4)))
+
+
+@st.composite
+def small_uncorrelated_scenarios(draw):
+    period, marks = draw(st.sampled_from(RULERS))
+    clusters = draw(st.integers(1, 2))
+    level = st.floats(-10.0, 10.0)
+    users = []
+    for _ in range(draw(st.integers(0, 2))):
+        lo = draw(st.floats(0.0, 1.0, exclude_max=True))
+        width = draw(st.floats(0.05, 0.5))
+        users.append(
+            UserSpec(
+                band=(lo, (lo + width) % 1.0),
+                power_dbm=draw(level),
+                path_loss_db=tuple(draw(level) for _ in range(clusters)),
+            )
+        )
+    return ScenarioConfig(
+        period=period,
+        samples_per_coset=draw(st.integers(4, 8)),
+        users=tuple(users),
+        noise_dbm=draw(level),
+        pattern=CosetPattern(period, marks),
+        clusters=clusters,
+        sync=draw(st.sampled_from(SYNC_MODES)),
+    )
+
+
+class TestWorkerCountIndependence:
+    @settings(max_examples=8, deadline=None)
+    @given(config=small_uncorrelated_scenarios(), seed=st.integers(0, 99))
+    def test_roc_and_nmse_sweep_files_match_at_1_and_3_threads(self, config, seed):
+        full = CosetPattern(config.period, tuple(range(config.period)))
+        roc_settings = (runner.RocSetting(2, 0.0), runner.RocSetting(3, -3.0, "synchronized"))
+        manifests = (
+            runner.ExperimentManifest(
+                kind="roc", scenario=config, output=Path(), runs=3, seed=seed,
+                sweep=runner.SweepSpec(roc_settings=roc_settings),
+                detector=DetectorSpec(((0.1, 0.45),), ((0.55, 0.95),), avg_width=2),
+            ),
+            runner.ExperimentManifest(
+                kind="nmse-sweep", scenario=config, output=Path(), runs=3, seed=seed,
+                sweep=runner.SweepSpec(
+                    taus=(1, 3), sigmas_dbm=(0.0,), patterns=(config.pattern, full)
+                ),
+            ),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            for manifest in manifests:
+                written = []
+                for threads in (1, 3):
+                    manifest.threads = threads
+                    manifest.output = Path(tmp) / f"{manifest.kind}-{threads}"
+                    runner.run_manifest(manifest)
+                    written.append(
+                        {p.name: p.read_bytes() for p in manifest.output.iterdir()}
+                    )
+                assert written[0] == written[1]
