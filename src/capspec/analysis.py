@@ -10,8 +10,9 @@ Monte Carlo reconstruction and threshold-detection experiments.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -176,17 +177,38 @@ def whitenoise_variance_closed_form(
     return WhiteNoiseVariance(variance, variance / sigma2**2, True)
 
 
-def dispatch_runs(one, runs: int, threads: int = 1) -> None:
-    """Call ``one(run)`` for every run, on ``threads`` worker threads if more
-    than one.  Each run is keyed by its index and stores its own result, so
-    callers aggregate in run order afterwards, whatever the thread count.
+def dispatch_runs(one, runs: int, workers: int = 1) -> list:
+    """Return ``[one(run) for run in range(runs)]``, in run order.
+
+    Runs go to a pool of worker processes when more than one worker is
+    usable: at most ``workers``, one per run and one per CPU this process
+    may run on.  ``one`` and its results must then pickle, so bind a
+    module-level function with ``functools.partial``.  Each run is keyed
+    by its index, so the results do not depend on the worker count.  The
+    first failing run, in run order, raises in the caller, and the runs
+    not yet started are dropped.
     """
-    if threads <= 1:
-        for run in range(runs):
-            one(run)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(runs)))
+    workers = min(workers, runs, len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [one(run) for run in range(runs)]
+    # imported here, so that ``import capspec`` does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, range(runs)))
+
+
+def _mc_run(
+    config: ScenarioConfig, seed: int, keep_nap: bool, run: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Run ``run`` of ``mc_caps``: its averaged CAP and, if ``keep_nap``, NAP."""
+    sensed = synthesize_observations(config, seed=(seed, run), keep_full_rate=keep_nap)
+    _, averaged = estimate_multicluster(sensed.sets)
+    nap = None
+    if keep_nap:
+        parts = [nyquist_ap(obs.full_rate) for obs in sensed.sets]
+        nap = average_periodograms(parts).values
+    return averaged.values, nap
 
 
 def mc_caps(
@@ -199,24 +221,13 @@ def mc_caps(
     """Monte Carlo reconstructions: one averaged periodogram per run.
 
     Returns (caps, naps) arrays of shape (runs, grid); ``naps`` is None
-    unless ``keep_nap``.  Runs are independently seeded by (seed, run),
-    so results are identical for any thread count.
+    unless ``keep_nap``.  Runs are independently seeded by (seed, run) and
+    dispatched to ``threads`` worker processes (see ``dispatch_runs``), so
+    results are identical for any worker count.
     """
-    n_grid = config.grid_size
-    caps = np.empty((runs, n_grid))
-    naps = np.empty((runs, n_grid)) if keep_nap else None
-
-    def one(run: int) -> None:
-        sensed = synthesize_observations(
-            config, seed=(seed, run), keep_full_rate=keep_nap
-        )
-        _, averaged = estimate_multicluster(sensed.sets)
-        caps[run] = averaged.values
-        if keep_nap:
-            parts = [nyquist_ap(obs.full_rate) for obs in sensed.sets]
-            naps[run] = average_periodograms(parts).values
-
-    dispatch_runs(one, runs, threads)
+    rows = dispatch_runs(partial(_mc_run, config, seed, keep_nap), runs, threads)
+    caps = np.array([cap for cap, _ in rows])
+    naps = np.array([nap for _, nap in rows]) if keep_nap else None
     return caps, naps
 
 

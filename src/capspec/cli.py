@@ -112,7 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run a {kind} experiment manifest")
         p.add_argument("--manifest", type=str, required=True)
         p.add_argument("--seed", type=int, required=kind != "bench", default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument(
+            "--threads", type=int, default=None,
+            help="worker processes for the Monte Carlo runs",
+        )
         p.add_argument("--output", type=str, default=None)
         p.add_argument("--runs", type=int, default=None)
         p.set_defaults(fn=_experiment_command, kind=kind)

@@ -5,9 +5,9 @@ A manifest is a flat INI file with section headers ([experiment],
 ``run_manifest`` validates the manifest, ``run_<kind>`` computes all of
 its results in memory, and ``_write_outputs`` alone then creates the
 output directory and writes the files, so a run that fails writes
-nothing.  Monte Carlo runs are dispatched to a thread pool and keyed by
-(seed, run index), and all aggregation happens in run order afterwards,
-so output files are byte-identical for any worker count.
+nothing.  Monte Carlo runs are dispatched to worker processes and keyed
+by (seed, run index), and all aggregation happens in run order
+afterwards, so output files are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -83,6 +83,18 @@ class ExperimentManifest:
             raise ValueError("seed must be non-negative")
         if self.kind != "reconstruct" and self.scenario.bin_mode != "uncorrelated":
             raise ValueError(f"{self.kind} runs on uncorrelated-bins scenarios")
+        # a repeated entry would name two results alike
+        for axis, entries in (
+            ("tau", self.sweep.taus),
+            ("sigma2_dbm", self.sweep.sigmas_dbm),
+            ("patterns", [_marks_text(p.marks) for p in self.sweep.patterns]),
+            ("settings", [s.label for s in self.sweep.roc_settings]),
+        ):
+            seen = set()
+            for entry in entries:
+                if entry in seen:
+                    raise ValueError(f"[sweep] {axis} lists {entry} twice")
+                seen.add(entry)
         if self.kind == "nmse-sweep":
             if not (self.sweep.taus and self.sweep.sigmas_dbm and self.sweep.patterns):
                 raise ValueError("nmse-sweep needs tau, sigma2_dbm and patterns axes")
@@ -96,6 +108,10 @@ class ExperimentManifest:
                 raise ValueError("roc needs a [detector] section")
         if self.kind == "bench" and len(self.sweep.taus) < 2:
             raise ValueError("bench needs at least two tau values to compare")
+
+
+def _marks_text(marks) -> str:
+    return ",".join(map(str, marks))
 
 
 def _parse_bands(text: str) -> tuple[tuple[float, float], ...]:
@@ -228,49 +244,47 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
     return _write_outputs(manifest, files, summary)
 
 
+def _nmse_run(
+    config: ScenarioConfig, sweep: SweepSpec, combos: list, seed: int, run: int
+) -> list[float]:
+    """Run ``run`` of an nmse-sweep: its NMSE per entry of ``combos``."""
+    levels = synthesize_observations(
+        config, seed=(seed, run), keep_full_rate=True, noise_levels=sweep.sigmas_dbm
+    )
+    scores = {}
+    for sigma, sensed in zip(sweep.sigmas_dbm, levels):
+        full = [s.full_rate for s in sensed.sets]
+        for tau in sweep.taus:
+            nap = average_periodograms([nyquist_ap(x[:tau]) for x in full])
+            for pattern in sweep.patterns:
+                obs = [
+                    extract_coset_observations(x[:tau], pattern, label=d)
+                    for d, x in enumerate(full)
+                ]
+                _, cap = estimate_multicluster(obs)
+                scores[pattern, tau, sigma] = nmse(cap, nap)
+    return [scores[combo] for combo in combos]
+
+
 def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
     """Monte Carlo NMSE against the Nyquist baseline over a config grid.
 
-    Within a run, all tau values slice the same synthesized sensors and
-    all patterns re-extract cosets from the same full-rate records, so
+    Within a run, every noise level adds its noise to the same user
+    signals, all tau values slice the same synthesized sensors and all
+    patterns re-extract cosets from the same full-rate records, so
     comparisons across the sweep are paired.
     """
-    config = manifest.scenario
     sweep = manifest.sweep
-    tau_max = max(sweep.taus)
-
+    config = replace(manifest.scenario, sensors_per_cluster=max(sweep.taus))
     combos = [
         (pattern, tau, sigma)
         for pattern in sweep.patterns
         for tau in sweep.taus
         for sigma in sweep.sigmas_dbm
     ]
-    scores = np.empty((len(combos), manifest.runs))
-    base_by_sigma = {
-        sigma: replace(config, sensors_per_cluster=tau_max, noise_dbm=sigma)
-        for sigma in sweep.sigmas_dbm
-    }
-
-    def one(run: int) -> None:
-        for sigma in sweep.sigmas_dbm:
-            sensed = synthesize_observations(
-                base_by_sigma[sigma],
-                seed=(manifest.seed, run),
-                keep_full_rate=True,
-            )
-            full = [s.full_rate for s in sensed.sets]
-            for tau in sweep.taus:
-                nap = average_periodograms([nyquist_ap(x[:tau]) for x in full])
-                for pattern in sweep.patterns:
-                    obs = [
-                        extract_coset_observations(x[:tau], pattern, label=d)
-                        for d, x in enumerate(full)
-                    ]
-                    _, cap = estimate_multicluster(obs)
-                    idx = combos.index((pattern, tau, sigma))
-                    scores[idx, run] = nmse(cap, nap)
-
-    dispatch_runs(one, manifest.runs, manifest.threads)
+    one = partial(_nmse_run, config, sweep, combos, manifest.seed)
+    # one row per combo, its runs contiguous
+    scores = np.array(dispatch_runs(one, manifest.runs, manifest.threads)).T.copy()
 
     rows = []
     for idx, (pattern, tau, sigma) in enumerate(combos):
@@ -281,7 +295,7 @@ def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
                 float(sigma),
                 float(np.mean(scores[idx])),
                 manifest.runs,
-                '"' + ",".join(map(str, pattern.marks)) + '"',
+                '"' + _marks_text(pattern.marks) + '"',
             )
         )
     return _write_outputs(
@@ -328,17 +342,17 @@ def run_variance_check(manifest: ExperimentManifest) -> dict:
             report = analysis.whitenoise_variance_report(
                 cfg, runs=manifest.runs, seed=manifest.seed, threads=manifest.threads
             )
-            marks = ",".join(map(str, pattern.marks))
             detail = [
                 (theta, report.analytical_variance, emp)
                 for theta, emp in zip(report.thetas, report.empirical_by_theta)
             ]
-            files[f"variance_theta_{pattern.size}of{pattern.period}_tau{tau}.csv"] = partial(
+            name = "-".join(map(str, pattern.marks))
+            files[f"variance_theta_{name}_tau{tau}.csv"] = partial(
                 _csv_rows, header="theta,analytical,empirical", rows=detail
             )
             rows.append(
                 (
-                    '"' + marks + '"',
+                    '"' + _marks_text(pattern.marks) + '"',
                     tau,
                     float(config.noise_dbm),
                     manifest.runs,

@@ -167,9 +167,13 @@ def _rng(*key) -> np.random.Generator:
     return np.random.default_rng(flat)
 
 
+def _unit_crandn(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Real and imaginary parts from two ``standard_normal`` calls, in order."""
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
 def _crandn(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
-    scale = math.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return math.sqrt(variance / 2.0) * _unit_crandn(rng, n)
 
 
 @lru_cache(maxsize=128)
@@ -257,7 +261,8 @@ def synthesize_observations(
     config: ScenarioConfig,
     seed=None,
     keep_full_rate: bool = False,
-) -> SensingRun:
+    noise_levels=None,
+) -> SensingRun | list[SensingRun]:
     """Simulate acquisition for ``config``; one observation set per cluster
     (uncorrelated bins) or per group (correlated bins).
 
@@ -273,7 +278,16 @@ def synthesize_observations(
     times the user's fixed in-band waveform (correlated bins, so a user's
     occupied grid points are fully coherent).  Synchronized sensors share
     one draw per user; unsynchronized sensors draw their own.
+
+    ``noise_levels`` (dBm, in place of ``config.noise_dbm``) returns a list
+    of runs, one per level.  No stream is keyed by the noise level, so each
+    sensor's unit noise, user components and fading gains are drawn once
+    and added to every level's record; each run is bit-identical to a
+    call with its level as ``noise_dbm``.
     """
+    levels = (config.noise_dbm,) if noise_levels is None else tuple(noise_levels)
+    for level in levels:
+        _check_level("noise_dbm", level)
     key = config.seed if seed is None else seed
     n_grid = config.grid_size
     warnings: list[str] = []
@@ -316,12 +330,14 @@ def synthesize_observations(
     shared = None
     if config.sync == "synchronized":
         shared = [draw(k, _rng(key, shared_role, k)) for k in range(len(config.users))]
-    noise_var = dbm_to_linear(config.noise_dbm)
-    sets = []
+    # _crandn's factor, so that each level's noise is bit-identical to its own draw
+    scales = [math.sqrt(dbm_to_linear(level) / 2.0) for level in levels]
+    sets = [[] for _ in levels]
     for label, pattern, sensors, column in groups:
-        x = np.empty((sensors, n_grid), dtype=complex)
+        x = np.empty((len(levels), sensors, n_grid), dtype=complex)
         for t in range(sensors):
-            rec = _crandn(_rng(key, _R_NOISE, label, t), n_grid, noise_var)
+            unit = _unit_crandn(_rng(key, _R_NOISE, label, t), n_grid)
+            x[:, t] = [scale * unit for scale in scales]
             for k, user in enumerate(config.users):
                 if shared is not None:
                     component = shared[k]
@@ -332,11 +348,12 @@ def synthesize_observations(
                     1,
                     dbm_to_linear(user.path_loss_db[column]),
                 )[0]
-                rec = rec + gain * component
-            x[t] = rec
-        sets.append(
-            extract_coset_observations(
-                x, pattern, label=label, keep_full_rate=keep_full_rate
+                x[:, t] += gain * component
+        for level_sets, records in zip(sets, x):
+            level_sets.append(
+                extract_coset_observations(
+                    records, pattern, label=label, keep_full_rate=keep_full_rate
+                )
             )
-        )
-    return SensingRun(sets=sets, warnings=warnings)
+    runs = [SensingRun(sets=level_sets, warnings=list(warnings)) for level_sets in sets]
+    return runs[0] if noise_levels is None else runs

@@ -1,3 +1,7 @@
+import os
+import time
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from capspec.analysis import (
     WhiteNoiseMoments,
     analytical_gaussian_covariance,
     detection_blocks,
+    dispatch_runs,
     mc_caps,
     nmse,
     nyquist_ap,
@@ -16,7 +21,7 @@ from capspec.analysis import (
     whitenoise_variance_closed_form,
     whitenoise_variance_report,
 )
-from capspec.estimator import estimate_multicluster
+from capspec.estimator import IdentifiabilityError, estimate_multicluster
 from capspec.patterns import CosetPattern
 from capspec.sensing import ScenarioConfig, dbm_to_linear, synthesize_observations
 from capspec.structure import (
@@ -215,6 +220,56 @@ class TestMonteCarloWhiteNoise:
         )
         with pytest.raises(ValueError):
             whitenoise_variance_report(config, runs=2, seed=0)
+
+
+def _slow_square(run):
+    # later runs finish first, so results arrive out of run order
+    time.sleep(0.02 * (6 - run))
+    return run * run
+
+
+def _pid(run):
+    time.sleep(0.02)
+    return os.getpid()
+
+
+def _fail_first(marks, run):
+    (marks / str(run)).touch()
+    if run == 0:
+        raise ValueError("run 0 failed")
+    time.sleep(0.2)
+
+
+class TestDispatchRuns:
+    def test_results_in_run_order_with_more_runs_than_workers(self):
+        assert dispatch_runs(_slow_square, 6, 2) == [run * run for run in range(6)]
+
+    @pytest.mark.parametrize("workers,runs", [(2, 6), (8, 5), (3, 2), (4, 1)])
+    def test_worker_processes_capped(self, workers, runs):
+        pids = dispatch_runs(_pid, runs, workers)
+        assert len(pids) == runs
+        cap = min(workers, runs, len(os.sched_getaffinity(0)))
+        assert len(set(pids)) <= cap
+        if cap > 1:
+            assert os.getpid() not in pids
+
+    def test_one_worker_runs_in_the_caller(self):
+        assert set(dispatch_runs(_pid, 3, 1)) == {os.getpid()}
+
+    def test_first_error_drops_the_runs_not_started(self, tmp_path):
+        with pytest.raises(ValueError, match="run 0 failed"):
+            dispatch_runs(partial(_fail_first, tmp_path), 40, 2)
+        # the runs already handed to a worker may still finish
+        assert len(list(tmp_path.iterdir())) < 10
+
+    def test_worker_errors_reach_the_caller_intact(self):
+        config = ScenarioConfig(
+            period=6, samples_per_coset=10, users=(), noise_dbm=0.0,
+            pattern=CosetPattern(6, (0, 1, 2)), sensors_per_cluster=2,
+        )
+        with pytest.raises(IdentifiabilityError, match="circular sparse ruler") as err:
+            mc_caps(config, runs=2, seed=0, threads=2)
+        assert err.value.missing == (3,)
 
 
 class TestDetection:

@@ -154,6 +154,10 @@ class TestReconstruct:
         assert "io" in capsys.readouterr().err
 
 
+NOISE_SCENARIO = (
+    "[scenario]\nperiod = 6\nsamples_per_coset = 10\nmarks = 0,1,3\nnoise_dbm = 0\n"
+)
+
 DETECTOR = "[detector]\nactive_bands = 0.2,0.3\nquiet_bands = 0.6,0.9\navg_width = 4\n"
 
 # every axis of every sweep kind, on a correlated-bins scenario whose
@@ -221,6 +225,31 @@ BAD_INPUTS = {
         f"{kind} on correlated bins": (kind, CORRELATED_RUN, "uncorrelated-bins")
         for kind in ("nmse-sweep", "roc", "variance-check", "bench")
     },
+    # a repeated sweep entry would leave one of its output rows unwritten
+    "repeated tau": (
+        "nmse-sweep",
+        "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\ntau = 3,6,3\nsigma2_dbm = 0\npatterns = 0,1,3\n",
+        "tau lists 3 twice",
+    ),
+    "repeated sigma2_dbm": (
+        "nmse-sweep",
+        "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\ntau = 3\nsigma2_dbm = 0,3,0.0\npatterns = 0,1,3\n",
+        "sigma2_dbm lists 0.0 twice",
+    ),
+    "repeated pattern": (
+        "variance-check",
+        "[experiment]\nkind = variance-check\noutput = OUT\n" + NOISE_SCENARIO
+        + "[sweep]\ntau = 2\npatterns = 0,1,3 | 3,1,0\n",
+        "patterns lists 0,1,3 twice",
+    ),
+    "repeated roc setting": (
+        "roc",
+        "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\nsettings = 6,0 | 3,3 | 6,0.0,unsynchronized\n" + DETECTOR,
+        "settings lists tau6_sigma0_unsynchronized twice",
+    ),
 }
 
 
@@ -323,6 +352,43 @@ class TestSweeps:
         ratio = by_key[("0,1,3", "8")] / by_key[("0,1,3", "32")]
         assert 4 * 0.85 <= ratio <= 4 * 1.15
 
+    def test_variance_check_detail_file_per_pattern_and_tau(self, tmp_path):
+        # two patterns of the same size, two taus: four detail files
+        out = tmp_path / "var"
+        manifest = write_manifest(
+            tmp_path,
+            f"[experiment]\nkind = variance-check\nruns = 3\noutput = {out}\n"
+            + NOISE_SCENARIO
+            + "[sweep]\ntau = 2,4\npatterns = 0,1,3 | 0,1,4\n",
+        )
+        assert main(["variance-check", "--manifest", str(manifest), "--seed", "6"]) == 0
+        details = sorted(p.name for p in out.glob("variance_theta_*.csv"))
+        assert details == [
+            f"variance_theta_{marks}_tau{tau}.csv"
+            for marks in ("0-1-3", "0-1-4")
+            for tau in (2, 4)
+        ]
+        assert len(set(p.read_bytes() for p in out.glob("variance_theta_*.csv"))) == 4
+
+    def test_worker_process_error_exits_2_with_one_line(self, tmp_path, capfd):
+        # 0,1,2 misses the modular difference 3 of period 6; the runs that
+        # find it execute in worker processes
+        out = tmp_path / "out"
+        manifest = write_manifest(
+            tmp_path,
+            f"[experiment]\nkind = nmse-sweep\nruns = 4\noutput = {out}\n"
+            + SMALL_SCENARIO
+            + "\n[sweep]\ntau = 3\nsigma2_dbm = 0\npatterns = 0,1,3 | 0,1,2\n",
+        )
+        code = main(
+            ["nmse-sweep", "--manifest", str(manifest), "--seed", "1", "--threads", "2"]
+        )
+        err = capfd.readouterr().err
+        assert code == 2
+        assert err.startswith("error: identifiability:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_variance_check_rejects_users(self, tmp_path, capsys):
         manifest = write_manifest(
             tmp_path,
@@ -398,10 +464,6 @@ class TestBench:
         assert payload["passed"] is False
         assert not payload["checks"]["covariance_2_to_4"]["ok"]
 
-
-NOISE_SCENARIO = (
-    "[scenario]\nperiod = 6\nsamples_per_coset = 10\nmarks = 0,1,3\nnoise_dbm = 0\n"
-)
 
 # kind -> manifest body after its [experiment] section
 EVERY_KIND = {

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,34 @@ class TestOneSynthesisLoop:
                     obs.dtft[t], extract_coset_observations(got, obs.pattern).dtft[0]
                 )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        config=small_scenarios(),
+        key=st.tuples(st.integers(0, 99), st.integers(0, 9)),
+        levels=st.lists(
+            st.one_of(st.just(-math.inf), st.floats(-10.0, 10.0)), min_size=1, max_size=3
+        ),
+    )
+    def test_each_noise_level_matches_its_own_call(self, config, key, levels):
+        runs = synthesize_observations(
+            config, seed=key, keep_full_rate=True, noise_levels=levels
+        )
+        assert len(runs) == len(levels)
+        for level, run in zip(levels, runs):
+            alone = synthesize_observations(
+                replace(config, noise_dbm=level), seed=key, keep_full_rate=True
+            )
+            assert run.warnings == alone.warnings
+            assert len(run.sets) == len(alone.sets)
+            for got, want in zip(run.sets, alone.sets):
+                assert np.array_equal(got.full_rate, want.full_rate), level
+                assert np.array_equal(got.dtft, want.dtft), level
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_noise_levels_reject_nan_and_plus_inf(self, bad):
+        with pytest.raises(ValueError, match="noise_dbm"):
+            synthesize_observations(noise_only_config(tau=1), noise_levels=(0.0, bad))
+
     def test_correlated_band_between_grid_points_rejected(self):
         user = UserSpec(band=(0.01, 0.05), power_dbm=0.0, path_loss_db=(0.0,))
         config = ScenarioConfig(
@@ -384,11 +413,21 @@ class TestScenarioValidation:
             )
 
 
-def test_import_does_not_load_scipy():
+def modules_loaded_by_import(prefix):
+    """Modules under ``prefix`` that a fresh ``import capspec`` loads."""
     src = str(Path(capspec.__file__).resolve().parents[1])
-    code = "import sys, capspec; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = f"import sys, capspec; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    assert modules_loaded_by_import("scipy") == "[]"
+
+
+def test_import_does_not_load_multiprocessing():
+    # worker processes are started only when a run asks for more than one
+    assert modules_loaded_by_import("multiprocessing") == "[]"
