@@ -16,7 +16,6 @@ from .estimator import (
     CAP_CB,
     CAP_UB,
     NAP,
-    CosetCorrelationVector,
     CovarianceStack,
     IdentifiabilityError,
     Periodogram,
@@ -48,9 +47,7 @@ from .sensing import (
     synthesize_observations,
 )
 from .structure import (
-    ModulationMatrix,
     PsiMatrix,
-    RepetitionMatrix,
     SystemMatrixRc,
     build_modulation_matrix,
     build_psi,

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .estimator import NAP, Periodogram, average_periodograms, estimate_multicluster
+from .estimator import NAP, Periodogram, estimate_multicluster
 from .patterns import CosetPattern
 from .sensing import (
     ScenarioConfig,
@@ -52,54 +52,34 @@ def nmse(estimate, reference) -> float:
     return float(np.sum((est - ref) ** 2) / denom)
 
 
-class GaussianMoments:
-    """Second moments of the per-bin spectra, supplied analytically.
+class IndependentSensorMoments:
+    """Second moments of the per-bin spectra X of independent sensors.
+
+    ``analytical_gaussian_covariance`` reads them through two methods, for
+    bin indices i, b in 0..N-1 and sensor indices t, tp in 0..tau-1:
 
     ``cross(t, tp)[i, b]``  = E[X_{t,i} X*_{tp,b}]
     ``pseudo(t, tp)[i, b]`` = E[X_{t,i} X_{tp,b}]
-    for bin indices i, b in 0..N-1 and sensor indices t, tp in 0..tau-1.
+
+    Every sensor has the N x N bin covariance ``bin_covariance``, distinct
+    sensors are uncorrelated, and all are circular, so the pseudo-covariance
+    is zero.  White noise of variance sigma2 on n_grid samples has the bin
+    covariance n_grid * sigma2 * I.
     """
 
+    def __init__(self, bin_covariance: np.ndarray):
+        self._cross = np.asarray(bin_covariance)
+        self._zero = np.zeros(self._cross.shape)
+
     def cross(self, t: int, tp: int) -> np.ndarray:
-        raise NotImplementedError
+        return self._cross if t == tp else self._zero
 
     def pseudo(self, t: int, tp: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class WhiteNoiseMoments(GaussianMoments):
-    """Circular white Gaussian noise of variance sigma2 on ``n_grid`` samples."""
-
-    def __init__(self, n_bins: int, n_grid: int, sigma2: float):
-        self.n_bins = n_bins
-        self._cross = n_grid * sigma2 * np.eye(n_bins)
-        self._zero = np.zeros((n_bins, n_bins))
-
-    def cross(self, t, tp):
-        return self._cross if t == tp else self._zero
-
-    def pseudo(self, t, tp):
-        return self._zero
-
-
-class SingleBinMoments(GaussianMoments):
-    """One occupied bin, independent across sensors, circular symbols."""
-
-    def __init__(self, n_bins: int, bin_index: int, variance: float):
-        self.n_bins = n_bins
-        self._cross = np.zeros((n_bins, n_bins))
-        self._cross[bin_index, bin_index] = variance
-        self._zero = np.zeros((n_bins, n_bins))
-
-    def cross(self, t, tp):
-        return self._cross if t == tp else self._zero
-
-    def pseudo(self, t, tp):
         return self._zero
 
 
 def analytical_gaussian_covariance(
-    moments: GaussianMoments, pattern: CosetPattern, tau: int
+    moments: IndependentSensorMoments, pattern: CosetPattern, tau: int
 ) -> np.ndarray:
     """Covariance of the entries of the averaged coset covariance.
 
@@ -160,7 +140,7 @@ class WhiteNoiseVariance:
 
 
 def whitenoise_variance_closed_form(
-    pattern: CosetPattern | SystemMatrixRc, sigma2: float, tau: int
+    pattern: CosetPattern, sigma2: float, tau: int
 ) -> WhiteNoiseVariance:
     """sigma^4/(M tau) + (sigma^4/tau) sum_k 1/gamma_k over nonzero lags.
 
@@ -169,7 +149,7 @@ def whitenoise_variance_closed_form(
     error.  The matching analytical NMSE against the flat sigma^2 truth
     is variance / sigma^4.
     """
-    sysmat = pattern if isinstance(pattern, SystemMatrixRc) else build_system_matrix(pattern)
+    sysmat = build_system_matrix(pattern)
     if not sysmat.identifiable:
         return WhiteNoiseVariance(math.inf, math.inf, False)
     gamma = sysmat.gamma.astype(float)
@@ -198,37 +178,23 @@ def dispatch_runs(one, runs: int, workers: int = 1) -> list:
         return list(pool.map(one, range(runs)))
 
 
-def _mc_run(
-    config: ScenarioConfig, seed: int, keep_nap: bool, run: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run ``run`` of ``mc_caps``: its averaged CAP and, if ``keep_nap``, NAP."""
-    sensed = synthesize_observations(config, seed=(seed, run), keep_full_rate=keep_nap)
+def _mc_run(config: ScenarioConfig, seed: int, run: int) -> np.ndarray:
+    """Run ``run`` of ``mc_caps``: its averaged CAP."""
+    sensed = synthesize_observations(config, seed=(seed, run))
     _, averaged = estimate_multicluster(sensed.sets)
-    nap = None
-    if keep_nap:
-        parts = [nyquist_ap(obs.full_rate) for obs in sensed.sets]
-        nap = average_periodograms(parts).values
-    return averaged.values, nap
+    return averaged.values
 
 
 def mc_caps(
-    config: ScenarioConfig,
-    runs: int,
-    seed: int,
-    threads: int = 1,
-    keep_nap: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    config: ScenarioConfig, runs: int, seed: int, threads: int = 1
+) -> np.ndarray:
     """Monte Carlo reconstructions: one averaged periodogram per run.
 
-    Returns (caps, naps) arrays of shape (runs, grid); ``naps`` is None
-    unless ``keep_nap``.  Runs are independently seeded by (seed, run) and
-    dispatched to ``threads`` worker processes (see ``dispatch_runs``), so
-    results are identical for any worker count.
+    Returns the (runs, grid) array of CAP values.  Runs are independently
+    seeded by (seed, run) and dispatched to ``threads`` worker processes
+    (see ``dispatch_runs``), so results are identical for any worker count.
     """
-    rows = dispatch_runs(partial(_mc_run, config, seed, keep_nap), runs, threads)
-    caps = np.array([cap for cap, _ in rows])
-    naps = np.array([nap for _, nap in rows]) if keep_nap else None
-    return caps, naps
+    return np.array(dispatch_runs(partial(_mc_run, config, seed), runs, threads))
 
 
 @dataclass
@@ -259,7 +225,7 @@ def whitenoise_variance_report(
     sigma2 = dbm_to_linear(config.noise_dbm)
     tau = config.sensors_per_cluster
     closed = whitenoise_variance_closed_form(config.pattern, sigma2, tau)
-    caps, _ = mc_caps(config, runs, seed, threads=threads)
+    caps = mc_caps(config, runs, seed, threads=threads)
     empirical = np.var(caps, axis=0, ddof=1)
     emp_nmse = float(np.mean((caps - sigma2) ** 2) / sigma2**2)
     return VarianceReport(
@@ -290,6 +256,12 @@ class DetectorSpec:
     quiet_points: int | None = None
 
     def __post_init__(self):
+        if self.avg_width < 1:
+            raise ValueError(f"avg_width must be positive, got {self.avg_width}")
+        for key in ("points_per_band", "quiet_points"):
+            points = getattr(self, key)
+            if points is not None and points < 1:
+                raise ValueError(f"{key} must be positive, got {points}")
         for active in self.active_bands:
             for quiet in self.quiet_bands:
                 if any(
@@ -373,7 +345,7 @@ def roc_harness(
     """Monte Carlo detection experiment on the reconstructed periodogram:
     each run's statistics are the block means of its ``mc_caps`` row."""
     active_blocks, quiet_blocks = detection_blocks(detector, config.grid_size)
-    caps, _ = mc_caps(config, runs, seed, threads=threads)
+    caps = mc_caps(config, runs, seed, threads=threads)
     # row by row: a 3-D mean over all runs at once sums in another order
     return roc_from_scores(
         np.array([cap[active_blocks].mean(axis=1) for cap in caps]),

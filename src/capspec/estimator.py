@@ -43,20 +43,6 @@ class CovarianceStack:
     count: int
     pattern: CosetPattern
 
-    def hermitian_defect(self) -> float:
-        m = self.matrices
-        return float(np.max(np.abs(m - m.conj().transpose(0, 2, 1))))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(self.matrices)))
-
-
-@dataclass
-class CosetCorrelationVector:
-    """Reconstructed circulant lags, one length-N vector per grid point."""
-
-    values: np.ndarray          # (L, N) complex
-
 
 @dataclass
 class Periodogram:
@@ -71,11 +57,11 @@ class Periodogram:
     def negative_count(self) -> int:
         return int(np.sum(self.values < 0.0))
 
-    def write_csv(self, path, run_id: int = 0) -> None:
+    def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write("theta,value,estimator,run_id\n")
             for theta, value in zip(self.thetas, self.values):
-                f.write(f"{float(theta)!r},{float(value)!r},{self.estimator},{run_id}\n")
+                f.write(f"{float(theta)!r},{float(value)!r},{self.estimator},0\n")
 
 
 def sample_covariance(observations: CosetObservationSet) -> CovarianceStack:
@@ -103,13 +89,14 @@ def _solve_lags(stacks: list[CovarianceStack], operator: np.ndarray) -> np.ndarr
 
 def ls_reconstruct_rbar(
     stack: CovarianceStack, sysmat: SystemMatrixRc | None = None
-) -> CosetCorrelationVector:
+) -> np.ndarray:
     """Solve the per-point LS problem for the circulant lag vector.
 
     Because the normal matrix is diag(gamma), the solution for lag k is
     the mean of the covariance entries whose mark difference is k; the
     system matrix's averaging operator computes all lags in one product.
-    Raises IdentifiabilityError when some lag is observed by no pair.
+    Returns the (L, N) lags, one row per grid point.  Raises
+    IdentifiabilityError when some lag is observed by no pair.
     """
     if sysmat is None:
         sysmat = build_system_matrix(stack.pattern)
@@ -122,34 +109,28 @@ def ls_reconstruct_rbar(
             f"modular differences {list(missing)} are unrealized",
             missing=missing,
         )
-    return CosetCorrelationVector(values=_solve_lags([stack], sysmat.operator))
+    return _solve_lags([stack], sysmat.operator)
 
 
-def assemble_cap(
-    rbar: CosetCorrelationVector, samples_per_coset: int | None = None
-) -> Periodogram:
-    """Expand lag vectors to the periodogram on the full frequency grid.
+def assemble_cap(lags: np.ndarray) -> Periodogram:
+    """Expand (L, N) lag vectors to the periodogram on the full frequency grid.
 
     The diagonal of the de-modulated bin covariance depends only on the
     mean of each modular diagonal (the lag vector): it is N times the
     forward length-N transform of the lags; dividing by the grid size
-    leaves fft(rbar)/L per bin.  This holds whether or not the
+    leaves fft(lags)/L per bin.  This holds whether or not the
     covariance is circulant, so both estimators end here.  Values are
     kept as-is (small negatives included); the worst imaginary residue
     is recorded.
     """
-    l_pts, n = rbar.values.shape
-    if samples_per_coset is None:
-        samples_per_coset = l_pts
-    if samples_per_coset != l_pts:
-        raise ValueError("lag vectors do not cover the expected grid")
-    diag = np.fft.fft(rbar.values, axis=1) / samples_per_coset
+    l_pts, n = lags.shape
+    diag = np.fft.fft(lags, axis=1) / l_pts
     scale = np.max(np.abs(diag))
     max_imag = float(np.max(np.abs(diag.imag)) / scale) if scale > 0 else 0.0
     # bin i of point l sits at global grid index i*L + l
     values = diag.real.T.reshape(-1).copy()
     return Periodogram(
-        thetas=np.arange(n * samples_per_coset) / (n * samples_per_coset),
+        thetas=np.arange(n * l_pts) / (n * l_pts),
         values=values,
         estimator=CAP_UB,
         max_imag_ratio=max_imag,
@@ -222,5 +203,4 @@ def estimate_correlated_bins(
     stacks = [sample_covariance(obs) for obs in group_observations]
     if len({s.matrices.shape[0] for s in stacks}) != 1:
         raise ValueError("groups disagree on grid size")
-    rbar = CosetCorrelationVector(values=_solve_lags(stacks, psi.operator))
-    return replace(assemble_cap(rbar), estimator=CAP_CB)
+    return replace(assemble_cap(_solve_lags(stacks, psi.operator)), estimator=CAP_CB)

@@ -83,6 +83,9 @@ class ExperimentManifest:
             raise ValueError("seed must be non-negative")
         if self.kind != "reconstruct" and self.scenario.bin_mode != "uncorrelated":
             raise ValueError(f"{self.kind} runs on uncorrelated-bins scenarios")
+        for tau in self.sweep.taus:
+            if tau < 1:
+                raise ValueError(f"[sweep] tau entries must be positive, got {tau}")
         # a repeated entry would name two results alike
         for axis, entries in (
             ("tau", self.sweep.taus),
@@ -118,6 +121,25 @@ def _parse_bands(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(parse_band(chunk) for chunk in text.split("|") if chunk.strip())
 
 
+def _parse_patterns(text: str, period: int) -> tuple[CosetPattern, ...]:
+    return tuple(
+        CosetPattern(period, parse_marks(chunk)) for chunk in text.split("|") if chunk.strip()
+    )
+
+
+def _parse_roc_settings(text: str) -> tuple[RocSetting, ...]:
+    entries = []
+    for chunk in text.split("|"):
+        parts = [tok.strip() for tok in chunk.split(",") if tok.strip()]
+        if not parts:
+            continue
+        if len(parts) not in (2, 3):
+            raise ValueError(f"entry {chunk!r} is not tau,sigma2[,sync]")
+        sync = parts[2] if len(parts) > 2 else "unsynchronized"
+        entries.append(RocSetting(int(parts[0]), float(parts[1]), sync))
+    return tuple(entries)
+
+
 def _parse_bool(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
@@ -142,23 +164,14 @@ def parse_manifest(path, kind: str | None = None) -> ExperimentManifest:
     sweep = SweepSpec()
     if "sweep" in parser:
         swp = parser["sweep"]
-        sweep.taus = parse_marks(swp.get("tau", ""))
-        sweep.sigmas_dbm = _parse_floats(swp.get("sigma2_dbm", ""))
-        sweep.patterns = tuple(
-            CosetPattern(scenario.period, parse_marks(chunk))
-            for chunk in swp.get("patterns", "").split("|")
-            if chunk.strip()
+        sweep = SweepSpec(
+            taus=required(swp, "tau", parse_marks, ()),
+            sigmas_dbm=required(swp, "sigma2_dbm", _parse_floats, ()),
+            patterns=required(
+                swp, "patterns", partial(_parse_patterns, period=scenario.period), ()
+            ),
+            roc_settings=required(swp, "settings", _parse_roc_settings, ()),
         )
-        entries = []
-        for chunk in swp.get("settings", "").split("|"):
-            parts = [tok.strip() for tok in chunk.split(",") if tok.strip()]
-            if not parts:
-                continue
-            if len(parts) not in (2, 3):
-                raise ValueError(f"[sweep] settings entry {chunk!r} is not tau,sigma2[,sync]")
-            sync = parts[2] if len(parts) > 2 else "unsynchronized"
-            entries.append(RocSetting(int(parts[0]), float(parts[1]), sync))
-        sweep.roc_settings = tuple(entries)
 
     detector = None
     if "detector" in parser:

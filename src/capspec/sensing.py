@@ -177,12 +177,10 @@ def _crandn(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def bandpass_response(
-    band: tuple[float, float], n_grid: int, taps: int = FILTER_TAPS
-) -> np.ndarray:
+def bandpass_response(band: tuple[float, float], n_grid: int) -> np.ndarray:
     """Frequency response of the user-band shaping filter on the full grid.
 
-    Windowed-sinc (Hamming) lowpass of ``taps`` coefficients, cutoff
+    Windowed-sinc (Hamming) lowpass of ``FILTER_TAPS`` coefficients, cutoff
     ``width / 2`` and unit DC gain, modulated to the band center, applied
     circularly, normalized to unit peak gain.
     """
@@ -192,14 +190,14 @@ def bandpass_response(
         raise ValueError(f"band {band} has zero width")
     if width >= 1.0 - 2.0 / n_grid:
         return np.ones(n_grid, dtype=complex)
-    m = np.arange(taps) - (taps - 1) / 2
+    m = np.arange(FILTER_TAPS) - (FILTER_TAPS - 1) / 2
     # 1 - 0.54 (not 0.46) keeps the coefficients equal to the usual
-    # firwin(taps, width / 2, window="hamming", fs=1) to the last bit.
-    window = 0.54 + (1 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, taps))
+    # firwin(FILTER_TAPS, width / 2, window="hamming", fs=1) to the last bit.
+    window = 0.54 + (1 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, FILTER_TAPS))
     lowpass = width * np.sinc(width * m) * window
     lowpass /= np.sum(lowpass)
     center = (lo + width / 2.0) % 1.0
-    taps_idx = np.arange(taps)
+    taps_idx = np.arange(FILTER_TAPS)
     response = np.fft.fft(lowpass * np.exp(2j * np.pi * center * taps_idx), n_grid)
     response /= np.max(np.abs(response))
     response.setflags(write=False)

@@ -23,45 +23,17 @@ from .patterns import CosetPattern, PatternFamily
 
 
 @dataclass(frozen=True)
-class ModulationMatrix:
-    """N x N matrix with entries exp(j 2 pi n i / N) / N."""
-
-    order: int
-    matrix: np.ndarray = field(repr=False, compare=False)
-
-    def unitarity_defect(self) -> float:
-        b = self.matrix
-        return float(
-            np.max(np.abs(self.order * (b @ b.conj().T) - np.eye(self.order)))
-        )
-
-
-@dataclass(frozen=True)
-class RepetitionMatrix:
-    """N^2 x N binary matrix mapping circulant lags to vectorized entries.
-
-    Row q carries a single one in column ((q - floor(q/N)) mod N): the
-    vectorized entry at (row r, column c) equals lag (r - c) mod N.
-    """
-
-    order: int
-    matrix: np.ndarray = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class SystemMatrixRc:
     """Index form of the compressed system matrix.
 
-    ``row_map[q]`` gives, for the q-th vectorized covariance entry
-    (q = M*col + row), the modular difference (marks[row] - marks[col])
-    mod N, i.e. which lag that entry observes.  ``gamma[k]`` counts the
-    entries observing lag k; it is exactly the diagonal of Rc^T Rc.
-    ``operator`` is the M^2 x N averaging operator pinv(Rc)^T: row q
-    holds 1/gamma[row_map[q]] in column row_map[q].
+    The q-th vectorized covariance entry (q = M*col + row) observes lag
+    (marks[row] - marks[col]) mod N.  ``gamma[k]`` counts the entries
+    observing lag k; it is exactly the diagonal of Rc^T Rc.  ``operator``
+    is the M^2 x N averaging operator pinv(Rc)^T: row q holds 1/gamma[k]
+    in the column k of the lag that entry q observes, and zeros elsewhere.
     """
 
     pattern: CosetPattern
-    row_map: np.ndarray = field(repr=False, compare=False)
     gamma: np.ndarray = field(repr=False, compare=False)
     operator: np.ndarray = field(repr=False, compare=False)
 
@@ -101,23 +73,30 @@ class PsiMatrix:
         return tuple((int(q % n), int(q // n)) for q in flat)
 
 
-def build_modulation_matrix(n: int) -> ModulationMatrix:
+def build_modulation_matrix(n: int) -> np.ndarray:
+    """Read-only N x N matrix B with entries exp(j 2 pi n i / N) / N."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     rows = np.arange(n)[:, None]
     cols = np.arange(n)[None, :]
     matrix = np.exp(2j * np.pi * rows * cols / n) / n
     matrix.setflags(write=False)
-    return ModulationMatrix(order=n, matrix=matrix)
+    return matrix
 
 
-def build_repetition_matrix(n: int) -> RepetitionMatrix:
+def build_repetition_matrix(n: int) -> np.ndarray:
+    """Read-only N^2 x N binary matrix T mapping circulant lags to
+    vectorized entries.
+
+    Row q carries a single one in column ((q - floor(q/N)) mod N): the
+    vectorized entry at (row r, column c) equals lag (r - c) mod N.
+    """
     q = np.arange(n * n)
     lag = (q - q // n) % n
     matrix = np.zeros((n * n, n))
     matrix[q, lag] = 1.0
     matrix.setflags(write=False)
-    return RepetitionMatrix(order=n, matrix=matrix)
+    return matrix
 
 
 def build_selection_matrix(pattern: CosetPattern) -> np.ndarray:
@@ -136,25 +115,22 @@ def _averaging_operator(lags: np.ndarray, weights: np.ndarray, n: int) -> np.nda
 
 
 def build_system_matrix(pattern: CosetPattern) -> SystemMatrixRc:
-    """Row map, gamma diagonal and averaging operator of Rc = (C kron C) T."""
+    """Gamma diagonal and averaging operator of Rc = (C kron C) T."""
     n = pattern.period
     marks = np.asarray(pattern.marks)
-    # vec ordering is column-major (q = M*col + row), so
-    # row_map[q] = (marks[q % M] - marks[q // M]) mod N.
-    row_map = ((marks[None, :] - marks[:, None]) % n).reshape(-1)
-    gamma = np.bincount(row_map, minlength=n)
-    operator = _averaging_operator(row_map, 1.0 / gamma[row_map], n)
-    row_map.setflags(write=False)
+    # vec ordering is column-major (q = M*col + row), so entry q
+    # observes lag (marks[q % M] - marks[q // M]) mod N.
+    lags = ((marks[None, :] - marks[:, None]) % n).reshape(-1)
+    gamma = np.bincount(lags, minlength=n)
+    operator = _averaging_operator(lags, 1.0 / gamma[lags], n)
     gamma.setflags(write=False)
-    return SystemMatrixRc(
-        pattern=pattern, row_map=row_map, gamma=gamma, operator=operator
-    )
+    return SystemMatrixRc(pattern=pattern, gamma=gamma, operator=operator)
 
 
 def dense_rc(pattern: CosetPattern) -> np.ndarray:
     """Materialize Rc = (C kron C) T; M^2 x N. Verification path only."""
     c = build_selection_matrix(pattern)
-    t = build_repetition_matrix(pattern.period).matrix
+    t = build_repetition_matrix(pattern.period)
     return np.kron(c, c) @ t
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from capspec.analysis import (
-    WhiteNoiseMoments,
+    IndependentSensorMoments,
     analytical_gaussian_covariance,
     mc_caps,
     roc_harness,
@@ -77,7 +77,7 @@ def whitenoise_mc():
             period=18, samples_per_coset=170, users=(), noise_dbm=NOISE_DBM,
             pattern=RULER18, clusters=1, sensors_per_cluster=tau,
         )
-        caps[tau], _ = mc_caps(config, runs=MC_RUNS, seed=MC_SEED, threads=2)
+        caps[tau] = mc_caps(config, runs=MC_RUNS, seed=MC_SEED, threads=2)
     return caps
 
 
@@ -136,7 +136,7 @@ def test_criterion_4_exact_recovery_correlated():
     n = 8
     family = design_pair_cover_family(n, 3)
     psi = build_psi(family)
-    b = build_modulation_matrix(n).matrix
+    b = build_modulation_matrix(n)
     ub_pattern = CosetPattern(n, (0, 1, 2, 4))
     c_ub = build_selection_matrix(ub_pattern)
     worst_cb, min_ub = 0.0, np.inf
@@ -232,7 +232,7 @@ def test_criterion_7_whitenoise_covariance_reduction():
     """The Gaussian fourth-moment covariance collapses to the scaled identity."""
     l_per, tau, sigma2 = 170, 5, dbm_to_linear(NOISE_DBM)
     sigma = analytical_gaussian_covariance(
-        WhiteNoiseMoments(18, 18 * l_per, sigma2), RULER18, tau
+        IndependentSensorMoments(18 * l_per * sigma2 * np.eye(18)), RULER18, tau
     )
     scale = l_per**2 * sigma2**2 / tau
     deviation = float(np.max(np.abs(sigma - scale * np.eye(25))) / scale)
@@ -307,7 +307,7 @@ def test_criterion_10_aliasing_identity():
         x = rng.standard_normal(n * l_per) + 1j * rng.standard_normal(n * l_per)
         obs = extract_coset_observations(x, pattern)
         bins = np.fft.fft(x).reshape(n, l_per).T
-        cb = build_selection_matrix(pattern) @ build_modulation_matrix(n).matrix
+        cb = build_selection_matrix(pattern) @ build_modulation_matrix(n)
         worst = max(worst, float(np.max(np.abs(obs.dtft[0].T - bins @ cb.T))))
     assert worst < 1e-9
     report("criterion 10", f"200 random signals, max abs deviation {worst:.2e}")

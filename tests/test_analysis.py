@@ -7,8 +7,7 @@ import pytest
 
 from capspec.analysis import (
     DetectorSpec,
-    SingleBinMoments,
-    WhiteNoiseMoments,
+    IndependentSensorMoments,
     analytical_gaussian_covariance,
     detection_blocks,
     dispatch_runs,
@@ -79,14 +78,14 @@ class TestGaussianCovariance:
         n, l_per, tau = 18, 7, 4
         sigma2 = 1.7
         sigma = analytical_gaussian_covariance(
-            WhiteNoiseMoments(n, n * l_per, sigma2), ruler18, tau
+            IndependentSensorMoments(n * l_per * sigma2 * np.eye(n)), ruler18, tau
         )
         want = l_per**2 * sigma2**2 / tau * np.eye(25)
         scale = l_per**2 * sigma2**2 / tau
         assert np.max(np.abs(sigma - want)) / scale < 1e-12
 
     def test_tau_scaling(self, ruler18):
-        moments = WhiteNoiseMoments(18, 18 * 5, 1.0)
+        moments = IndependentSensorMoments(18 * 5 * 1.0 * np.eye(18))
         s1 = analytical_gaussian_covariance(moments, ruler18, 2)
         s2 = analytical_gaussian_covariance(moments, ruler18, 4)
         assert np.max(np.abs(s1 - 2 * s2)) < 1e-12 * np.max(np.abs(s1))
@@ -98,7 +97,9 @@ class TestGaussianCovariance:
         m = pattern.size
         bin_index, variance = 2, 2.0
         analytical = analytical_gaussian_covariance(
-            SingleBinMoments(n, bin_index, variance), pattern, tau
+            IndependentSensorMoments(np.diag(np.eye(n)[bin_index] * variance)),
+            pattern,
+            tau,
         )
         marks = np.asarray(pattern.marks)
         steer = np.exp(2j * np.pi * marks * bin_index / n) / n
@@ -122,7 +123,7 @@ class TestPropagateVariance:
         sigma2, tau, l_per = 2.0, 5, 7
         sysm = build_system_matrix(ruler18)
         sigma = analytical_gaussian_covariance(
-            WhiteNoiseMoments(18, 18 * l_per, sigma2), ruler18, tau
+            IndependentSensorMoments(18 * l_per * sigma2 * np.eye(18)), ruler18, tau
         )
         per_bin = propagate_variance(sigma, sysm, l_per)
         closed = whitenoise_variance_closed_form(ruler18, sigma2, tau)
@@ -143,8 +144,8 @@ class TestPropagateVariance:
         rc = dense_rc(ruler18)
         g_inv = np.linalg.inv(rc.T @ rc)
         sigma_lag = g_inv @ rc.T @ sigma @ rc @ g_inv
-        b = build_modulation_matrix(n).matrix
-        t = build_repetition_matrix(n).matrix
+        b = build_modulation_matrix(n)
+        t = build_repetition_matrix(n)
         k = np.kron(b.T, b.conj().T)
         sigma_x = n**4 * (k @ t @ sigma_lag @ t.T @ k.conj().T)
         dense = np.array(
@@ -192,7 +193,7 @@ class TestMonteCarloWhiteNoise:
             period=n, samples_per_coset=12, users=(), noise_dbm=2.0,
             pattern=pattern, sensors_per_cluster=tau,
         )
-        caps, _ = mc_caps(config, runs=1200, seed=77)
+        caps = mc_caps(config, runs=1200, seed=77)
         sigma2 = dbm_to_linear(2.0)
         closed = whitenoise_variance_closed_form(pattern, sigma2, tau)
         per_bin = np.var(caps, axis=0, ddof=1)

@@ -244,6 +244,37 @@ BAD_INPUTS = {
         + "[sweep]\ntau = 2\npatterns = 0,1,3 | 3,1,0\n",
         "patterns lists 0,1,3 twice",
     ),
+    # a tau below 1 would slice fewer sensors than the sweep names
+    "negative tau": (
+        "nmse-sweep",
+        "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\ntau = 4,-2\nsigma2_dbm = 0\npatterns = 0,1,3\n",
+        "[sweep] tau",
+    ),
+    "zero tau": (
+        "nmse-sweep",
+        "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\ntau = 4,0\nsigma2_dbm = 0\npatterns = 0,1,3\n",
+        "[sweep] tau",
+    ),
+    "tau not an integer": (
+        "nmse-sweep",
+        "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\ntau = 4,x\nsigma2_dbm = 0\npatterns = 0,1,3\n",
+        "[sweep] tau",
+    ),
+    "avg_width zero": (
+        "roc",
+        "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\nsettings = 6,0\n" + DETECTOR.replace("avg_width = 4", "avg_width = 0"),
+        "avg_width",
+    ),
+    "points_per_band zero": (
+        "roc",
+        "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\nsettings = 6,0\n" + DETECTOR + "points_per_band = 0\n",
+        "points_per_band",
+    ),
     "repeated roc setting": (
         "roc",
         "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capspec.estimator import (
     CovarianceStack,
@@ -20,7 +22,9 @@ from capspec.sensing import (
 from capspec.structure import (
     build_modulation_matrix,
     build_psi,
+    build_repetition_matrix,
     build_selection_matrix,
+    dense_psi,
     dense_rc,
 )
 from conftest import random_identifiable_pattern
@@ -29,7 +33,7 @@ from conftest import random_identifiable_pattern
 def population_stack(pattern, rx_diags):
     """Exact coset covariances for diagonal bin covariances, one per point."""
     n = pattern.period
-    b = build_modulation_matrix(n).matrix
+    b = build_modulation_matrix(n)
     c = build_selection_matrix(pattern)
     mats = np.array([c @ (b @ np.diag(d) @ b.conj().T) @ c.T for d in rx_diags])
     return CovarianceStack(matrices=mats, count=1, pattern=pattern)
@@ -68,8 +72,9 @@ class TestSampleCovariance:
 
     def test_hermitian_and_psd(self, rng, ruler18):
         stack = sample_covariance(random_observations(rng, ruler18, tau=8))
-        assert stack.hermitian_defect() < 1e-12
-        assert stack.min_eigenvalue() > -1e-10
+        m = stack.matrices
+        assert np.max(np.abs(m - m.conj().transpose(0, 2, 1))) < 1e-12
+        assert np.min(np.linalg.eigvalsh(m)) > -1e-10
 
 
 class TestLsReconstruction:
@@ -77,10 +82,10 @@ class TestLsReconstruction:
         diags = rng.random((20, 18)) * 4.0
         stack = population_stack(ruler18, diags)
         rbar = ls_reconstruct_rbar(stack)
-        b = build_modulation_matrix(18).matrix
+        b = build_modulation_matrix(18)
         for l, d in enumerate(diags):
             rxbar = b @ np.diag(d) @ b.conj().T
-            assert np.max(np.abs(rbar.values[l] - rxbar[:, 0])) < 1e-10
+            assert np.max(np.abs(rbar[l] - rxbar[:, 0])) < 1e-10
 
     def test_full_pattern_is_modular_diagonal_mean(self, rng):
         n = 6
@@ -88,7 +93,7 @@ class TestLsReconstruction:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         herm = (a + a.conj().T) / 2
         stack = CovarianceStack(matrices=herm[None], count=1, pattern=pattern)
-        rbar = ls_reconstruct_rbar(stack).values[0]
+        rbar = ls_reconstruct_rbar(stack)[0]
         for k in range(n):
             entries = [herm[r, c] for r in range(n) for c in range(n) if (r - c) % n == k]
             assert abs(rbar[k] - np.mean(entries)) < 1e-12
@@ -100,7 +105,7 @@ class TestLsReconstruction:
             pattern=ruler18,
         )
         out = ls_reconstruct_rbar(stack)
-        assert np.all(out.values == 0)
+        assert np.all(out == 0)
 
     def test_fast_path_equals_dense_pseudoinverse(self, rng):
         for _ in range(50):
@@ -109,7 +114,7 @@ class TestLsReconstruction:
             a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             herm = (a + a.conj().T) / 2
             stack = CovarianceStack(matrices=herm[None], count=1, pattern=pattern)
-            fast = ls_reconstruct_rbar(stack).values[0]
+            fast = ls_reconstruct_rbar(stack)[0]
             dense = np.linalg.pinv(dense_rc(pattern)) @ herm.T.reshape(-1)
             assert np.max(np.abs(fast - dense)) < 1e-10
 
@@ -129,12 +134,9 @@ class TestLsReconstruction:
 class TestAssembleCap:
     def test_lag_zero_only_is_flat(self, ruler18):
         l_pts = 10
-        from capspec.estimator import CosetCorrelationVector
-
         values = np.zeros((l_pts, 18), complex)
         values[:, 0] = 2.5
-        rbar = CosetCorrelationVector(values=values)
-        cap = assemble_cap(rbar)
+        cap = assemble_cap(values)
         assert np.allclose(cap.values, 2.5 / l_pts, atol=1e-13)
 
     def test_end_to_end_exact_recovery(self, rng, ruler18):
@@ -155,9 +157,6 @@ class TestAssembleCap:
     def test_matches_dense_modulation_chain(self, rng, ruler18):
         # oracle: expand lags to the circulant, demodulate densely, read the
         # diagonal; the transform shortcut must agree
-        from capspec.estimator import CosetCorrelationVector
-        from capspec.structure import build_repetition_matrix
-
         n, l_pts = 18, 4
         lags = np.empty((l_pts, n), dtype=complex)
         lags[:, 0] = rng.random(l_pts)
@@ -167,10 +166,9 @@ class TestAssembleCap:
             else:
                 lags[:, k] = rng.standard_normal(l_pts) + 1j * rng.standard_normal(l_pts)
                 lags[:, n - k] = lags[:, k].conj()
-        rbar = CosetCorrelationVector(values=lags)
-        cap = assemble_cap(rbar)
-        b = build_modulation_matrix(n).matrix
-        t = build_repetition_matrix(n).matrix
+        cap = assemble_cap(lags)
+        b = build_modulation_matrix(n)
+        t = build_repetition_matrix(n)
         n_grid = n * l_pts
         for l in range(l_pts):
             rxbar = (t @ lags[l]).reshape(n, n, order="F")
@@ -181,7 +179,7 @@ class TestAssembleCap:
 
     def test_exact_hermitian_input_gives_conjugate_lags(self, rng, ruler18):
         stack = sample_covariance(random_observations(rng, ruler18, tau=4))
-        rbar = ls_reconstruct_rbar(stack).values
+        rbar = ls_reconstruct_rbar(stack)
         n = 18
         for k in range(n):
             assert np.max(np.abs(rbar[:, k] - rbar[:, (n - k) % n].conj())) < 1e-12
@@ -200,8 +198,7 @@ class TestMulticluster:
         caps, averaged = estimate_multicluster(obs)
         # averaging lag vectors then assembling equals averaging the caps
         stacks = [ls_reconstruct_rbar(sample_covariance(o)) for o in obs]
-        mean_lags = stacks[0]
-        mean_lags.values = np.mean([s.values for s in stacks], axis=0)
+        mean_lags = np.mean(stacks, axis=0)
         alt = assemble_cap(mean_lags)
         assert np.max(np.abs(alt.values - averaged.values)) < 1e-12
 
@@ -250,7 +247,7 @@ class TestCorrelatedBins:
         n = 8
         family = design_pair_cover_family(n, 3)
         psi = build_psi(family)
-        b = build_modulation_matrix(n).matrix
+        b = build_modulation_matrix(n)
         for _ in range(10):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             rx = a @ a.conj().T
@@ -265,7 +262,7 @@ class TestCorrelatedBins:
         from capspec.patterns import PatternFamily
 
         family = PatternFamily(n, (CosetPattern(n, tuple(range(n))),))
-        b = build_modulation_matrix(n).matrix
+        b = build_modulation_matrix(n)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         rx = a @ a.conj().T
         obs = self.family_observations(family, b @ rx @ b.conj().T, l_pts=2)
@@ -292,3 +289,81 @@ class TestCorrelatedBins:
         with pytest.raises(IdentifiabilityError) as err:
             estimate_correlated_bins(obs)
         assert (3, 4) in err.value.missing
+
+
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestProperties:
+    """Exactness and linearity of the LS pipeline on random designs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), l_pts=st.integers(1, 4))
+    def test_cap_ub_recovers_circulant_lags(self, seed, l_pts):
+        rng = np.random.default_rng(seed)
+        pattern = random_identifiable_pattern(rng)
+        n = pattern.period
+        lags = crandn(rng, l_pts, n)
+        c = build_selection_matrix(pattern)
+        diff = np.subtract.outer(np.arange(n), np.arange(n)) % n
+        mats = np.array([c @ lag[diff] @ c.T for lag in lags])
+        stack = CovarianceStack(matrices=mats, count=1, pattern=pattern)
+        got = ls_reconstruct_rbar(stack)
+        pinv = np.linalg.pinv(dense_rc(pattern))
+        dense = np.array([pinv @ m.T.reshape(-1) for m in mats])
+        scale = np.max(np.abs(lags))
+        assert np.max(np.abs(got - lags)) < 1e-12 * scale
+        assert np.max(np.abs(got - dense)) < 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        m_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        l_pts=st.integers(1, 3),
+    )
+    def test_cap_cb_recovers_bin_covariance(self, n, m_frac, seed, l_pts):
+        rng = np.random.default_rng(seed)
+        family = design_pair_cover_family(n, 2 + round(m_frac * (n - 2)))
+        b = build_modulation_matrix(n)
+        # n sensors per group: sample covariance C_z B Rx B^H C_z^T exactly
+        a = crandn(rng, l_pts, n, n)
+        rx = a @ a.conj().transpose(0, 2, 1) / n
+        obs = []
+        for pattern in family.patterns:
+            y = build_selection_matrix(pattern) @ b @ a     # (L, M, n)
+            obs.append(CosetObservationSet(pattern=pattern, dtft=y.transpose(2, 1, 0)))
+        cap = estimate_correlated_bins(obs)
+        want = np.real(np.diagonal(rx, axis1=1, axis2=2)).T.reshape(-1) / (n * l_pts)
+        # dense oracle: LS through pinv(Psi), then each modular diagonal's mean
+        vec = np.concatenate(
+            [sample_covariance(o).matrices.transpose(0, 2, 1).reshape(l_pts, -1) for o in obs],
+            axis=1,
+        )
+        lags = vec @ np.linalg.pinv(dense_psi(family)).T @ build_repetition_matrix(n) / n
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(cap.values - want)) < 1e-10 * scale
+        assert np.max(np.abs(cap.values - assemble_cap(lags).values)) < 1e-10 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        l_pts=st.integers(1, 4),
+        hundredths=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+    )
+    def test_pipeline_is_linear_in_the_covariance_stack(self, seed, l_pts, hundredths):
+        rng = np.random.default_rng(seed)
+        pattern = random_identifiable_pattern(rng)
+        m = pattern.size
+
+        def cap(mats):
+            stack = CovarianceStack(matrices=mats, count=1, pattern=pattern)
+            return assemble_cap(ls_reconstruct_rbar(stack)).values
+
+        s1, s2 = crandn(rng, l_pts, m, m), crandn(rng, l_pts, m, m)
+        a, b = hundredths[0] / 100, hundredths[1] / 100
+        got = cap(a * s1 + b * s2)
+        want = a * cap(s1) + b * cap(s2)
+        scale = (abs(a) + abs(b)) * max(np.max(np.abs(s1)), np.max(np.abs(s2)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale

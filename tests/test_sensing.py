@@ -130,7 +130,7 @@ class TestCosetDtft:
         # stacked coset DTFTs equal C B x(theta) built from the full-rate DFT
         period, l_per = 6, 50
         pattern = CosetPattern(period, (0, 2, 3, 5))
-        b = build_modulation_matrix(period).matrix
+        b = build_modulation_matrix(period)
         c = build_selection_matrix(pattern)
         for _ in range(20):
             x = rng.standard_normal(period * l_per) + 1j * rng.standard_normal(period * l_per)

@@ -21,25 +21,26 @@ from conftest import random_pattern
 
 class TestModulationMatrix:
     def test_order_one(self):
-        assert np.allclose(build_modulation_matrix(1).matrix, [[1.0]])
+        assert np.allclose(build_modulation_matrix(1), [[1.0]])
 
     def test_order_two(self):
         want = 0.5 * np.array([[1, 1], [1, -1]], dtype=complex)
-        assert np.allclose(build_modulation_matrix(2).matrix, want, atol=1e-15)
+        assert np.allclose(build_modulation_matrix(2), want, atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 18, 40])
     def test_unitary_up_to_scale(self, n):
-        assert build_modulation_matrix(n).unitarity_defect() < 1e-12
+        b = build_modulation_matrix(n)
+        assert np.max(np.abs(n * (b @ b.conj().T) - np.eye(n))) < 1e-12
 
     def test_first_row_constant(self):
-        b = build_modulation_matrix(7).matrix
+        b = build_modulation_matrix(7)
         assert np.allclose(b[0], 1.0 / 7.0)
 
 
 class TestRepetitionMatrix:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_one_hot_rows_and_column_sums(self, n):
-        t = build_repetition_matrix(n).matrix
+        t = build_repetition_matrix(n)
         assert t.shape == (n * n, n)
         assert np.array_equal(t.sum(axis=1), np.ones(n * n))
         assert np.array_equal(t.sum(axis=0), np.full(n, n))
@@ -52,7 +53,7 @@ class TestRepetitionMatrix:
         for r in range(n):
             for c in range(n):
                 circulant[r, c] = lags[(r - c) % n]
-        t = build_repetition_matrix(n).matrix
+        t = build_repetition_matrix(n)
         assert np.array_equal(circulant.T.reshape(-1), t @ lags)
 
 
@@ -84,8 +85,7 @@ class TestSystemMatrix:
         for _ in range(20):
             p = random_pattern(rng)
             rc = dense_rc(p)
-            eye = np.eye(p.period)
-            assert np.array_equal(rc, eye[build_system_matrix(p).row_map])
+            assert np.array_equal(rc, build_system_matrix(p).operator != 0)
 
     def test_operator_is_dense_pseudoinverse(self, rng):
         for _ in range(20):
@@ -154,7 +154,7 @@ class TestPsi:
             assert psi.identifiable == (np.linalg.matrix_rank(dense) == n * n)
             if psi.identifiable:
                 # LS solve, then mean over each modular diagonal
-                t = build_repetition_matrix(n).matrix
+                t = build_repetition_matrix(n)
                 want = np.linalg.pinv(dense).T @ t / n
                 assert np.allclose(psi.operator, want, atol=1e-12)
 
