@@ -326,8 +326,11 @@ class RocCurve:
 def roc_from_scores(active: np.ndarray, quiet: np.ndarray) -> RocCurve:
     """Exact ROC over the pooled block statistics."""
     thresholds = np.unique(np.concatenate([active.ravel(), quiet.ravel()]))
-    pd = np.array([np.mean(active > t) for t in thresholds])
-    pfa = np.array([np.mean(quiet > t) for t in thresholds])
+    # share of each side's scores above each threshold, counted in its sorted scores
+    pd, pfa = (
+        (s.size - np.searchsorted(np.sort(s, axis=None), thresholds, side="right")) / s.size
+        for s in (active, quiet)
+    )
     # endpoints: threshold below/above everything
     thresholds = np.concatenate(([-np.inf], thresholds))
     pd = np.concatenate(([1.0], pd))

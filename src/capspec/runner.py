@@ -40,7 +40,8 @@ from .scenarios import (
     required,
     scenario_from_parser,
 )
-from .sensing import ScenarioConfig, extract_coset_observations, synthesize_observations
+from .sensing import ScenarioConfig, dbm_to_linear
+from .sensing import extract_coset_observations, synthesize_observations
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,8 @@ class ExperimentManifest:
             raise ValueError("runs must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.threads < 1:
+            raise ValueError(f"threads must be positive, got {self.threads}")
         if self.kind != "reconstruct" and self.scenario.bin_mode != "uncorrelated":
             raise ValueError(f"{self.kind} runs on uncorrelated-bins scenarios")
         for tau in self.sweep.taus:
@@ -104,6 +107,12 @@ class ExperimentManifest:
         if self.kind == "variance-check":
             if not (self.sweep.taus and self.sweep.patterns):
                 raise ValueError("variance-check needs tau and patterns axes")
+            # the closed form divides by the squared noise power, the sample variance by runs - 1
+            noise = self.scenario.noise_dbm
+            if dbm_to_linear(noise) ** 2 == 0.0:
+                raise ValueError(f"variance-check needs a positive power, got noise_dbm = {noise}")
+            if self.runs < 2:
+                raise ValueError(f"variance-check needs runs >= 2, got {self.runs}")
         if self.kind == "roc":
             if not self.sweep.roc_settings:
                 raise ValueError("roc needs at least one settings entry")

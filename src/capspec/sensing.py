@@ -1,23 +1,23 @@
 """Scenario synthesis and multi-coset acquisition.
 
-Generates multiband user signals over fading channels at groups of
-sensors, adds white noise, and reduces each sensor's Nyquist-grid record
-to the per-bin DTFT values of its active cosets.  Uncorrelated and
-correlated bins share this acquisition model and one synthesis loop;
-they differ only in how a user's component is drawn.  All randomness is
-drawn from counter-style keyed generators so that any sensor's record
-is reproducible independently of evaluation order.
+Each sensor's Nyquist-grid spectrum is white noise plus, per user, a
+fading gain times a random draw times the user's fixed spectral shape;
+the active cosets' DTFT values follow through the aliasing map C B.
+Every draw is a sensors-by-width block from a generator keyed by (run,
+group, role[, user]), so a group's spectra are reproducible from its keys
+alone and its first tau sensors do not depend on its sensor count.
+Recorded full-rate data goes through ``extract_coset_observations``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .patterns import CosetPattern, PatternFamily
+from .structure import build_modulation_matrix, build_selection_matrix
 
 FILTER_TAPS = 200
 
@@ -157,26 +157,26 @@ class SensingRun:
     warnings: list[str] = field(default_factory=list)
 
 
-def _rng(*key) -> np.random.Generator:
-    flat: list[int] = []
-    for part in key:
-        if isinstance(part, (tuple, list)):
-            flat.extend(int(p) for p in part)
-        else:
-            flat.append(int(part))
-    return np.random.default_rng(flat)
+def _rng(key, *path: int) -> np.random.Generator:
+    """Generator keyed by the seed ``key`` (an int or a sequence of ints) and ``path``."""
+    return np.random.default_rng([*(key if isinstance(key, (tuple, list)) else (key,)), *path])
 
 
-def _unit_crandn(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Real and imaginary parts from two ``standard_normal`` calls, in order."""
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+def _standard_block(rng: np.random.Generator, rows: int, cols: int, buffer=None) -> np.ndarray:
+    """``standard_normal((rows, cols, 2))`` viewed as rows x cols CN(0, 2)
+    entries, drawn into the head of the float64 ``buffer`` if given."""
+    if buffer is None:
+        buffer = np.empty(rows * cols * 2)
+    pairs = buffer[: rows * cols * 2].reshape(rows, cols, 2)
+    rng.standard_normal(out=pairs)
+    return pairs.view(complex)[..., 0]
 
 
-def _crandn(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
-    return math.sqrt(variance / 2.0) * _unit_crandn(rng, n)
+def _cn_scale(power: float) -> float:
+    """Factor that turns a standard block into CN(0, power) entries."""
+    return math.sqrt(power / 2.0)
 
 
-@lru_cache(maxsize=128)
 def bandpass_response(band: tuple[float, float], n_grid: int) -> np.ndarray:
     """Frequency response of the user-band shaping filter on the full grid.
 
@@ -199,9 +199,7 @@ def bandpass_response(band: tuple[float, float], n_grid: int) -> np.ndarray:
     center = (lo + width / 2.0) % 1.0
     taps_idx = np.arange(FILTER_TAPS)
     response = np.fft.fft(lowpass * np.exp(2j * np.pi * center * taps_idx), n_grid)
-    response /= np.max(np.abs(response))
-    response.setflags(write=False)
-    return response
+    return response / np.max(np.abs(response))
 
 
 def band_grid_indices(band: tuple[float, float], n_grid: int) -> np.ndarray:
@@ -217,25 +215,34 @@ def band_grid_indices(band: tuple[float, float], n_grid: int) -> np.ndarray:
     return np.concatenate([k[theta >= lo], k[theta < hi]])
 
 
+def _user_shape(spec: UserSpec, n_grid: int, bin_mode: str) -> np.ndarray:
+    """A user's spectrum per CN(0, 1) draw: sqrt(n_grid * density) times
+    ``bandpass_response`` (uncorrelated bins), or on ``band_grid_indices``
+    and zero elsewhere (correlated bins)."""
+    level = math.sqrt(n_grid * dbm_to_linear(spec.power_dbm))
+    if bin_mode == "uncorrelated":
+        return level * bandpass_response(spec.band, n_grid)
+    idx = band_grid_indices(spec.band, n_grid)
+    if idx.size == 0:
+        raise ValueError(f"band {spec.band} covers no grid point at {n_grid} points")
+    shape = np.zeros(n_grid, dtype=complex)
+    shape[idx] = level
+    return shape
+
+
 def generate_user_signal(
     spec: UserSpec, length: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Bandlimited complex Gaussian user signal of ``length`` samples.
-
-    White circular Gaussian noise with variance equal to the target
-    in-band density, shaped by the unit-gain band filter via circular
-    convolution; in-band power density then matches ``spec.power_dbm``.
-    """
-    density = dbm_to_linear(spec.power_dbm)
-    if density == 0.0:
-        return np.zeros(length, dtype=complex)
-    driving = _crandn(rng, length, density)
-    response = bandpass_response(spec.band, length)
-    return np.fft.ifft(np.fft.fft(driving) * response)
+    """Bandlimited complex Gaussian user signal of ``length`` samples: the
+    inverse FFT of ``_user_shape`` times a CN(0, 1) draw per grid point,
+    the scaled FFT of white samples from ``rng``, real parts first."""
+    white = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    draw = np.fft.fft(white) * _cn_scale(1.0 / length)
+    return np.fft.ifft(draw * _user_shape(spec, length, "uncorrelated"))
 
 
 def extract_coset_observations(
-    x: np.ndarray, pattern: CosetPattern, label: int = 0, keep_full_rate: bool = False
+    x: np.ndarray, pattern: CosetPattern, label: int = 0
 ) -> CosetObservationSet:
     """Reduce full-rate records ``x`` (sensors x grid) to active cosets."""
     x = np.atleast_2d(x)
@@ -247,12 +254,7 @@ def extract_coset_observations(
     l = np.arange(l_per)
     phase = np.exp(-2j * np.pi * l[None, :] * np.asarray(marks)[:, None] / (n * l_per))
     dtft = np.fft.fft(samples, axis=2) * phase[None, :, :]
-    return CosetObservationSet(
-        pattern=pattern,
-        dtft=dtft,
-        label=label,
-        full_rate=x if keep_full_rate else None,
-    )
+    return CosetObservationSet(pattern=pattern, dtft=dtft, label=label)
 
 
 def synthesize_observations(
@@ -261,27 +263,23 @@ def synthesize_observations(
     keep_full_rate: bool = False,
     noise_levels=None,
 ) -> SensingRun | list[SensingRun]:
-    """Simulate acquisition for ``config``; one observation set per cluster
-    (uncorrelated bins) or per group (correlated bins).
+    """Simulate acquisition for ``config``: one observation set per cluster
+    d of ``config.pattern`` with path-loss column d (uncorrelated bins), or
+    per group z of ``family.patterns[z]`` with column 0 (correlated bins).
 
-    ``seed`` overrides ``config.seed`` and may be a tuple, which lets
-    Monte Carlo drivers key whole runs.  One loop serves both bin modes:
-    sensor t of group g records white noise plus, per user, a complex
-    Gaussian fading gain (variance: the linear path loss in the group's
-    column, flat across the band) times the user's component, and keeps
-    the cosets of the group's pattern.  The mode sets only the groups,
-    the RNG roles and the per-user draw: clusters d of ``config.pattern``
-    with column d and a bandlimited Gaussian signal (uncorrelated bins),
-    or groups z of ``family.patterns[z]`` with column 0 and one symbol
-    times the user's fixed in-band waveform (correlated bins, so a user's
-    occupied grid points are fully coherent).  Synchronized sensors share
-    one draw per user; unsynchronized sensors draw their own.
-
-    ``noise_levels`` (dBm, in place of ``config.noise_dbm``) returns a list
-    of runs, one per level.  No stream is keyed by the noise level, so each
-    sensor's unit noise, user components and fading gains are drawn once
-    and added to every level's record; each run is bit-identical to a
-    call with its level as ``noise_dbm``.
+    ``seed`` overrides ``config.seed`` and may be a tuple, which lets Monte
+    Carlo drivers key whole runs.  A group's sensors x grid spectra are
+    X = sqrt(n sigma2) W + sum_k G_k D_k shape_k, the same in distribution
+    as the time-domain model because the FFT of white CN(0, p) samples is
+    white CN(0, n p).  W (noise), G_k (fading, one per sensor, times the
+    root of the linear path loss) and D_k (one per grid point, or one
+    symbol per sensor for correlated bins; one row for all sensors when
+    synchronized) are CN(0, 1) blocks, each one ``standard_normal((sensors,
+    width, 2))`` viewed as complex, keyed by (seed, role, group[, k]) or
+    (seed, shared role, k).  ``dtft`` is C B X per grid point; ``full_rate``,
+    if kept, the inverse FFT of X.  ``noise_levels`` (dBm, in place of
+    ``config.noise_dbm``) returns one run per level, each adding its scaled
+    W to the same user part, bit-identical to a call at that level.
     """
     levels = (config.noise_dbm,) if noise_levels is None else tuple(noise_levels)
     for level in levels:
@@ -296,62 +294,49 @@ def synthesize_observations(
                 f"{len(offenders)} user band(s) exceed the bin width "
                 f"1/{config.period}; the uncorrelated-bins model is violated"
             )
-        groups = [
-            (d, config.pattern, config.sensors_per_cluster, d)
-            for d in range(config.clusters)
-        ]
+        groups = [(d, config.pattern, d) for d in range(config.clusters)]
+        sensors, width = config.sensors_per_cluster, n_grid
         own_role, shared_role = _R_SIGNAL, _R_SHARED_SIGNAL
-
-        def draw(k, rng):
-            return generate_user_signal(config.users[k], n_grid, rng)
-
     else:
-        groups = [
-            (z, pattern, config.sensors_per_group, 0)
-            for z, pattern in enumerate(config.family.patterns)
-        ]
+        groups = [(z, pattern, 0) for z, pattern in enumerate(config.family.patterns)]
+        sensors, width = config.sensors_per_group, 1
         own_role, shared_role = _R_SYMBOL, _R_SHARED_SYMBOL
-        waveforms = []
-        for user in config.users:
-            idx = band_grid_indices(user.band, n_grid)
-            if idx.size == 0:
-                raise ValueError(
-                    f"band {user.band} covers no grid point at {n_grid} points"
-                )
-            spectrum = np.zeros(n_grid, dtype=complex)
-            spectrum[idx] = math.sqrt(n_grid * dbm_to_linear(user.power_dbm))
-            waveforms.append(np.fft.ifft(spectrum))
-
-        def draw(k, rng):
-            return _crandn(rng, 1, 1.0)[0] * waveforms[k]
-
+    # each of the two CN(0, 2) blocks in a user's product carries one 1/sqrt(2)
+    shapes = [
+        _cn_scale(1.0) * _user_shape(user, n_grid, config.bin_mode) for user in config.users
+    ]
     shared = None
     if config.sync == "synchronized":
-        shared = [draw(k, _rng(key, shared_role, k)) for k in range(len(config.users))]
-    # _crandn's factor, so that each level's noise is bit-identical to its own draw
-    scales = [math.sqrt(dbm_to_linear(level) / 2.0) for level in levels]
+        shared = [_standard_block(_rng(key, shared_role, k), 1, width) for k in range(len(shapes))]
+    scales = [_cn_scale(n_grid * dbm_to_linear(level)) for level in levels]
+    modulation = build_modulation_matrix(config.period)
+    # every group's draws are made into one buffer and shaped in place
+    work = np.empty((sensors, n_grid), dtype=complex)
+    buffer = work.view(float).reshape(-1)
     sets = [[] for _ in levels]
-    for label, pattern, sensors, column in groups:
-        x = np.empty((len(levels), sensors, n_grid), dtype=complex)
-        for t in range(sensors):
-            unit = _unit_crandn(_rng(key, _R_NOISE, label, t), n_grid)
-            x[:, t] = [scale * unit for scale in scales]
-            for k, user in enumerate(config.users):
-                if shared is not None:
-                    component = shared[k]
-                else:
-                    component = draw(k, _rng(key, own_role, label, t, k))
-                gain = _crandn(
-                    _rng(key, _R_FADING, label, t, k),
-                    1,
-                    dbm_to_linear(user.path_loss_db[column]),
-                )[0]
-                x[:, t] += gain * component
-        for level_sets, records in zip(sets, x):
+    for label, pattern, column in groups:
+        signal = np.zeros((sensors, n_grid), dtype=complex)
+        for k, user in enumerate(config.users):
+            gain = _standard_block(_rng(key, _R_FADING, label, k), sensors, 1)
+            gain *= _cn_scale(dbm_to_linear(user.path_loss_db[column]))
+            if shared is None:
+                draw = _standard_block(_rng(key, own_role, label, k), sensors, width, buffer)
+            else:
+                draw = shared[k]
+            np.multiply(draw, shapes[k], out=work)
+            work *= gain
+            signal += work
+        noise = _standard_block(_rng(key, _R_NOISE, label), sensors, n_grid, buffer)
+        coset_map = build_selection_matrix(pattern) @ modulation
+        for i, (scale, level_sets) in enumerate(zip(scales, sets)):
+            last = i == len(scales) - 1
+            # the last level may consume the user part and the noise draw
+            spectra = signal if last else signal.copy()
+            spectra += np.multiply(noise, scale, out=noise if last else None)
+            dtft = coset_map @ spectra.reshape(sensors, config.period, -1)
+            full_rate = np.fft.ifft(spectra, axis=1, out=spectra) if keep_full_rate else None
             level_sets.append(
-                extract_coset_observations(
-                    records, pattern, label=label, keep_full_rate=keep_full_rate
-                )
+                CosetObservationSet(pattern=pattern, dtft=dtft, label=label, full_rate=full_rate)
             )
     runs = [SensingRun(sets=level_sets, warnings=list(warnings)) for level_sets in sets]
     return runs[0] if noise_levels is None else runs

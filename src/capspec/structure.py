@@ -8,9 +8,9 @@ systems have a diagonal normal matrix (Rc^T Rc = diag(gamma) for one
 pattern, with Rc = (C kron C) T; Psi^T Psi = diag(pair counts) for a
 family), so each design is solved by one real averaging operator, built
 here from index maps, that takes the column-major vectorized sample
-covariances to the N circulant lags.  The dense builders (``dense_rc``,
-``dense_psi``, ``build_selection_matrix``, ``build_repetition_matrix``)
-materialize the model matrices and serve as test oracles.
+covariances to the N circulant lags.  Synthesis aliases bins into cosets
+with C B; the other dense builders (``dense_rc``, ``dense_psi``,
+``build_repetition_matrix``) materialize model matrices as test oracles.
 """
 
 from __future__ import annotations

@@ -327,6 +327,19 @@ class TestDetection:
         assert curve.pd[-1] == 0.0 and curve.pfa[-1] == 0.0
         assert 0.5 < curve.auc <= 1.0
 
+    def test_roc_matches_threshold_loop_with_ties(self, rng):
+        # the one-pass-per-threshold loop roc_from_scores had before it sorted
+        active = np.round(rng.random((40, 7)) * 20) + 3
+        quiet = np.round(rng.random((40, 5)) * 20)
+        thresholds = np.unique(np.concatenate([active.ravel(), quiet.ravel()]))
+        pd = np.array([np.mean(active > t) for t in thresholds])
+        pfa = np.array([np.mean(quiet > t) for t in thresholds])
+        curve = roc_from_scores(active, quiet)
+        assert thresholds.size < active.size + quiet.size  # there are ties
+        assert np.array_equal(curve.thresholds, np.concatenate(([-np.inf], thresholds)))
+        assert np.array_equal(curve.pd, np.concatenate(([1.0], pd)))
+        assert np.array_equal(curve.pfa, np.concatenate(([1.0], pfa)))
+
     def test_noise_only_auc_is_chance(self):
         pattern = CosetPattern(6, (0, 1, 3))
         config = ScenarioConfig(

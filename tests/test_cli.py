@@ -169,7 +169,7 @@ CORRELATED_RUN = (
     "[sweep]\ntau = 2,4\nsigma2_dbm = 0\npatterns = 0,1,2\nsettings = 2,0\n" + DETECTOR
 )
 
-# case -> (command, manifest, text the one-line reason must hold)
+# case -> (command and flags, manifest, text the one-line reason must hold)
 BAD_INPUTS = {
     "scenario without period": (
         "reconstruct",
@@ -275,6 +275,32 @@ BAD_INPUTS = {
         + "\n[sweep]\nsettings = 6,0\n" + DETECTOR + "points_per_band = 0\n",
         "points_per_band",
     ),
+    "threads zero": (
+        "roc",
+        "[experiment]\nkind = roc\nthreads = 0\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\nsettings = 6,0\n" + DETECTOR,
+        "threads",
+    ),
+    "threads flag negative": (
+        "nmse-sweep --threads -3",
+        "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\ntau = 3\nsigma2_dbm = 0\npatterns = 0,1,3\n",
+        "threads",
+    ),
+    # the closed form divides by the noise power, the sample variance by runs - 1
+    "variance-check without noise": (
+        "variance-check",
+        "[experiment]\nkind = variance-check\nruns = 4\noutput = OUT\n"
+        + NOISE_SCENARIO.replace("noise_dbm = 0", "noise_dbm = -inf")
+        + "[sweep]\ntau = 2\npatterns = 0,1,3\n",
+        "noise_dbm",
+    ),
+    "variance-check with one run": (
+        "variance-check",
+        "[experiment]\nkind = variance-check\nruns = 1\noutput = OUT\n" + NOISE_SCENARIO
+        + "[sweep]\ntau = 2\npatterns = 0,1,3\n",
+        "runs",
+    ),
     "repeated roc setting": (
         "roc",
         "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
@@ -290,7 +316,7 @@ class TestBadInput:
         command, body, field = BAD_INPUTS[case]
         out = tmp_path / "out"
         manifest = write_manifest(tmp_path, body.replace("OUT", str(out)))
-        assert main([command, "--manifest", str(manifest), "--seed", "0"]) == 2
+        assert main([*command.split(), "--manifest", str(manifest), "--seed", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and err.count("\n") == 1, err
         assert "Traceback" not in err and field in err

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capspec
+from capspec.analysis import nyquist_ap
 from capspec.patterns import CosetPattern, PatternFamily
 from capspec.scenarios import load_fixture
 from capspec.sensing import (
@@ -25,8 +26,10 @@ from capspec.sensing import (
     SYNC_MODES,
     ScenarioConfig,
     UserSpec,
-    _crandn,
+    _cn_scale,
     _rng,
+    _standard_block,
+    _user_shape,
     band_grid_indices,
     bandpass_response,
     dbm_to_linear,
@@ -242,28 +245,75 @@ class TestSynthesize:
         b = synthesize_observations(noise_only_config(tau=3), seed=(9, 1))
         assert np.array_equal(a.sets[0].dtft, b.sets[0].dtft)
 
-
-def rebuilt_record(config, key, g, t):
-    """Sensor t of group g straight from its keyed streams: noise plus, per
-    user, fading gain times component; no other sensor is synthesized."""
-    n_grid = config.grid_size
-    uncorrelated = config.bin_mode == "uncorrelated"
-    shared = config.sync == "synchronized"
-    rec = _crandn(_rng(key, _R_NOISE, g, t), n_grid, dbm_to_linear(config.noise_dbm))
-    for k, user in enumerate(config.users):
-        if uncorrelated:
-            rng = _rng(key, _R_SHARED_SIGNAL, k) if shared else _rng(key, _R_SIGNAL, g, t, k)
-            component = generate_user_signal(user, n_grid, rng)
+    @pytest.mark.parametrize("sync", SYNC_MODES)
+    @pytest.mark.parametrize("bin_mode", BIN_MODES)
+    def test_mean_nap_matches_closed_form(self, bin_mode, sync):
+        # E|X_i|^2 / n = sigma2 + sum_k PL_k rho_k |shape_k(i)|^2, whatever the
+        # random streams; a spectrum off by a factor n or 2 fails by far.
+        # Runs are independent, sensors of a synchronized run are not, so
+        # the standard errors come from the per-run averages.  A synchronized
+        # correlated-bins run draws one symbol per user for every point and
+        # sensor, so its per-run averages are skewed like an exponential, and
+        # so is their t statistic: the aggregate bound is 4 standard errors.
+        users = (
+            UserSpec(band=(0.2, 0.35), power_dbm=6.0, path_loss_db=(-2.0, -5.0)),
+            UserSpec(band=(0.9, 0.05), power_dbm=3.0, path_loss_db=(-4.0, 1.0)),
+        )
+        if bin_mode == "uncorrelated":
+            layout = dict(pattern=CosetPattern(6, (0, 1, 3)), clusters=2, sensors_per_cluster=8)
         else:
-            rng = _rng(key, _R_SHARED_SYMBOL, k) if shared else _rng(key, _R_SYMBOL, g, t, k)
-            spectrum = np.zeros(n_grid, dtype=complex)
-            level = math.sqrt(n_grid * dbm_to_linear(user.power_dbm))
-            spectrum[band_grid_indices(user.band, n_grid)] = level * _crandn(rng, 1, 1.0)[0]
-            component = np.fft.ifft(spectrum)
-        loss = user.path_loss_db[g if uncorrelated else 0]
-        gain = _crandn(_rng(key, _R_FADING, g, t, k), 1, dbm_to_linear(loss))[0]
-        rec = rec + gain * component
-    return rec
+            patterns = (CosetPattern(6, (0, 1, 3)), CosetPattern(6, (1, 2, 4)))
+            layout = dict(family=PatternFamily(6, patterns), sensors_per_group=8)
+        config = ScenarioConfig(
+            period=6, samples_per_coset=20, users=users, noise_dbm=-1.0,
+            sync=sync, bin_mode=bin_mode, **layout,
+        )
+        n_grid, runs = config.grid_size, 300
+        naps = np.array([
+            [nyquist_ap(s.full_rate).values for s in
+             synthesize_observations(config, seed=(31, r), keep_full_rate=True).sets]
+            for r in range(runs)
+        ])                                                   # (runs, groups, grid)
+        for g in range(naps.shape[1]):
+            want = np.full(n_grid, dbm_to_linear(config.noise_dbm))
+            for user in users:
+                power = dbm_to_linear(user.path_loss_db[g if bin_mode == "uncorrelated" else 0])
+                power *= dbm_to_linear(user.power_dbm)
+                if bin_mode == "uncorrelated":
+                    want += power * np.abs(bandpass_response(user.band, n_grid)) ** 2
+                else:
+                    want[band_grid_indices(user.band, n_grid)] += power
+            per_point = naps[:, g]
+            z = (per_point.mean(axis=0) - want) / (per_point.std(axis=0, ddof=1) / np.sqrt(runs))
+            assert np.max(np.abs(z)) < 5.0, (g, np.max(np.abs(z)))
+            level = per_point.mean(axis=1)                   # one average per run
+            agg_z = (level.mean() - want.mean()) / (level.std(ddof=1) / np.sqrt(runs))
+            assert abs(agg_z) < 4.0, (g, agg_z)
+
+
+def rebuilt_spectra(config, key, g):
+    """Group g's sensors x grid spectra straight from its block streams:
+    noise plus, per user, fading gain times draw times the user's shape, in
+    the arithmetic order of the synthesis; no other group is synthesized."""
+    n_grid = config.grid_size
+    if config.bin_mode == "uncorrelated":
+        sensors, width, column = config.sensors_per_cluster, n_grid, g
+        own_role, shared_role = _R_SIGNAL, _R_SHARED_SIGNAL
+    else:
+        sensors, width, column = config.sensors_per_group, 1, 0
+        own_role, shared_role = _R_SYMBOL, _R_SHARED_SYMBOL
+    signal = np.zeros((sensors, n_grid), dtype=complex)
+    for k, user in enumerate(config.users):
+        gain = _standard_block(_rng(key, _R_FADING, g, k), sensors, 1)
+        gain = gain * _cn_scale(dbm_to_linear(user.path_loss_db[column]))
+        if config.sync == "synchronized":
+            draw = _standard_block(_rng(key, shared_role, k), 1, width)
+        else:
+            draw = _standard_block(_rng(key, own_role, g, k), sensors, width)
+        shape = _cn_scale(1.0) * _user_shape(user, n_grid, config.bin_mode)
+        signal = signal + draw * shape * gain
+    noise = _standard_block(_rng(key, _R_NOISE, g), sensors, n_grid)
+    return signal + noise * _cn_scale(n_grid * dbm_to_linear(config.noise_dbm))
 
 
 @st.composite
@@ -315,19 +365,14 @@ class TestOneSynthesisLoop:
     @given(config=small_scenarios(), key=st.tuples(st.integers(0, 99), st.integers(0, 9)))
     def test_any_sensor_rebuilds_from_its_keyed_streams(self, config, key):
         run = synthesize_observations(config, seed=key, keep_full_rate=True)
+        modulation = build_modulation_matrix(config.period)
         for g, obs in enumerate(run.sets):
             assert obs.label == g
-            for t, got in enumerate(obs.full_rate):
-                want = rebuilt_record(config, key, g, t)
-                if config.bin_mode == "uncorrelated":
-                    assert np.array_equal(got, want), (g, t)
-                else:
-                    # symbol * ifft(s) rounds unlike ifft(symbol * s)
-                    err = np.max(np.abs(got - want), initial=0.0)
-                    assert err <= 1e-12 * np.max(np.abs(want), initial=0.0), (g, t)
-                assert np.array_equal(
-                    obs.dtft[t], extract_coset_observations(got, obs.pattern).dtft[0]
-                )
+            spectra = rebuilt_spectra(config, key, g)
+            assert np.array_equal(obs.full_rate, np.fft.ifft(spectra, axis=1)), g
+            coset_map = build_selection_matrix(obs.pattern) @ modulation
+            want = coset_map @ spectra.reshape(spectra.shape[0], config.period, -1)
+            assert np.array_equal(obs.dtft, want), g
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -351,6 +396,24 @@ class TestOneSynthesisLoop:
             for got, want in zip(run.sets, alone.sets):
                 assert np.array_equal(got.full_rate, want.full_rate), level
                 assert np.array_equal(got.dtft, want.dtft), level
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        config=small_scenarios(),
+        key=st.tuples(st.integers(0, 99), st.integers(0, 9)),
+        extra=st.integers(1, 5),
+    )
+    def test_fewer_sensors_give_the_leading_rows(self, config, key, extra):
+        if config.bin_mode == "uncorrelated":
+            more = replace(config, sensors_per_cluster=config.sensors_per_cluster + extra)
+        else:
+            more = replace(config, sensors_per_group=config.sensors_per_group + extra)
+        few = synthesize_observations(config, seed=key, keep_full_rate=True)
+        many = synthesize_observations(more, seed=key, keep_full_rate=True)
+        for got, full in zip(few.sets, many.sets, strict=True):
+            tau = got.dtft.shape[0]
+            assert np.array_equal(got.dtft, full.dtft[:tau])
+            assert np.array_equal(got.full_rate, full.full_rate[:tau])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_noise_levels_reject_nan_and_plus_inf(self, bad):
