@@ -10,6 +10,7 @@ from .analysis import (
     nyquist_ap,
     propagate_variance,
     roc_harness,
+    spectral_ap,
     whitenoise_variance_closed_form,
 )
 from .estimator import (
@@ -43,7 +44,6 @@ from .sensing import (
     UserSpec,
     dbm_to_linear,
     extract_coset_observations,
-    generate_user_signal,
     synthesize_observations,
 )
 from .structure import (

@@ -27,44 +27,51 @@ from .sensing import (
 from .structure import SystemMatrixRc, build_system_matrix
 
 
-def nyquist_ap(records: np.ndarray) -> Periodogram:
-    """Averaged periodogram of full-rate records (sensors x grid points)."""
-    x = np.atleast_2d(records)
-    n_grid = x.shape[1]
-    spectra = np.fft.fft(x, axis=1)
-    values = np.mean(np.abs(spectra) ** 2, axis=0) / n_grid
+def spectral_ap(spectra: np.ndarray) -> Periodogram:
+    """Averaged periodogram of spectra X (sensors x grid points, the DFTs
+    of full-rate records): mean |X|^2 over sensors, divided by the grid size."""
+    n_grid = spectra.shape[1]
     return Periodogram(
         thetas=np.arange(n_grid) / n_grid,
-        values=values,
+        values=np.mean(np.abs(spectra) ** 2, axis=0) / n_grid,
         estimator=NAP,
     )
 
 
+def nyquist_ap(records: np.ndarray) -> Periodogram:
+    """Averaged periodogram of full-rate records (sensors x grid points)."""
+    return spectral_ap(np.fft.fft(np.atleast_2d(records), axis=1))
+
+
 def nmse(estimate, reference) -> float:
-    """Sum-of-squares error ratio over the full frequency grid."""
+    """Sum-of-squares error ratio over the full frequency grid; sums that
+    are not finite (powers that overflow once squared) raise ValueError."""
     est = estimate.values if isinstance(estimate, Periodogram) else np.asarray(estimate)
     ref = reference.values if isinstance(reference, Periodogram) else np.asarray(reference)
     if est.shape != ref.shape:
         raise ValueError(f"grids disagree: {est.shape} vs {ref.shape}")
-    denom = float(np.sum(ref**2))
+    with np.errstate(all="ignore"):
+        denom = float(np.sum(ref**2))
+        num = float(np.sum((est - ref) ** 2))
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        raise ValueError(f"NMSE sums are not finite (error {num}, reference {denom})")
     if denom == 0.0:
         raise ValueError("reference periodogram is identically zero")
-    return float(np.sum((est - ref) ** 2) / denom)
+    return num / denom
 
 
 class IndependentSensorMoments:
     """Second moments of the per-bin spectra X of independent sensors.
 
-    ``analytical_gaussian_covariance`` reads them through two methods, for
-    bin indices i, b in 0..N-1 and sensor indices t, tp in 0..tau-1:
-
-    ``cross(t, tp)[i, b]``  = E[X_{t,i} X*_{tp,b}]
-    ``pseudo(t, tp)[i, b]`` = E[X_{t,i} X_{tp,b}]
+    ``analytical_gaussian_covariance`` reads them through
+    ``cross(t, tp)[i, b]`` = E[X_{t,i} X*_{tp,b}], for bin indices i, b in
+    0..N-1 and sensor indices t, tp in 0..tau-1.
 
     Every sensor has the N x N bin covariance ``bin_covariance``, distinct
-    sensors are uncorrelated, and all are circular, so the pseudo-covariance
-    is zero.  White noise of variance sigma2 on n_grid samples has the bin
-    covariance n_grid * sigma2 * I.
+    sensors are uncorrelated, and all are circular: E[X_{t,i} X_{tp,b}] is
+    zero, so the pseudo-covariance term of the fourth moment vanishes.
+    White noise of variance sigma2 on n_grid samples has the bin covariance
+    n_grid * sigma2 * I.
     """
 
     def __init__(self, bin_covariance: np.ndarray):
@@ -74,37 +81,28 @@ class IndependentSensorMoments:
     def cross(self, t: int, tp: int) -> np.ndarray:
         return self._cross if t == tp else self._zero
 
-    def pseudo(self, t: int, tp: int) -> np.ndarray:
-        return self._zero
-
 
 def analytical_gaussian_covariance(
     moments: IndependentSensorMoments, pattern: CosetPattern, tau: int
 ) -> np.ndarray:
     """Covariance of the entries of the averaged coset covariance.
 
-    Evaluates the Gaussian fourth-moment expansion over all bin pairs and
-    sensor pairs: entry (M*mp + m, M*ap + a) of the returned M^2 x M^2
-    matrix is Cov[cov_entry(m, mp), cov_entry(a, ap)].
+    Evaluates the fourth-moment expansion of circular Gaussian spectra over
+    all bin pairs and sensor pairs: entry (M*mp + m, M*ap + a) of the
+    returned M^2 x M^2 matrix is Cov[cov_entry(m, mp), cov_entry(a, ap)].
     """
     n = pattern.period
     m_cnt = pattern.size
     marks = np.asarray(pattern.marks)
     bins = np.arange(n)
     w = np.exp(2j * np.pi * np.outer(marks, bins) / n)      # (M, N)
-    term1 = np.zeros((m_cnt,) * 4, dtype=complex)           # [m, a, mp, ap]
-    term2 = np.zeros((m_cnt,) * 4, dtype=complex)           # [m, ap, mp, a]
+    term = np.zeros((m_cnt,) * 4, dtype=complex)            # [m, a, mp, ap]
     for t in range(tau):
         for tp in range(tau):
             f1 = w @ moments.cross(t, tp) @ w.conj().T
-            term1 += np.einsum("ma,bc->mabc", f1, f1.conj())
-            p1 = moments.pseudo(t, tp)
-            if np.any(p1):
-                g1 = w @ p1 @ w.T
-                term2 += np.einsum("ma,bc->mabc", g1, g1.conj())
-    norm = n**4 * tau**2
-    sigma = term1.transpose(2, 0, 3, 1) + term2.transpose(2, 0, 1, 3)
-    return sigma.reshape(m_cnt * m_cnt, m_cnt * m_cnt) / norm
+            term += np.einsum("ma,bc->mabc", f1, f1.conj())
+    sigma = term.transpose(2, 0, 3, 1)
+    return sigma.reshape(m_cnt * m_cnt, m_cnt * m_cnt) / (n**4 * tau**2)
 
 
 def propagate_variance(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .analysis import DetectorSpec, dispatch_runs, nmse, nyquist_ap
+from .analysis import DetectorSpec, dispatch_runs, nmse, spectral_ap
 from .estimator import (
     average_periodograms,
     estimate_correlated_bins,
@@ -37,11 +38,12 @@ from .scenarios import (
     load_scenario,
     parse_band,
     parse_marks,
+    parse_patterns,
     required,
     scenario_from_parser,
 )
-from .sensing import ScenarioConfig, dbm_to_linear
-from .sensing import extract_coset_observations, synthesize_observations
+from .sensing import CosetObservationSet, ScenarioConfig, _check_level, dbm_to_linear
+from .sensing import coset_dtft, synthesize_observations
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,8 @@ class ExperimentManifest:
         for tau in self.sweep.taus:
             if tau < 1:
                 raise ValueError(f"[sweep] tau entries must be positive, got {tau}")
+        for level in self.sweep.sigmas_dbm:
+            _check_level("[sweep] sigma2_dbm", level)
         # a repeated entry would name two results alike
         for axis, entries in (
             ("tau", self.sweep.taus),
@@ -109,8 +113,10 @@ class ExperimentManifest:
                 raise ValueError("variance-check needs tau and patterns axes")
             # the closed form divides by the squared noise power, the sample variance by runs - 1
             noise = self.scenario.noise_dbm
-            if dbm_to_linear(noise) ** 2 == 0.0:
-                raise ValueError(f"variance-check needs a positive power, got noise_dbm = {noise}")
+            if not 0.0 < dbm_to_linear(noise) * dbm_to_linear(noise) < math.inf:
+                raise ValueError(
+                    f"variance-check needs 0 < sigma2**2 < inf, got noise_dbm = {noise}"
+                )
             if self.runs < 2:
                 raise ValueError(f"variance-check needs runs >= 2, got {self.runs}")
         if self.kind == "roc":
@@ -128,12 +134,6 @@ def _marks_text(marks) -> str:
 
 def _parse_bands(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(parse_band(chunk) for chunk in text.split("|") if chunk.strip())
-
-
-def _parse_patterns(text: str, period: int) -> tuple[CosetPattern, ...]:
-    return tuple(
-        CosetPattern(period, parse_marks(chunk)) for chunk in text.split("|") if chunk.strip()
-    )
 
 
 def _parse_roc_settings(text: str) -> tuple[RocSetting, ...]:
@@ -177,7 +177,7 @@ def parse_manifest(path, kind: str | None = None) -> ExperimentManifest:
             taus=required(swp, "tau", parse_marks, ()),
             sigmas_dbm=required(swp, "sigma2_dbm", _parse_floats, ()),
             patterns=required(
-                swp, "patterns", partial(_parse_patterns, period=scenario.period), ()
+                swp, "patterns", partial(parse_patterns, period=scenario.period), ()
             ),
             roc_settings=required(swp, "settings", _parse_roc_settings, ()),
         )
@@ -206,9 +206,12 @@ def parse_manifest(path, kind: str | None = None) -> ExperimentManifest:
     )
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    path.write_text(_json_text(payload), encoding="utf-8")
 
 
 def _csv_rows(path: Path, header: str, rows) -> None:
@@ -232,6 +235,8 @@ def _write_outputs(
     the shared kind/seed header.  Returns file stem -> path."""
     if summary is not None:
         summary = {"kind": manifest.kind, "seed": manifest.seed, **summary}
+        # a summary that cannot be written (a NaN, say) fails here, before the directory exists
+        _json_text(summary)
         files = {**files, "summary.json": partial(_write_json, payload=summary)}
     manifest.output.mkdir(parents=True, exist_ok=True)
     for name, write in files.items():
@@ -258,11 +263,9 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
         "warnings": sensed.warnings,
     }
     if manifest.keep_nap:
-        nap = average_periodograms([nyquist_ap(s.full_rate) for s in sensed.sets])
+        nap = average_periodograms([spectral_ap(s.spectra) for s in sensed.sets])
         files["nap.csv"] = nap.write_csv
-        summary["nmse_vs_nap"] = (
-            nmse(cap, nap) if np.any(nap.values) else None
-        )
+        summary["nmse_vs_nap"] = nmse(cap, nap) if np.any(nap.values) else None
     return _write_outputs(manifest, files, summary)
 
 
@@ -275,13 +278,13 @@ def _nmse_run(
     )
     scores = {}
     for sigma, sensed in zip(sweep.sigmas_dbm, levels):
-        full = [s.full_rate for s in sensed.sets]
+        spectra = [s.spectra for s in sensed.sets]
         for tau in sweep.taus:
-            nap = average_periodograms([nyquist_ap(x[:tau]) for x in full])
+            nap = average_periodograms([spectral_ap(x[:tau]) for x in spectra])
             for pattern in sweep.patterns:
                 obs = [
-                    extract_coset_observations(x[:tau], pattern, label=d)
-                    for d, x in enumerate(full)
+                    CosetObservationSet(pattern, coset_dtft(x[:tau], pattern), label=d)
+                    for d, x in enumerate(spectra)
                 ]
                 _, cap = estimate_multicluster(obs)
                 scores[pattern, tau, sigma] = nmse(cap, nap)
@@ -293,8 +296,8 @@ def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
 
     Within a run, every noise level adds its noise to the same user
     signals, all tau values slice the same synthesized sensors and all
-    patterns re-extract cosets from the same full-rate records, so
-    comparisons across the sweep are paired.
+    patterns alias the same spectra into their cosets, so comparisons
+    across the sweep are paired.
     """
     sweep = manifest.sweep
     config = replace(manifest.scenario, sensors_per_cluster=max(sweep.taus))
@@ -308,18 +311,11 @@ def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
     # one row per combo, its runs contiguous
     scores = np.array(dispatch_runs(one, manifest.runs, manifest.threads)).T.copy()
 
-    rows = []
-    for idx, (pattern, tau, sigma) in enumerate(combos):
-        rows.append(
-            (
-                tau,
-                float(pattern.size / pattern.period),
-                float(sigma),
-                float(np.mean(scores[idx])),
-                manifest.runs,
-                '"' + _marks_text(pattern.marks) + '"',
-            )
-        )
+    rows = [
+        (tau, float(pattern.size / pattern.period), float(sigma), float(np.mean(row)),
+         manifest.runs, '"' + _marks_text(pattern.marks) + '"')
+        for (pattern, tau, sigma), row in zip(combos, scores)
+    ]
     return _write_outputs(
         manifest,
         {"nmse.csv": partial(_csv_rows, header="tau,rate,sigma2,nmse,runs,marks", rows=rows)},

@@ -88,6 +88,13 @@ def parse_band(text: str) -> tuple[float, float]:
     return band
 
 
+def parse_patterns(text: str, period: int) -> tuple[CosetPattern, ...]:
+    """``m0,m1,... | m0,m1,... | ...``: one pattern of ``period`` per chunk."""
+    return tuple(
+        CosetPattern(period, parse_marks(chunk)) for chunk in text.split("|") if chunk.strip()
+    )
+
+
 _NO_DEFAULT = object()
 
 
@@ -131,18 +138,10 @@ def scenario_from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
     family = None
     if bin_mode == "uncorrelated":
         pattern = CosetPattern(period, required(sec, "marks", parse_marks))
+    elif sec.get("family", None):
+        family = PatternFamily(period, parse_patterns(sec.get("family"), period))
     else:
-        if sec.get("family", None):
-            groups = [
-                parse_marks(chunk) for chunk in sec.get("family").split("|") if chunk.strip()
-            ]
-            family = PatternFamily(
-                period, tuple(CosetPattern(period, g) for g in groups)
-            )
-        else:
-            family = design_pair_cover_family(
-                period, required(sec, "family_marks_per_pattern", int)
-            )
+        family = design_pair_cover_family(period, required(sec, "family_marks_per_pattern", int))
     return ScenarioConfig(
         period=period,
         samples_per_coset=required(sec, "samples_per_coset", int),

@@ -6,7 +6,8 @@ the active cosets' DTFT values follow through the aliasing map C B.
 Every draw is a sensors-by-width block from a generator keyed by (run,
 group, role[, user]), so a group's spectra are reproducible from its keys
 alone and its first tau sensors do not depend on its sensor count.
-Recorded full-rate data goes through ``extract_coset_observations``.
+Synthesis keeps the spectra on request and derives full-rate records from
+them only when read; recorded ones go through ``extract_coset_observations``.
 """
 
 from __future__ import annotations
@@ -34,9 +35,14 @@ def dbm_to_linear(dbm: float) -> float:
 
 
 def _check_level(name: str, dbm: float) -> None:
-    """A level in dB may be -inf (zero power), never NaN or +inf."""
-    if math.isnan(dbm) or dbm == math.inf:
-        raise ValueError(f"{name} must be finite or -inf, got {dbm}")
+    """A level in dB may be -inf (zero power), never NaN, +inf or so high
+    that its linear power overflows a float."""
+    try:
+        power = dbm_to_linear(dbm)
+    except OverflowError:
+        power = math.inf
+    if math.isnan(power) or power == math.inf:
+        raise ValueError(f"{name} must be -inf or a level of finite power, got {dbm}")
 
 
 @dataclass(frozen=True)
@@ -143,12 +149,19 @@ class CosetObservationSet:
 
     ``dtft[t, m, l]`` is the DTFT of the samples of coset
     ``pattern.marks[m]`` at sensor t, at theta = l / grid_size.
+    ``spectra``, when kept, is the sensors x grid DFT of the full-rate
+    records; ``full_rate`` derives the records from it on each read.
     """
 
     pattern: CosetPattern
     dtft: np.ndarray
     label: int = 0
-    full_rate: np.ndarray | None = None
+    spectra: np.ndarray | None = None
+
+    @property
+    def full_rate(self) -> np.ndarray | None:
+        """Full-rate records (sensors x grid), the inverse DFT of ``spectra``."""
+        return None if self.spectra is None else np.fft.ifft(self.spectra, axis=1)
 
 
 @dataclass
@@ -230,15 +243,11 @@ def _user_shape(spec: UserSpec, n_grid: int, bin_mode: str) -> np.ndarray:
     return shape
 
 
-def generate_user_signal(
-    spec: UserSpec, length: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Bandlimited complex Gaussian user signal of ``length`` samples: the
-    inverse FFT of ``_user_shape`` times a CN(0, 1) draw per grid point,
-    the scaled FFT of white samples from ``rng``, real parts first."""
-    white = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-    draw = np.fft.fft(white) * _cn_scale(1.0 / length)
-    return np.fft.ifft(draw * _user_shape(spec, length, "uncorrelated"))
+def coset_dtft(spectra: np.ndarray, pattern: CosetPattern) -> np.ndarray:
+    """Coset DTFT values of sensors x grid spectra X, as in
+    ``CosetObservationSet.dtft``: C B times X's bin vector at each point."""
+    coset_map = build_selection_matrix(pattern) @ build_modulation_matrix(pattern.period)
+    return coset_map @ spectra.reshape(spectra.shape[0], pattern.period, -1)
 
 
 def extract_coset_observations(
@@ -276,8 +285,9 @@ def synthesize_observations(
     symbol per sensor for correlated bins; one row for all sensors when
     synchronized) are CN(0, 1) blocks, each one ``standard_normal((sensors,
     width, 2))`` viewed as complex, keyed by (seed, role, group[, k]) or
-    (seed, shared role, k).  ``dtft`` is C B X per grid point; ``full_rate``,
-    if kept, the inverse FFT of X.  ``noise_levels`` (dBm, in place of
+    (seed, shared role, k).  ``dtft`` is ``coset_dtft`` of X.
+    ``keep_full_rate`` keeps X as ``spectra``, from which ``full_rate``
+    derives the records.  ``noise_levels`` (dBm, in place of
     ``config.noise_dbm``) returns one run per level, each adding its scaled
     W to the same user part, bit-identical to a call at that level.
     """
@@ -309,7 +319,6 @@ def synthesize_observations(
     if config.sync == "synchronized":
         shared = [_standard_block(_rng(key, shared_role, k), 1, width) for k in range(len(shapes))]
     scales = [_cn_scale(n_grid * dbm_to_linear(level)) for level in levels]
-    modulation = build_modulation_matrix(config.period)
     # every group's draws are made into one buffer and shaped in place
     work = np.empty((sensors, n_grid), dtype=complex)
     buffer = work.view(float).reshape(-1)
@@ -327,16 +336,13 @@ def synthesize_observations(
             work *= gain
             signal += work
         noise = _standard_block(_rng(key, _R_NOISE, label), sensors, n_grid, buffer)
-        coset_map = build_selection_matrix(pattern) @ modulation
         for i, (scale, level_sets) in enumerate(zip(scales, sets)):
             last = i == len(scales) - 1
             # the last level may consume the user part and the noise draw
             spectra = signal if last else signal.copy()
             spectra += np.multiply(noise, scale, out=noise if last else None)
-            dtft = coset_map @ spectra.reshape(sensors, config.period, -1)
-            full_rate = np.fft.ifft(spectra, axis=1, out=spectra) if keep_full_rate else None
-            level_sets.append(
-                CosetObservationSet(pattern=pattern, dtft=dtft, label=label, full_rate=full_rate)
-            )
+            dtft = coset_dtft(spectra, pattern)
+            kept = spectra if keep_full_rate else None
+            level_sets.append(CosetObservationSet(pattern, dtft, label, spectra=kept))
     runs = [SensingRun(sets=level_sets, warnings=list(warnings)) for level_sets in sets]
     return runs[0] if noise_levels is None else runs

@@ -20,9 +20,15 @@ from capspec.analysis import (
     whitenoise_variance_closed_form,
     whitenoise_variance_report,
 )
-from capspec.estimator import IdentifiabilityError, estimate_multicluster
+from capspec.estimator import IdentifiabilityError, estimate_multicluster, reconstruct_cap
 from capspec.patterns import CosetPattern
-from capspec.sensing import ScenarioConfig, dbm_to_linear, synthesize_observations
+from capspec.sensing import (
+    CosetObservationSet,
+    ScenarioConfig,
+    coset_dtft,
+    dbm_to_linear,
+    synthesize_observations,
+)
 from capspec.structure import (
     build_modulation_matrix,
     build_repetition_matrix,
@@ -70,6 +76,13 @@ class TestNmse:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError):
             nmse(np.ones(5), np.ones(6))
+
+    @pytest.mark.parametrize("scale", [1e160, np.inf])
+    def test_sums_that_are_not_finite_raise(self, scale):
+        # 1e160 squared overflows float64; no RuntimeWarning escapes either way
+        ref = np.array([1.0, 2.0]) * scale
+        with pytest.raises(ValueError, match="not finite"):
+            nmse(ref * 1.5, ref)
 
 
 class TestGaussianCovariance:
@@ -152,6 +165,42 @@ class TestPropagateVariance:
             [np.real(sigma_x[n * i + i, n * i + i]) for i in range(n)]
         ) / (n * l_per) ** 2
         assert np.max(np.abs(fast - dense)) < 1e-9 * np.max(np.abs(dense))
+
+    def test_single_bin_against_monte_carlo_cap(self):
+        # Spectra with only bin i nonzero, CN(0, v) at every in-bin point and
+        # sensor, aliased through C B and reconstructed.  The in-bin points are
+        # independent and alike, so each bin's CAP variance is estimated from
+        # runs * L samples; its standard error comes from the samples' own
+        # fourth moment (2% of the variance here).  A bound of 4 standard
+        # errors fails a correct variance with probability below 1e-4, while
+        # a variance off by a factor of 2 misses by about 50 of them.  Every
+        # other bin of a single-bin source is zero up to rounding, in both.
+        pattern, bin_index, variance = CosetPattern(6, (0, 1, 3)), 2, 2.0
+        n, tau, l_per, runs = pattern.period, 3, 50, 200
+        moments = IndependentSensorMoments(np.diag(np.eye(n)[bin_index] * variance))
+        sigma = analytical_gaussian_covariance(moments, pattern, tau)
+        analytical = propagate_variance(sigma, build_system_matrix(pattern), l_per)
+
+        rng = np.random.default_rng(7)
+        caps = np.empty((runs, n, l_per))
+        for run in range(runs):
+            spectra = np.zeros((tau, n, l_per), dtype=complex)
+            spectra[:, bin_index] = np.sqrt(variance / 2) * (
+                rng.standard_normal((tau, l_per)) + 1j * rng.standard_normal((tau, l_per))
+            )
+            dtft = coset_dtft(spectra.reshape(tau, -1), pattern)
+            cap = reconstruct_cap(CosetObservationSet(pattern=pattern, dtft=dtft))
+            caps[run] = cap.values.reshape(n, l_per)
+        samples = caps.transpose(1, 0, 2).reshape(n, -1)        # bin -> runs * L values
+        centered = samples - samples.mean(axis=1, keepdims=True)
+        empirical = np.mean(centered**2, axis=1) * samples.shape[1] / (samples.shape[1] - 1)
+        stderr = np.std(centered**2, axis=1, ddof=1) / np.sqrt(samples.shape[1])
+
+        z = (empirical[bin_index] - analytical[bin_index]) / stderr[bin_index]
+        assert abs(z) < 4.0, (empirical[bin_index], analytical[bin_index], z)
+        others = np.delete(np.arange(n), bin_index)
+        assert np.max(np.abs(analytical[others])) < 1e-12 * analytical[bin_index]
+        assert np.max(empirical[others]) < 1e-12 * analytical[bin_index]
 
 
 class TestClosedForm:

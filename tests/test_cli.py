@@ -1,5 +1,6 @@
 import json
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -301,6 +302,33 @@ BAD_INPUTS = {
         + "[sweep]\ntau = 2\npatterns = 0,1,3\n",
         "runs",
     ),
+    # a level whose linear power overflows a float, or does so once squared
+    "noise_dbm overflowing": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO.replace("noise_dbm = 0", "noise_dbm = 4000"),
+        "noise_dbm",
+    ),
+    "variance-check noise power overflowing once squared": (
+        "variance-check",
+        "[experiment]\nkind = variance-check\nruns = 4\noutput = OUT\n"
+        + NOISE_SCENARIO.replace("noise_dbm = 0", "noise_dbm = 2000")
+        + "[sweep]\ntau = 2\npatterns = 0,1,3\n",
+        "noise_dbm",
+    ),
+    "sigma2_dbm overflowing": (
+        "nmse-sweep",
+        "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\ntau = 3\nsigma2_dbm = 7,4000\npatterns = 0,1,3\n",
+        "sigma2_dbm",
+    ),
+    # the periodograms are finite, their squared sums in the NMSE are not
+    "user power overflowing the NMSE": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO.replace("power_dbm = 14", "power_dbm = 1600"),
+        "not finite",
+    ),
     "repeated roc setting": (
         "roc",
         "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
@@ -328,6 +356,18 @@ class TestBadInput:
         with pytest.raises(ValueError):
             _write_json(tmp_path / "summary.json", {"nmse_vs_nap": float("nan")})
         assert not (tmp_path / "summary.json").exists()
+
+    def test_summary_with_nan_leaves_no_directory(self, tmp_path):
+        from capspec.runner import ExperimentManifest, _csv_rows, _write_outputs
+
+        scenario = ScenarioConfig(
+            period=6, samples_per_coset=2, users=(), noise_dbm=0.0, pattern=CosetPattern(6, (0,))
+        )
+        manifest = ExperimentManifest("reconstruct", scenario, output=tmp_path / "out")
+        files = {"a.csv": partial(_csv_rows, header="x", rows=[(1.0,)])}
+        with pytest.raises(ValueError):
+            _write_outputs(manifest, files, {"nmse_vs_nap": float("nan")})
+        assert not manifest.output.exists()
 
 
 class TestSweeps:

@@ -6,6 +6,7 @@ from dataclasses import replace
 from capspec.analysis import (
     nmse,
     nyquist_ap,
+    spectral_ap,
     whitenoise_variance_closed_form,
     whitenoise_variance_report,
 )
@@ -16,8 +17,10 @@ from capspec.scenarios import (
     extend_pattern,
     load_fixture,
 )
+from capspec.runner import SweepSpec, _nmse_run
 from capspec.sensing import (
     ScenarioConfig,
+    UserSpec,
     dbm_to_linear,
     extract_coset_observations,
     synthesize_observations,
@@ -135,3 +138,56 @@ class TestVariancePatternFixtures:
             empirical.append(report.empirical_nmse)
         assert len(set(np.round(analytical, 12))) == 3
         assert np.argsort(analytical).tolist() == np.argsort(empirical).tolist()
+
+
+class TestSweepAgainstRecords:
+    # The sweep reads the spectra that synthesis built; this reference goes
+    # the long way, through the records and the time-domain entry points.
+    # The FFT round trip moves each value by a few ulps, so scores agree to
+    # a relative 1e-12 and no closer is asked.
+    RTOL = 1e-12
+
+    def test_nmse_run_matches_the_time_domain_reference(self):
+        users = (
+            UserSpec(band=(0.1, 0.16), power_dbm=9.0, path_loss_db=(-2.0, -4.0)),
+            UserSpec(band=(0.95, 0.02), power_dbm=6.0, path_loss_db=(-5.0, 0.0)),
+        )
+        base = CosetPattern(6, (0, 1, 3))
+        sweep = SweepSpec(
+            taus=(2, 5), sigmas_dbm=(0.0, 4.0), patterns=(base, CosetPattern(6, (0, 1, 2, 3)))
+        )
+        config = ScenarioConfig(
+            period=6, samples_per_coset=20, users=users, noise_dbm=0.0,
+            pattern=base, clusters=2, sensors_per_cluster=max(sweep.taus),
+        )
+        combos = [
+            (p, tau, sigma)
+            for p in sweep.patterns
+            for tau in sweep.taus
+            for sigma in sweep.sigmas_dbm
+        ]
+        got = _nmse_run(config, sweep, combos, 13, 1)
+
+        levels = synthesize_observations(
+            config, seed=(13, 1), keep_full_rate=True, noise_levels=sweep.sigmas_dbm
+        )
+        want = {}
+        for sigma, sensed in zip(sweep.sigmas_dbm, levels):
+            records = [s.full_rate for s in sensed.sets]
+            for tau in sweep.taus:
+                nap = average_periodograms([nyquist_ap(x[:tau]) for x in records])
+                for p in sweep.patterns:
+                    obs = [
+                        extract_coset_observations(x[:tau], p, label=d)
+                        for d, x in enumerate(records)
+                    ]
+                    want[p, tau, sigma] = nmse(estimate_multicluster(obs)[1], nap)
+        np.testing.assert_allclose(got, [want[c] for c in combos], rtol=self.RTOL, atol=0)
+
+    def test_spectral_nap_matches_the_records_periodogram(self):
+        spectra = np.random.default_rng(5).standard_normal((2, 7, 60, 2)).view(complex)[..., 0]
+        for x in spectra:
+            want = nyquist_ap(np.fft.ifft(x, axis=1))
+            got = spectral_ap(x)
+            np.testing.assert_allclose(got.values, want.values, rtol=self.RTOL, atol=0)
+            assert np.array_equal(got.thetas, want.thetas) and got.estimator == want.estimator

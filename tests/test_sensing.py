@@ -34,7 +34,6 @@ from capspec.sensing import (
     bandpass_response,
     dbm_to_linear,
     extract_coset_observations,
-    generate_user_signal,
     synthesize_observations,
 )
 from capspec.structure import build_modulation_matrix, build_selection_matrix
@@ -51,32 +50,37 @@ def full_rate_bin_vectors(x, period):
 
 
 class TestUserSignal:
-    def test_full_band_passthrough_variance(self, rng):
-        spec = UserSpec(band=(0.0, 1.0), power_dbm=0.0, path_loss_db=(0.0,))
-        x = generate_user_signal(spec, GRID, rng)
-        assert abs(np.var(x) - dbm_to_linear(0.0)) / dbm_to_linear(0.0) < 0.05
+    # A user's spectrum is a CN(0, 1) draw per grid point times its shape,
+    # so its expected periodogram |shape|^2 / n is checked directly, with no
+    # realization in between.
 
-    def test_inband_density_matches_request(self, rng):
+    @staticmethod
+    def expected_periodogram(spec):
+        return np.abs(_user_shape(spec, GRID, "uncorrelated")) ** 2 / GRID
+
+    def test_full_band_passthrough_variance(self):
+        spec = UserSpec(band=(0.0, 1.0), power_dbm=0.0, path_loss_db=(0.0,))
+        psd = self.expected_periodogram(spec)
+        assert np.max(np.abs(psd - dbm_to_linear(0.0))) / dbm_to_linear(0.0) < 0.05
+
+    def test_inband_density_matches_request(self):
         spec = UserSpec(band=(0.205, 0.245), power_dbm=12.0, path_loss_db=(0.0,))
-        x = generate_user_signal(spec, GRID, rng)
-        psd = np.abs(np.fft.fft(x)) ** 2 / GRID
+        psd = self.expected_periodogram(spec)
         theta = np.arange(GRID) / GRID
         core = (theta >= 0.21) & (theta <= 0.24)
         assert abs(psd[core].mean() - dbm_to_linear(12.0)) / dbm_to_linear(12.0) < 0.1
 
-    def test_band_energy_concentrated(self, rng):
+    def test_band_energy_concentrated(self):
         spec = UserSpec(band=(0.205, 0.245), power_dbm=10.0, path_loss_db=(0.0,))
-        x = generate_user_signal(spec, GRID, rng)
-        spectrum = np.abs(np.fft.fft(x)) ** 2
+        spectrum = self.expected_periodogram(spec)
         theta = np.arange(GRID) / GRID
         transition = 3.3 / 200  # Hamming window main-lobe width
         inside = (theta >= 0.205 - transition) & (theta < 0.245 + transition)
         assert spectrum[inside].sum() / spectrum.sum() >= 0.95
 
-    def test_wrapped_band(self, rng):
+    def test_wrapped_band(self):
         spec = UserSpec(band=(0.97, 0.03), power_dbm=0.0, path_loss_db=(0.0,))
-        x = generate_user_signal(spec, GRID, rng)
-        spectrum = np.abs(np.fft.fft(x)) ** 2
+        spectrum = self.expected_periodogram(spec)
         theta = np.arange(GRID) / GRID
         transition = 3.3 / 200
         inside = (theta >= 0.97 - transition) | (theta < 0.03 + transition)
@@ -99,9 +103,9 @@ class TestUserSignal:
             want /= np.max(np.abs(want))
             assert np.array_equal(bandpass_response(band, n_grid), want), band
 
-    def test_zero_power_gives_zeros(self, rng):
+    def test_zero_power_gives_zeros(self):
         spec = UserSpec(band=(0.1, 0.2), power_dbm=-np.inf, path_loss_db=(0.0,))
-        assert np.all(generate_user_signal(spec, GRID, rng) == 0)
+        assert np.all(_user_shape(spec, GRID, "uncorrelated") == 0)
 
     def test_zero_width_band_rejected(self):
         with pytest.raises(ValueError):
@@ -114,6 +118,7 @@ class TestCosetDtft:
     def test_zeros(self):
         obs = extract_coset_observations(np.zeros(64, dtype=complex), CosetPattern(4, (3,)))
         assert np.all(obs.dtft == 0)
+        assert obs.spectra is None and obs.full_rate is None
 
     def test_unit_impulse_phase_ramp(self):
         # impulse at the first coset sample: transform is the pure phase ramp
@@ -369,6 +374,7 @@ class TestOneSynthesisLoop:
         for g, obs in enumerate(run.sets):
             assert obs.label == g
             spectra = rebuilt_spectra(config, key, g)
+            assert np.array_equal(obs.spectra, spectra), g
             assert np.array_equal(obs.full_rate, np.fft.ifft(spectra, axis=1)), g
             coset_map = build_selection_matrix(obs.pattern) @ modulation
             want = coset_map @ spectra.reshape(spectra.shape[0], config.period, -1)
