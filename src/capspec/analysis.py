@@ -63,23 +63,16 @@ def nmse(estimate, reference) -> float:
 class IndependentSensorMoments:
     """Second moments of the per-bin spectra X of independent sensors.
 
-    ``analytical_gaussian_covariance`` reads them through
-    ``cross(t, tp)[i, b]`` = E[X_{t,i} X*_{tp,b}], for bin indices i, b in
-    0..N-1 and sensor indices t, tp in 0..tau-1.
-
-    Every sensor has the N x N bin covariance ``bin_covariance``, distinct
-    sensors are uncorrelated, and all are circular: E[X_{t,i} X_{tp,b}] is
-    zero, so the pseudo-covariance term of the fourth moment vanishes.
-    White noise of variance sigma2 on n_grid samples has the bin covariance
-    n_grid * sigma2 * I.
+    Every sensor has the N x N bin covariance ``bin_covariance``,
+    E[X_{t,i} X*_{t,b}] for bin indices i, b in 0..N-1; distinct sensors
+    are uncorrelated, E[X_{t,i} X*_{tp,b}] = 0 for t != tp; and all are
+    circular: E[X_{t,i} X_{tp,b}] is zero, so the pseudo-covariance term
+    of the fourth moment vanishes.  White noise of variance sigma2 on
+    n_grid samples has the bin covariance n_grid * sigma2 * I.
     """
 
     def __init__(self, bin_covariance: np.ndarray):
-        self._cross = np.asarray(bin_covariance)
-        self._zero = np.zeros(self._cross.shape)
-
-    def cross(self, t: int, tp: int) -> np.ndarray:
-        return self._cross if t == tp else self._zero
+        self.bin_covariance = np.asarray(bin_covariance)
 
 
 def analytical_gaussian_covariance(
@@ -90,17 +83,16 @@ def analytical_gaussian_covariance(
     Evaluates the fourth-moment expansion of circular Gaussian spectra over
     all bin pairs and sensor pairs: entry (M*mp + m, M*ap + a) of the
     returned M^2 x M^2 matrix is Cov[cov_entry(m, mp), cov_entry(a, ap)].
+    Of the tau^2 sensor pairs only the tau pairs of a sensor with itself
+    contribute, each the same term, so the cost does not grow with tau.
     """
     n = pattern.period
     m_cnt = pattern.size
     marks = np.asarray(pattern.marks)
     bins = np.arange(n)
     w = np.exp(2j * np.pi * np.outer(marks, bins) / n)      # (M, N)
-    term = np.zeros((m_cnt,) * 4, dtype=complex)            # [m, a, mp, ap]
-    for t in range(tau):
-        for tp in range(tau):
-            f1 = w @ moments.cross(t, tp) @ w.conj().T
-            term += np.einsum("ma,bc->mabc", f1, f1.conj())
+    f1 = w @ moments.bin_covariance @ w.conj().T
+    term = tau * np.einsum("ma,bc->mabc", f1, f1.conj())    # [m, a, mp, ap]
     sigma = term.transpose(2, 0, 3, 1)
     return sigma.reshape(m_cnt * m_cnt, m_cnt * m_cnt) / (n**4 * tau**2)
 

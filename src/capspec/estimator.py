@@ -3,9 +3,13 @@
 Both estimators, CAP-UB and CAP-CB, share one core.  Per in-bin
 frequency point, per-sensor outer products of the coset DTFT vectors
 are averaged into sample covariances; the design's averaging operator
-(see ``structure``) maps them, stacked and vectorized, to the N
-circulant lags in one product, the closed-form LS solution; and a
-length-N transform of the lags gives the periodogram in O(N log N).
+(see ``structure``) maps them, stacked, to the N circulant lags, the
+closed-form LS solution; and a length-N transform of the lags gives
+the periodogram in O(N log N).  The operator is applied in its index
+form, by a gather, an in-place scale and ``np.add.reduceat``, not as a
+matrix product: a product would be the one BLAS call of a Monte Carlo
+run, and OpenBLAS would run it on threads that compete with the other
+worker processes for the cores.
 """
 
 from __future__ import annotations
@@ -70,21 +74,22 @@ def sample_covariance(observations: CosetObservationSet) -> CovarianceStack:
     tau = y.shape[0]
     if tau == 0:
         raise ValueError(f"cluster/group {observations.label} is empty")
-    matrices = np.einsum("tml,tnl->lmn", y, y.conj()) / tau
+    # divided into C order, so that the solve reads each point's matrices as one flat row
+    matrices = np.divide(np.einsum("tml,tnl->lmn", y, y.conj()), tau, order="C")
     return CovarianceStack(matrices=matrices, count=tau, pattern=observations.pattern)
 
 
-def _solve_lags(stacks: list[CovarianceStack], operator: np.ndarray) -> np.ndarray:
-    """Apply a design's averaging operator to its stacked covariances.
-
-    Each matrix is vectorized column-major (q = M*col + row) and the
-    stacks are concatenated in order, matching the operator's rows.
-    """
+def _solve_lags(
+    stacks: list[CovarianceStack], design: SystemMatrixRc | PsiMatrix
+) -> np.ndarray:
+    """Apply a design's averaging operator, in index form, to its stacked
+    covariances: gather every point's entries in lag order, weight them
+    in place and sum each lag's run.  Returns the (L, N) lags."""
     l_pts = stacks[0].matrices.shape[0]
-    vec = np.concatenate(
-        [s.matrices.transpose(0, 2, 1).reshape(l_pts, -1) for s in stacks], axis=1
-    )
-    return vec @ operator
+    flat = [s.matrices.reshape(l_pts, -1) for s in stacks]
+    vec = (flat[0] if len(flat) == 1 else np.concatenate(flat, axis=1))[:, design.slots]
+    vec *= design.weights
+    return np.add.reduceat(vec, design.starts, axis=1)
 
 
 def ls_reconstruct_rbar(
@@ -94,7 +99,7 @@ def ls_reconstruct_rbar(
 
     Because the normal matrix is diag(gamma), the solution for lag k is
     the mean of the covariance entries whose mark difference is k; the
-    system matrix's averaging operator computes all lags in one product.
+    system matrix's averaging operator computes all lags in one pass.
     Returns the (L, N) lags, one row per grid point.  Raises
     IdentifiabilityError when some lag is observed by no pair.
     """
@@ -109,7 +114,7 @@ def ls_reconstruct_rbar(
             f"modular differences {list(missing)} are unrealized",
             missing=missing,
         )
-    return _solve_lags([stack], sysmat.operator)
+    return _solve_lags([stack], sysmat)
 
 
 def assemble_cap(lags: np.ndarray) -> Periodogram:
@@ -180,7 +185,7 @@ def estimate_correlated_bins(
     per ordered coset pair; with Psi^T Psi diagonal the LS solution for
     each bin-covariance entry is the mean of its observations across the
     groups that saw that pair.  The family's averaging operator folds
-    that mean and the mean over each modular diagonal into one product,
+    that mean and the mean over each modular diagonal into one pass,
     and the periodogram is assembled as for CAP-UB.
     """
     if not group_observations:
@@ -203,4 +208,4 @@ def estimate_correlated_bins(
     stacks = [sample_covariance(obs) for obs in group_observations]
     if len({s.matrices.shape[0] for s in stacks}) != 1:
         raise ValueError("groups disagree on grid size")
-    return replace(assemble_cap(_solve_lags(stacks, psi.operator)), estimator=CAP_CB)
+    return replace(assemble_cap(_solve_lags(stacks, psi)), estimator=CAP_CB)

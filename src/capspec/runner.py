@@ -42,7 +42,7 @@ from .scenarios import (
     required,
     scenario_from_parser,
 )
-from .sensing import CosetObservationSet, ScenarioConfig, _check_level, dbm_to_linear
+from .sensing import CosetObservationSet, ScenarioConfig, _check_grid_levels, dbm_to_linear
 from .sensing import coset_dtft, synthesize_observations
 
 
@@ -92,7 +92,7 @@ class ExperimentManifest:
             if tau < 1:
                 raise ValueError(f"[sweep] tau entries must be positive, got {tau}")
         for level in self.sweep.sigmas_dbm:
-            _check_level("[sweep] sigma2_dbm", level)
+            _check_grid_levels(self.scenario.grid_size, "[sweep] sigma2_dbm", level)
         # a repeated entry would name two results alike
         for axis, entries in (
             ("tau", self.sweep.taus),
@@ -245,15 +245,30 @@ def _write_outputs(
 
 
 def run_reconstruct(manifest: ExperimentManifest) -> dict:
-    """One seeded realization: CAP (and NAP baseline) to CSV plus summary."""
+    """One seeded realization: CAP (and NAP baseline) to CSV plus summary.
+
+    Levels are checked at grid scale before synthesis, but finite powers
+    can still overflow once squared in a covariance; a CAP or NAP that is
+    not finite is then refused before anything is written.
+    """
     config = manifest.scenario
-    sensed = synthesize_observations(
-        config, seed=(manifest.seed, 0), keep_full_rate=manifest.keep_nap
-    )
-    if config.bin_mode == "uncorrelated":
-        _, cap = estimate_multicluster(sensed.sets)
-    else:
-        cap = estimate_correlated_bins(sensed.sets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sensed = synthesize_observations(
+            config, seed=(manifest.seed, 0), keep_full_rate=manifest.keep_nap
+        )
+        if config.bin_mode == "uncorrelated":
+            _, cap = estimate_multicluster(sensed.sets)
+        else:
+            cap = estimate_correlated_bins(sensed.sets)
+        nap = None
+        if manifest.keep_nap:
+            nap = average_periodograms([spectral_ap(s.spectra) for s in sensed.sets])
+    for estimate in (cap, nap):
+        if estimate is not None and not np.all(np.isfinite(estimate.values)):
+            raise ValueError(
+                f"{estimate.estimator} values are not finite: the scenario's powers "
+                "overflow a float"
+            )
     files = {"cap.csv": cap.write_csv}
     summary = {
         "estimator": cap.estimator,
@@ -262,8 +277,7 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
         "max_imag_ratio": cap.max_imag_ratio,
         "warnings": sensed.warnings,
     }
-    if manifest.keep_nap:
-        nap = average_periodograms([spectral_ap(s.spectra) for s in sensed.sets])
+    if nap is not None:
         files["nap.csv"] = nap.write_csv
         summary["nmse_vs_nap"] = nmse(cap, nap) if np.any(nap.values) else None
     return _write_outputs(manifest, files, summary)

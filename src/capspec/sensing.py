@@ -6,6 +6,10 @@ the active cosets' DTFT values follow through the aliasing map C B.
 Every draw is a sensors-by-width block from a generator keyed by (run,
 group, role[, user]), so a group's spectra are reproducible from its keys
 alone and its first tau sensors do not depend on its sensor count.
+Unsynchronized users on uncorrelated bins share one draw per group: given
+the gains, the sum of their independent circular Gaussian terms is one
+circular Gaussian, so one block scaled by the root of its variance has
+the law of the per-user sum at a fraction of the draws.
 Synthesis keeps the spectra on request and derives full-rate records from
 them only when read; recorded ones go through ``extract_coset_observations``.
 """
@@ -34,15 +38,27 @@ def dbm_to_linear(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def _check_level(name: str, dbm: float) -> None:
+def _check_level(name: str, dbm: float, scale: float = 1.0, where: str = "") -> None:
     """A level in dB may be -inf (zero power), never NaN, +inf or so high
-    that its linear power overflows a float."""
+    that its linear power, times ``scale``, overflows a float.  Synthesis
+    multiplies powers by the grid size (and a user's by its path loss), so
+    a level is checked at that scale before anything is drawn."""
     try:
-        power = dbm_to_linear(dbm)
+        power = scale * dbm_to_linear(dbm)
     except OverflowError:
         power = math.inf
-    if math.isnan(power) or power == math.inf:
-        raise ValueError(f"{name} must be -inf or a level of finite power, got {dbm}")
+    if not math.isfinite(power):
+        raise ValueError(f"{name} must be -inf or a level of finite power{where}, got {dbm}")
+
+
+def _check_grid_levels(n_grid: int, name: str, dbm: float, losses=()) -> None:
+    """``_check_level`` at grid scale: n_grid times the linear power, and
+    that times each of the path losses ``losses``."""
+    where = f" at {n_grid} grid points"
+    _check_level(name, dbm, n_grid, where)
+    scale = n_grid * dbm_to_linear(dbm)
+    for loss in losses:
+        _check_level("path_loss_db", loss, scale, f"{where} with {name} {dbm}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +121,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.period < 1 or self.samples_per_coset < 1:
             raise ValueError("period and samples_per_coset must be positive")
-        _check_level("noise_dbm", self.noise_dbm)
+        _check_grid_levels(self.grid_size, "noise_dbm", self.noise_dbm)
+        for user in self.users:
+            _check_grid_levels(self.grid_size, "power_dbm", user.power_dbm, user.path_loss_db)
         if self.sync not in SYNC_MODES:
             raise ValueError(f"sync must be one of {SYNC_MODES}")
         if self.bin_mode not in BIN_MODES:
@@ -285,17 +303,23 @@ def synthesize_observations(
     symbol per sensor for correlated bins; one row for all sensors when
     synchronized) are CN(0, 1) blocks, each one ``standard_normal((sensors,
     width, 2))`` viewed as complex, keyed by (seed, role, group[, k]) or
-    (seed, shared role, k).  ``dtft`` is ``coset_dtft`` of X.
+    (seed, shared role, k).  For unsynchronized users on uncorrelated bins
+    the D_k are not drawn one by one: given the gains, sum_k G_k D_k shape_k
+    is CN(0, V) with V = sum_k |G_k|^2 |shape_k|^2 per sensor and point, so
+    one CN(0, 1) block keyed (seed, signal role, group), times sqrt(V),
+    has the same joint law; the gains and W keep their keys, and a group
+    without users draws no signal block.  ``dtft`` is ``coset_dtft`` of X.
     ``keep_full_rate`` keeps X as ``spectra``, from which ``full_rate``
     derives the records.  ``noise_levels`` (dBm, in place of
     ``config.noise_dbm``) returns one run per level, each adding its scaled
     W to the same user part, bit-identical to a call at that level.
+    Levels are checked at grid scale before anything is drawn.
     """
     levels = (config.noise_dbm,) if noise_levels is None else tuple(noise_levels)
-    for level in levels:
-        _check_level("noise_dbm", level)
-    key = config.seed if seed is None else seed
     n_grid = config.grid_size
+    for level in levels:
+        _check_grid_levels(n_grid, "noise_dbm", level)
+    key = config.seed if seed is None else seed
     warnings: list[str] = []
     if config.bin_mode == "uncorrelated":
         offenders = config.bin_width_violations()
@@ -318,23 +342,44 @@ def synthesize_observations(
     shared = None
     if config.sync == "synchronized":
         shared = [_standard_block(_rng(key, shared_role, k), 1, width) for k in range(len(shapes))]
+    # unsynchronized users on uncorrelated bins: one draw for all of a group's users
+    merged = bool(shapes) and shared is None and config.bin_mode == "uncorrelated"
+    powers = [np.abs(shape) ** 2 for shape in shapes] if merged else None
     scales = [_cn_scale(n_grid * dbm_to_linear(level)) for level in levels]
     # every group's draws are made into one buffer and shaped in place
     work = np.empty((sensors, n_grid), dtype=complex)
     buffer = work.view(float).reshape(-1)
+    # its two halves hold a merged draw's variance and one user's term of it
+    variance, term = buffer.reshape(2, sensors, n_grid)
     sets = [[] for _ in levels]
     for label, pattern, column in groups:
-        signal = np.zeros((sensors, n_grid), dtype=complex)
-        for k, user in enumerate(config.users):
-            gain = _standard_block(_rng(key, _R_FADING, label, k), sensors, 1)
-            gain *= _cn_scale(dbm_to_linear(user.path_loss_db[column]))
-            if shared is None:
-                draw = _standard_block(_rng(key, own_role, label, k), sensors, width, buffer)
-            else:
-                draw = shared[k]
-            np.multiply(draw, shapes[k], out=work)
-            work *= gain
-            signal += work
+        gains = [
+            _standard_block(_rng(key, _R_FADING, label, k), sensors, 1)
+            * _cn_scale(dbm_to_linear(user.path_loss_db[column]))
+            for k, user in enumerate(config.users)
+        ]
+        if merged:
+            # sum_k G_k D_k shape_k given the gains is CN(0, sum_k |G_k shape_k|^2)
+            np.multiply(np.abs(gains[0]) ** 2, powers[0], out=variance)
+            for gain, power in zip(gains[1:], powers[1:]):
+                np.multiply(np.abs(gain) ** 2, power, out=term)
+                variance += term
+            np.sqrt(variance, out=variance)
+            signal = np.empty((sensors, n_grid), dtype=complex)
+            _standard_block(
+                _rng(key, own_role, label), sensors, n_grid, signal.view(float).reshape(-1)
+            )
+            signal *= variance
+        else:
+            signal = np.zeros((sensors, n_grid), dtype=complex)
+            for k, gain in enumerate(gains):
+                if shared is None:
+                    draw = _standard_block(_rng(key, own_role, label, k), sensors, width, buffer)
+                else:
+                    draw = shared[k]
+                np.multiply(draw, shapes[k], out=work)
+                work *= gain
+                signal += work
         noise = _standard_block(_rng(key, _R_NOISE, label), sensors, n_grid, buffer)
         for i, (scale, level_sets) in enumerate(zip(scales, sets)):
             last = i == len(scales) - 1

@@ -6,11 +6,21 @@ repetition matrix T expands the N circulant lags to all N^2 covariance
 entries, and selection matrices C pick the active cosets.  Both LS
 systems have a diagonal normal matrix (Rc^T Rc = diag(gamma) for one
 pattern, with Rc = (C kron C) T; Psi^T Psi = diag(pair counts) for a
-family), so each design is solved by one real averaging operator, built
-here from index maps, that takes the column-major vectorized sample
-covariances to the N circulant lags.  Synthesis aliases bins into cosets
-with C B; the other dense builders (``dense_rc``, ``dense_psi``,
-``build_repetition_matrix``) materialize model matrices as test oracles.
+family), so each design is solved by one real averaging operator that
+takes the vectorized sample covariances to the N circulant lags: each
+lag is a weighted sum of the covariance entries that observe it.
+
+The designs keep that operator in index form: every covariance slot,
+counted in memory order over the stacked M x M matrices, sorted by the
+lag it observes (``slots``), with its weight (``weights``) and the
+start of each lag's run of slots (``starts``).  A solve is then a
+gather, an in-place scale and one ``np.add.reduceat``; it makes no
+matrix product, so no BLAS call, and no BLAS thread, is on the Monte
+Carlo path.  ``operator`` materializes the dense matrix from the index
+form for the variance propagation and the tests.  Synthesis aliases
+bins into cosets with C B; the other dense builders (``dense_rc``,
+``dense_psi``, ``build_repetition_matrix``) materialize model matrices
+as test oracles.
 """
 
 from __future__ import annotations
@@ -26,16 +36,25 @@ from .patterns import CosetPattern, PatternFamily
 class SystemMatrixRc:
     """Index form of the compressed system matrix.
 
-    The q-th vectorized covariance entry (q = M*col + row) observes lag
-    (marks[row] - marks[col]) mod N.  ``gamma[k]`` counts the entries
-    observing lag k; it is exactly the diagonal of Rc^T Rc.  ``operator``
-    is the M^2 x N averaging operator pinv(Rc)^T: row q holds 1/gamma[k]
-    in the column k of the lag that entry q observes, and zeros elsewhere.
+    Covariance entry (row, col) observes lag (marks[row] - marks[col])
+    mod N.  ``gamma[k]`` counts the entries observing lag k; it is
+    exactly the diagonal of Rc^T Rc.  ``slots`` lists the entries in lag
+    order by memory position M*row + col, each with the weight
+    1/gamma[k]; lag k's entries start at ``starts[k]``.
     """
 
     pattern: CosetPattern
     gamma: np.ndarray = field(repr=False, compare=False)
-    operator: np.ndarray = field(repr=False, compare=False)
+    slots: np.ndarray = field(repr=False, compare=False)
+    starts: np.ndarray = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def operator(self) -> np.ndarray:
+        """The M^2 x N averaging operator pinv(Rc)^T: row q = M*col + row of
+        the column-major vectorization holds 1/gamma[k] in the column k of
+        the lag that entry observes, and zeros elsewhere."""
+        return _materialize(self, self.pattern.size, self.pattern.period)
 
     @property
     def identifiable(self) -> bool:
@@ -51,16 +70,26 @@ class PsiMatrix:
     """Index form of the stacked per-group selection system.
 
     ``pair_counts[N*col + row]`` is the diagonal of Psi^T Psi: how many
-    groups observe the ordered coset pair (row, col).  ``operator`` is
-    the (Z M^2) x N averaging operator: row z*M^2 + M*mp + m routes the
-    covariance slot (m, mp) of group z to lag (marks[m] - marks[mp]) mod
-    N with weight 1/(N * pair count), so one product yields the mean of
-    each modular diagonal of the LS estimate of the N x N matrix.
+    groups observe the ordered coset pair (row, col).  Covariance slot
+    (m, mp) of group z, at memory position z*M^2 + M*m + mp of the
+    stacked matrices, observes lag (marks[m] - marks[mp]) mod N with
+    weight 1/(N * pair count), so the weighted sum over each lag's slots
+    is the mean of that modular diagonal of the LS estimate of the N x N
+    matrix.  ``slots``, ``starts`` and ``weights`` are in lag order, as
+    for ``SystemMatrixRc``.
     """
 
     family: PatternFamily
     pair_counts: np.ndarray = field(repr=False, compare=False)
-    operator: np.ndarray = field(repr=False, compare=False)
+    slots: np.ndarray = field(repr=False, compare=False)
+    starts: np.ndarray = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def operator(self) -> np.ndarray:
+        """The (Z M^2) x N averaging operator, rows in the column-major
+        vectorization z*M^2 + M*mp + m of each group's slot (m, mp)."""
+        return _materialize(self, self.family.patterns[0].size, self.family.period)
 
     @property
     def identifiable(self) -> bool:
@@ -106,10 +135,27 @@ def build_selection_matrix(pattern: CosetPattern) -> np.ndarray:
     return c
 
 
-def _averaging_operator(lags: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """Rows x N matrix with ``weights[q]`` in column ``lags[q]`` of row q."""
-    operator = np.zeros((lags.size, n))
-    operator[np.arange(lags.size), lags] = weights
+def _lag_index(lags: np.ndarray, weights: np.ndarray, n: int) -> dict:
+    """Index form of an averaging operator whose slot p (memory order)
+    observes lag ``lags[p]`` with weight ``weights[p]``: the slots sorted
+    by lag, memory order kept within a lag, their weights and each lag's
+    start."""
+    slots = np.argsort(lags, kind="stable")
+    starts = np.searchsorted(lags[slots], np.arange(n))
+    index = {"slots": slots, "starts": starts, "weights": weights[slots]}
+    for array in index.values():
+        array.setflags(write=False)
+    return index
+
+
+def _materialize(design, m: int, n: int) -> np.ndarray:
+    """Dense operator of an index form over stacked M x M blocks: memory
+    position z*M^2 + M*row + col becomes row z*M^2 + M*col + row."""
+    block, entry = np.divmod(design.slots, m * m)
+    row, col = np.divmod(entry, m)
+    lags = np.repeat(np.arange(n), np.diff(design.starts, append=design.slots.size))
+    operator = np.zeros((design.slots.size, n))
+    operator[block * m * m + col * m + row, lags] = design.weights
     operator.setflags(write=False)
     return operator
 
@@ -118,13 +164,13 @@ def build_system_matrix(pattern: CosetPattern) -> SystemMatrixRc:
     """Gamma diagonal and averaging operator of Rc = (C kron C) T."""
     n = pattern.period
     marks = np.asarray(pattern.marks)
-    # vec ordering is column-major (q = M*col + row), so entry q
-    # observes lag (marks[q % M] - marks[q // M]) mod N.
-    lags = ((marks[None, :] - marks[:, None]) % n).reshape(-1)
+    # memory position M*row + col observes lag (marks[row] - marks[col]) mod N
+    lags = ((marks[:, None] - marks[None, :]) % n).reshape(-1)
     gamma = np.bincount(lags, minlength=n)
-    operator = _averaging_operator(lags, 1.0 / gamma[lags], n)
     gamma.setflags(write=False)
-    return SystemMatrixRc(pattern=pattern, gamma=gamma, operator=operator)
+    return SystemMatrixRc(
+        pattern=pattern, gamma=gamma, **_lag_index(lags, 1.0 / gamma[lags], n)
+    )
 
 
 def dense_rc(pattern: CosetPattern) -> np.ndarray:
@@ -137,16 +183,16 @@ def dense_rc(pattern: CosetPattern) -> np.ndarray:
 def build_psi(family: PatternFamily) -> PsiMatrix:
     """Ordered-pair counts and averaging operator for a pattern family."""
     n = family.period
-    marks = np.array([pattern.marks for pattern in family.patterns])[:, None, :]
-    # Column-major slot (mp, m) of group z observes row marks[m] and
-    # column marks[mp] of the N x N matrix.
-    rows, cols = marks, marks.transpose(0, 2, 1)
+    marks = np.array([pattern.marks for pattern in family.patterns])
+    # Slot (m, mp) of group z, at memory position z*M^2 + M*m + mp,
+    # observes row marks[m] and column marks[mp] of the N x N matrix.
+    rows, cols = marks[:, :, None], marks[:, None, :]
     vec_index = (n * cols + rows).reshape(-1)
     pair_counts = np.bincount(vec_index, minlength=n * n)
-    lags = ((rows - cols) % n).reshape(-1)
-    operator = _averaging_operator(lags, 1.0 / (n * pair_counts[vec_index]), n)
     pair_counts.setflags(write=False)
-    return PsiMatrix(family=family, pair_counts=pair_counts, operator=operator)
+    lags = ((rows - cols) % n).reshape(-1)
+    weights = 1.0 / (n * pair_counts[vec_index])
+    return PsiMatrix(family=family, pair_counts=pair_counts, **_lag_index(lags, weights, n))
 
 
 def dense_psi(family: PatternFamily) -> np.ndarray:

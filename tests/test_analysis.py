@@ -1,5 +1,7 @@
 import os
+import sys
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from capspec.analysis import (
     DetectorSpec,
     IndependentSensorMoments,
+    _mc_run,
     analytical_gaussian_covariance,
     detection_blocks,
     dispatch_runs,
@@ -20,8 +23,14 @@ from capspec.analysis import (
     whitenoise_variance_closed_form,
     whitenoise_variance_report,
 )
-from capspec.estimator import IdentifiabilityError, estimate_multicluster, reconstruct_cap
+from capspec.estimator import (
+    IdentifiabilityError,
+    estimate_correlated_bins,
+    estimate_multicluster,
+    reconstruct_cap,
+)
 from capspec.patterns import CosetPattern
+from capspec.scenarios import load_fixture
 from capspec.sensing import (
     CosetObservationSet,
     ScenarioConfig,
@@ -96,6 +105,28 @@ class TestGaussianCovariance:
         want = l_per**2 * sigma2**2 / tau * np.eye(25)
         scale = l_per**2 * sigma2**2 / tau
         assert np.max(np.abs(sigma - want)) / scale < 1e-12
+
+    @pytest.mark.parametrize("tau", [1, 3, 10])
+    def test_matches_the_sum_over_all_sensor_pairs(self, rng, tau):
+        # the reference sums the fourth-moment term over all tau^2 sensor
+        # pairs, the cross moments of distinct sensors being zero
+        pattern = CosetPattern(6, (0, 1, 3))
+        n, m_cnt = pattern.period, pattern.size
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        moments = IndependentSensorMoments(a @ a.conj().T)
+
+        def cross(t, tp):
+            return moments.bin_covariance if t == tp else np.zeros((n, n))
+
+        w = np.exp(2j * np.pi * np.outer(pattern.marks, np.arange(n)) / n)
+        term = np.zeros((m_cnt,) * 4, dtype=complex)
+        for t in range(tau):
+            for tp in range(tau):
+                f1 = w @ cross(t, tp) @ w.conj().T
+                term += np.einsum("ma,bc->mabc", f1, f1.conj())
+        want = term.transpose(2, 0, 3, 1).reshape(m_cnt**2, m_cnt**2) / (n**4 * tau**2)
+        got = analytical_gaussian_covariance(moments, pattern, tau)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_tau_scaling(self, ruler18):
         moments = IndependentSensorMoments(18 * 5 * 1.0 * np.eye(18))
@@ -288,6 +319,35 @@ def _fail_first(marks, run):
     if run == 0:
         raise ValueError("run 0 failed")
     time.sleep(0.2)
+
+
+def _threads_after(fn, *args):
+    fn(*args)
+    return len(os.listdir("/proc/self/task"))
+
+
+def _correlated_bins_cap(config, seed):
+    estimate_correlated_bins(synthesize_observations(config, seed=seed).sets)
+
+
+class TestWorkerThreads:
+    # A worker forked like those of ``dispatch_runs`` starts with one thread.
+    # A BLAS product large enough for OpenBLAS to split would start its
+    # helper thread, which then spins on a core the other worker needs; no
+    # step of a CAP-UB run or of a CAP-CB solve may make one.
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+        reason="reads /proc/self/task; OpenBLAS starts no helper on one CPU",
+    )
+    def test_a_worker_run_starts_no_blas_thread(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        table2 = replace(load_fixture("table2.ini"), sensors_per_cluster=2)
+        table5 = replace(load_fixture("table5.ini"), sensors_per_group=2)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(_threads_after, _mc_run, table2, 11, 0).result() == 1
+            cap_cb = pool.submit(_threads_after, _correlated_bins_cap, table5, (11, 0))
+            assert cap_cb.result() == 1
 
 
 class TestDispatchRuns:

@@ -322,6 +322,26 @@ BAD_INPUTS = {
         + "\n[sweep]\ntau = 3\nsigma2_dbm = 7,4000\npatterns = 0,1,3\n",
         "sigma2_dbm",
     ),
+    # linear powers that are finite but overflow once multiplied by the 120 grid points
+    "noise_dbm overflowing at grid scale": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\nkeep_nap = false\n"
+        + SMALL_SCENARIO.replace("noise_dbm = 0", "noise_dbm = 3080"),
+        "noise_dbm",
+    ),
+    "power_dbm overflowing at grid scale": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\nkeep_nap = false\n"
+        + SMALL_SCENARIO.replace("power_dbm = 14", "power_dbm = 3080"),
+        "power_dbm",
+    ),
+    # the spectra are finite, their squares in the sample covariance are not
+    "noise_dbm overflowing the covariance": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\nkeep_nap = false\n"
+        + SMALL_SCENARIO.replace("noise_dbm = 0", "noise_dbm = 3060"),
+        "CAP-UB values are not finite",
+    ),
     # the periodograms are finite, their squared sums in the NMSE are not
     "user power overflowing the NMSE": (
         "reconstruct",

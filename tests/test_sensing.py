@@ -295,11 +295,62 @@ class TestSynthesize:
             agg_z = (level.mean() - want.mean()) / (level.std(ddof=1) / np.sqrt(runs))
             assert abs(agg_z) < 4.0, (g, agg_z)
 
+    def test_fourth_moments_match_gaussian_fading(self):
+        # Unsynchronized sensors on uncorrelated bins: given the fading gains,
+        # X_i is CN(0, V_i) with V_i = sum_k |G_k|^2 |shape_k(i)|^2 + c, and
+        # |G_k|^2 is exponential, so with a_k(i) = E|X_i|^2 from user k,
+        # A_i = sum_k a_k(i) and c the noise part,
+        #   E|X_i|^2 |X_j|^2 = (1 + [i = j]) ((A_i + c)(A_j + c) + sum_k a_k(i) a_k(j)).
+        # At i = j this is E|X_i|^4 = 2 ((A_i + c)^2 + sum_k a_k(i)^2).  One
+        # point alone has the same law whether a gain is drawn per sensor or
+        # per grid point; the products across points of one band (the sum_k
+        # term) tell the two apart, and those across two bands check that the
+        # users fade independently.  Sensors are independent, so the standard
+        # errors come from the per-sensor values.  Seed (43, 0) and a bound of
+        # 5 standard errors on every statistic were fixed before any result.
+        users = (
+            UserSpec(band=(0.2, 0.35), power_dbm=6.0, path_loss_db=(-2.0,)),
+            UserSpec(band=(0.9, 0.05), power_dbm=3.0, path_loss_db=(-4.0,)),
+        )
+        config = ScenarioConfig(
+            period=6, samples_per_coset=20, users=users, noise_dbm=-1.0,
+            pattern=CosetPattern(6, (0, 1, 3)), sensors_per_cluster=4000,
+        )
+        n_grid = config.grid_size
+        run = synthesize_observations(config, seed=(43, 0), keep_full_rate=True)
+        power = np.abs(run.sets[0].spectra) ** 2                 # (sensors, grid)
+        sensors = power.shape[0]
+        a = np.array([
+            dbm_to_linear(u.path_loss_db[0])
+            * np.abs(_user_shape(u, n_grid, "uncorrelated")) ** 2
+            for u in users
+        ])                                                       # (users, grid)
+        total = a.sum(axis=0) + n_grid * dbm_to_linear(config.noise_dbm)
+        product = np.outer(total, total) + a.T @ a               # E|X_i|^2 |X_j|^2, i != j
+
+        def z_score(samples, want):
+            return (samples.mean() - want) / (samples.std(ddof=1) / np.sqrt(sensors))
+
+        diagonal = [z_score(power[:, i] ** 2, 2 * product[i, i]) for i in range(n_grid)]
+        assert np.max(np.abs(diagonal)) < 5.0, np.max(np.abs(diagonal))
+        bands = [np.flatnonzero(row >= 0.5 * row.max()) for row in a]
+        for band in bands:
+            in_band = power[:, band]
+            pairs = in_band.sum(axis=1) ** 2 - (in_band**2).sum(axis=1)
+            block = product[np.ix_(band, band)]
+            z = z_score(pairs, block.sum() - np.trace(block))
+            assert abs(z) < 5.0, z
+        across = power[:, bands[0]].sum(axis=1) * power[:, bands[1]].sum(axis=1)
+        z = z_score(across, product[np.ix_(bands[0], bands[1])].sum())
+        assert abs(z) < 5.0, z
+
 
 def rebuilt_spectra(config, key, g):
     """Group g's sensors x grid spectra straight from its block streams:
     noise plus, per user, fading gain times draw times the user's shape, in
-    the arithmetic order of the synthesis; no other group is synthesized."""
+    the arithmetic order of the synthesis; no other group is synthesized.
+    Unsynchronized users on uncorrelated bins share one draw, scaled by the
+    root of the sum of their |gain * shape|^2."""
     n_grid = config.grid_size
     if config.bin_mode == "uncorrelated":
         sensors, width, column = config.sensors_per_cluster, n_grid, g
@@ -307,16 +358,24 @@ def rebuilt_spectra(config, key, g):
     else:
         sensors, width, column = config.sensors_per_group, 1, 0
         own_role, shared_role = _R_SYMBOL, _R_SHARED_SYMBOL
+    merged = config.sync == "unsynchronized" and config.bin_mode == "uncorrelated"
     signal = np.zeros((sensors, n_grid), dtype=complex)
+    variance = np.zeros((sensors, n_grid))
     for k, user in enumerate(config.users):
         gain = _standard_block(_rng(key, _R_FADING, g, k), sensors, 1)
         gain = gain * _cn_scale(dbm_to_linear(user.path_loss_db[column]))
+        if merged:
+            shape = _cn_scale(1.0) * _user_shape(user, n_grid, config.bin_mode)
+            variance = variance + np.abs(gain) ** 2 * np.abs(shape) ** 2
+            continue
         if config.sync == "synchronized":
             draw = _standard_block(_rng(key, shared_role, k), 1, width)
         else:
             draw = _standard_block(_rng(key, own_role, g, k), sensors, width)
         shape = _cn_scale(1.0) * _user_shape(user, n_grid, config.bin_mode)
         signal = signal + draw * shape * gain
+    if merged and config.users:
+        signal = _standard_block(_rng(key, own_role, g), sensors, n_grid) * np.sqrt(variance)
     noise = _standard_block(_rng(key, _R_NOISE, g), sensors, n_grid)
     return signal + noise * _cn_scale(n_grid * dbm_to_linear(config.noise_dbm))
 
