@@ -20,6 +20,7 @@ from .estimator import NAP, Periodogram, estimate_multicluster
 from .patterns import CosetPattern
 from .sensing import (
     ScenarioConfig,
+    _check_band,
     band_grid_indices,
     dbm_to_linear,
     synthesize_observations,
@@ -169,9 +170,11 @@ def dispatch_runs(one, runs: int, workers: int = 1) -> list:
 
 
 def _mc_run(config: ScenarioConfig, seed: int, run: int) -> np.ndarray:
-    """Run ``run`` of ``mc_caps``: its averaged CAP."""
-    sensed = synthesize_observations(config, seed=(seed, run))
-    _, averaged = estimate_multicluster(sensed.sets)
+    """Run ``run`` of ``mc_caps``: its averaged CAP, refused if not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sensed = synthesize_observations(config, seed=(seed, run))
+        _, averaged = estimate_multicluster(sensed.sets)
+    averaged.require_finite()
     return averaged.values
 
 
@@ -236,7 +239,8 @@ class DetectorSpec:
     blocks inside the active bands, false alarms on blocks inside the
     quiet bands.  ``points_per_band`` trims each active band to a fixed
     number of centered grid points (a multiple of ``avg_width``).  A band
-    holds the grid points of [lo, hi); lo > hi wraps around 1.
+    holds the grid points of [lo, hi), 0 <= lo < 1, 0 <= hi <= 1; lo > hi
+    wraps around 1.
     """
 
     active_bands: tuple[tuple[float, float], ...]
@@ -252,6 +256,9 @@ class DetectorSpec:
             points = getattr(self, key)
             if points is not None and points < 1:
                 raise ValueError(f"{key} must be positive, got {points}")
+        for key in ("active_bands", "quiet_bands"):
+            for band in getattr(self, key):
+                _check_band(key, band)
         for active in self.active_bands:
             for quiet in self.quiet_bands:
                 if any(

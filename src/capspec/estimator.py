@@ -61,6 +61,14 @@ class Periodogram:
     def negative_count(self) -> int:
         return int(np.sum(self.values < 0.0))
 
+    def require_finite(self) -> None:
+        """Refuse values that finite powers overflowed, e.g. in a covariance."""
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError(
+                f"{self.estimator} values are not finite: the scenario's powers "
+                "overflow a float"
+            )
+
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write("theta,value,estimator,run_id\n")

@@ -12,8 +12,9 @@ pair of cosets.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -212,67 +213,43 @@ def exhaustive_minimal_ruler(n: int) -> CosetPattern:
     raise AssertionError("unreachable: the full mark set is always complete")
 
 
-def _pairs_of(marks: tuple[int, ...]) -> set[tuple[int, int]]:
-    return {(a, b) for a, b in itertools.combinations(sorted(marks), 2)}
-
-
 def design_pair_cover_family(n: int, m: int) -> PatternFamily:
     """Build patterns of ``m`` cosets jointly covering all unordered pairs.
 
-    Round by round, a candidate pattern is grown element-greedily from
-    every possible starting coset; the candidate closing the most
-    still-uncovered pairs wins the round (earliest start breaks ties, so
-    the output is deterministic).  Rounds repeat until every pair of
-    {0..n-1} appears in some pattern.  The group count Z is minimized
-    greedily, not provably.
+    ``uncovered`` is the symmetric n x n boolean matrix of the pairs no
+    pattern holds yet; a coset's residual frequency is its row sum.  Each
+    round grows a candidate from every start coset of frequency above 0 at
+    once, each step adding the coset of largest key (gain, frequency,
+    -index), packed as ``(gain*n + freq)*n + (n-1-c)``: the gain, the
+    uncovered pairs a coset closes with the candidate, is ``chosen @
+    uncovered``, and chosen cosets are masked to -1.  The candidate closing
+    the most pairs (c U c^T / 2) wins, the earliest start breaking ties, and
+    its pairs are cleared.  Only bool and int64 arrays are used, so no BLAS
+    call is made.  The group count Z is minimized greedily, not provably.
     """
     if m < 2:
         raise ValueError(f"need at least 2 marks per pattern to cover a pair, got {m}")
     if m > n:
         raise ValueError(f"marks per pattern {m} exceeds period {n}")
 
-    uncovered: set[tuple[int, int]] = {
-        (a, b) for a, b in itertools.combinations(range(n), 2)
-    }
+    uncovered = ~np.eye(n, dtype=bool)
+    low_index_first = np.arange(n - 1, -1, -1, dtype=np.int64)
     patterns: list[CosetPattern] = []
-    while uncovered:
-        freq = Counter()
-        for a, b in uncovered:
-            freq[a] += 1
-            freq[b] += 1
-        best_pattern, best_gain = None, -1
-        for start in range(n):
-            if freq[start] == 0:
-                continue
-            candidate = _greedy_pattern(n, m, uncovered, freq, start)
-            gain = len(_pairs_of(candidate) & uncovered)
-            if gain > best_gain:
-                best_pattern, best_gain = candidate, gain
-        if best_pattern is None or best_gain == 0:
+    while uncovered.any():
+        freq = uncovered.sum(axis=1, dtype=np.int64)
+        starts = np.flatnonzero(freq)
+        rows = np.arange(len(starts))
+        chosen = np.zeros((len(starts), n), dtype=np.int64)
+        chosen[rows, starts] = 1
+        for _ in range(m - 1):
+            key = ((chosen @ uncovered) * n + freq) * n + low_index_first
+            key[chosen == 1] = -1
+            chosen[rows, key.argmax(axis=1)] = 1
+        gains = ((chosen @ uncovered) * chosen).sum(axis=1) // 2
+        best = int(gains.argmax())
+        if gains[best] == 0:
             raise AssertionError("greedy round covered nothing; pair set inconsistent")
-        uncovered -= _pairs_of(best_pattern)
-        patterns.append(CosetPattern(n, best_pattern))
+        marks = np.flatnonzero(chosen[best])
+        uncovered[np.ix_(marks, marks)] = False
+        patterns.append(CosetPattern(n, tuple(marks.tolist())))
     return PatternFamily(period=n, patterns=tuple(patterns))
-
-
-def _greedy_pattern(
-    n: int,
-    m: int,
-    uncovered: set[tuple[int, int]],
-    freq: Counter,
-    start: int,
-) -> tuple[int, ...]:
-    """Grow a pattern from ``start``, adding the coset that closes the most
-    uncovered pairs (residual pair frequency, then lowest index, on ties)."""
-    chosen = [start]
-    while len(chosen) < m:
-        best, best_key = -1, (-1, -1, 0)
-        for c in range(n):
-            if c in chosen:
-                continue
-            gain = sum(1 for x in chosen if (min(c, x), max(c, x)) in uncovered)
-            key = (gain, freq[c], -c)
-            if key > best_key:
-                best, best_key = c, key
-        chosen.append(best)
-    return tuple(sorted(chosen))

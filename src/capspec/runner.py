@@ -260,15 +260,11 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
             _, cap = estimate_multicluster(sensed.sets)
         else:
             cap = estimate_correlated_bins(sensed.sets)
+        cap.require_finite()
         nap = None
         if manifest.keep_nap:
             nap = average_periodograms([spectral_ap(s.spectra) for s in sensed.sets])
-    for estimate in (cap, nap):
-        if estimate is not None and not np.all(np.isfinite(estimate.values)):
-            raise ValueError(
-                f"{estimate.estimator} values are not finite: the scenario's powers "
-                "overflow a float"
-            )
+            nap.require_finite()
     files = {"cap.csv": cap.write_csv}
     summary = {
         "estimator": cap.estimator,

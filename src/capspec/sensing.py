@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .patterns import CosetPattern, PatternFamily
-from .structure import build_modulation_matrix, build_selection_matrix
+from .structure import build_modulation_matrix
 
 FILTER_TAPS = 200
 
@@ -61,14 +61,23 @@ def _check_grid_levels(n_grid: int, name: str, dbm: float, losses=()) -> None:
         _check_level("path_loss_db", loss, scale, f"{where} with {name} {dbm}")
 
 
+def _check_band(name: str, band: tuple[float, float]) -> None:
+    """Refuse a band whose edges leave [0, 1]: only lo > hi wraps around 1."""
+    lo, hi = band
+    if not (0.0 <= lo < 1.0 and 0.0 <= hi <= 1.0):
+        raise ValueError(
+            f"{name} {band} needs 0 <= lo < 1 and 0 <= hi <= 1 (lo > hi wraps around 1)"
+        )
+
+
 @dataclass(frozen=True)
 class UserSpec:
     """One active user: an occupied band and its transmit power density.
 
-    ``band`` is (lo, hi) in normalized frequency on [0, 1); lo > hi means
-    the band wraps around 1.  ``power_dbm`` is the in-band power density
-    per unit normalized frequency.  ``path_loss_db`` holds one gain per
-    cluster.
+    ``band`` is (lo, hi) in normalized frequency, 0 <= lo < 1 and
+    0 <= hi <= 1; lo > hi means the band wraps around 1.  ``power_dbm`` is
+    the in-band power density per unit normalized frequency.
+    ``path_loss_db`` holds one gain per cluster.
     """
 
     band: tuple[float, float]
@@ -80,8 +89,7 @@ class UserSpec:
         object.__setattr__(
             self, "path_loss_db", tuple(float(p) for p in self.path_loss_db)
         )
-        if not all(map(math.isfinite, self.band)):
-            raise ValueError(f"band {self.band} has a non-finite edge")
+        _check_band("band", self.band)
         _check_level("power_dbm", self.power_dbm)
         for loss in self.path_loss_db:
             _check_level("path_loss_db", loss)
@@ -263,8 +271,9 @@ def _user_shape(spec: UserSpec, n_grid: int, bin_mode: str) -> np.ndarray:
 
 def coset_dtft(spectra: np.ndarray, pattern: CosetPattern) -> np.ndarray:
     """Coset DTFT values of sensors x grid spectra X, as in
-    ``CosetObservationSet.dtft``: C B times X's bin vector at each point."""
-    coset_map = build_selection_matrix(pattern) @ build_modulation_matrix(pattern.period)
+    ``CosetObservationSet.dtft``: C B times X's bin vector at each point,
+    with C B taken as the rows of B at the marks."""
+    coset_map = build_modulation_matrix(pattern.period)[list(pattern.marks)]
     return coset_map @ spectra.reshape(spectra.shape[0], pattern.period, -1)
 
 

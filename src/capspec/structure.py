@@ -18,9 +18,10 @@ gather, an in-place scale and one ``np.add.reduceat``; it makes no
 matrix product, so no BLAS call, and no BLAS thread, is on the Monte
 Carlo path.  ``operator`` materializes the dense matrix from the index
 form for the variance propagation and the tests.  Synthesis aliases
-bins into cosets with C B; the other dense builders (``dense_rc``,
-``dense_psi``, ``build_repetition_matrix``) materialize model matrices
-as test oracles.
+bins into cosets with C B, taken as the rows of B at the marks; the
+dense builders ``build_selection_matrix``, ``build_repetition_matrix``,
+``dense_rc`` and ``dense_psi`` materialize model matrices for the test
+oracles.
 """
 
 from __future__ import annotations

@@ -52,10 +52,13 @@ class TestDesignCommands:
         assert "cardinality=4" in out
 
     def test_design_family(self, capsys):
-        assert main(["design-family", "--period", "5", "--marks", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "groups=4" in out
-        assert "pair-coverage=complete" in out
+        # (40, 14) is the family of the table5 fixture
+        for period, marks, groups in ((5, 3, 4), (40, 14, 12)):
+            command = ["design-family", "--period", str(period), "--marks", str(marks)]
+            assert main(command) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert sum(line.endswith("  member") for line in lines) == groups
+            assert lines[-1] == f"groups={groups}  pair-coverage=complete"
 
     def test_inspect_pattern(self, capsys):
         assert main(["inspect-pattern", "--period", "18", "--marks", "0,1,4,7,9"]) == 0
@@ -348,6 +351,27 @@ BAD_INPUTS = {
         "[experiment]\nkind = reconstruct\noutput = OUT\n"
         + SMALL_SCENARIO.replace("power_dbm = 14", "power_dbm = 1600"),
         "not finite",
+    ),
+    # the same overflow on the Monte Carlo path of a roc run
+    "roc setting overflowing the covariance": (
+        "roc",
+        "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\nsettings = 6,3060\n" + DETECTOR,
+        "CAP-UB values are not finite",
+    ),
+    # bands wrap only through lo > hi, with both edges inside [0, 1]
+    "user band below 0": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO.replace("band = 0.2,0.3", "band = -0.1,0.1"),
+        "band",
+    ),
+    "active band above 1": (
+        "roc",
+        "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\nsettings = 6,0\n"
+        + DETECTOR.replace("active_bands = 0.2,0.3", "active_bands = 0.9,1.3"),
+        "active_bands",
     ),
     "repeated roc setting": (
         "roc",

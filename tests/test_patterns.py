@@ -153,6 +153,49 @@ class TestPairCoverFamily:
         assert build_psi(family).identifiable
         assert family.size <= 12
 
+    @pytest.mark.parametrize(
+        "n, m, marks",
+        [
+            (
+                40,
+                14,
+                [
+                    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
+                    (0, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26),
+                    (0, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39),
+                    (1, 2, 3, 4, 5, 14, 15, 16, 17, 18, 27, 28, 29, 30),
+                    (1, 6, 7, 8, 9, 19, 20, 21, 22, 23, 31, 32, 33, 34),
+                    (2, 10, 11, 12, 13, 19, 24, 25, 26, 35, 36, 37, 38, 39),
+                    (6, 7, 8, 9, 14, 15, 16, 17, 18, 35, 36, 37, 38, 39),
+                    (3, 10, 11, 12, 13, 14, 15, 16, 17, 18, 31, 32, 33, 34),
+                    (4, 10, 11, 12, 13, 20, 21, 22, 23, 24, 27, 28, 29, 30),
+                    (1, 2, 3, 4, 5, 20, 21, 22, 23, 35, 36, 37, 38, 39),
+                    (5, 6, 7, 8, 9, 19, 24, 25, 26, 27, 28, 29, 30, 31),
+                    (0, 1, 2, 3, 4, 5, 19, 24, 25, 26, 31, 32, 33, 34),
+                ],
+            ),
+            (
+                18,
+                5,
+                [
+                    (0, 1, 2, 3, 4), (0, 5, 6, 7, 8), (0, 9, 10, 11, 12),
+                    (0, 13, 14, 15, 16), (1, 5, 9, 13, 17), (2, 6, 10, 14, 17),
+                    (3, 7, 11, 15, 17), (4, 8, 12, 16, 17), (1, 2, 6, 11, 16),
+                    (1, 4, 7, 10, 13), (1, 3, 8, 9, 14), (1, 2, 5, 12, 15),
+                    (3, 4, 5, 10, 16), (3, 6, 9, 12, 13), (2, 4, 7, 9, 16),
+                    (2, 8, 11, 13, 14), (4, 6, 8, 10, 15), (4, 5, 7, 11, 14),
+                    (0, 7, 12, 14, 17), (0, 1, 2, 9, 15),
+                ],
+            ),
+            (5, 3, [(0, 1, 2), (0, 3, 4), (1, 2, 3), (1, 2, 4)]),
+        ],
+    )
+    def test_pinned_marks(self, n, m, marks):
+        # the greedy's exact output, order included: seeded CAP-CB outputs
+        # depend on every mark of every group
+        family = design_pair_cover_family(n, m)
+        assert [p.marks for p in family.patterns] == marks
+
     def test_verifier_accepts_handbuilt_cover(self):
         patterns = tuple(
             CosetPattern(5, marks)
