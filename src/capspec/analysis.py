@@ -106,14 +106,20 @@ def propagate_variance(
 
     Chains the LS solve (the system matrix's averaging operator), the
     circulant expansion, and the de-modulation, whose diagonal reduces to
-    a quadratic form in the lag-domain covariance.
+    a quadratic form in the lag-domain covariance.  The solve is applied
+    in index form on both sides; a lag that no slot observes gets zero.
     """
-    n = sysmat.pattern.period
-    op = sysmat.operator
-    m2 = op.shape[0]
-    if sigma_ry.shape != (m2, m2):
-        raise ValueError(f"expected {(m2, m2)} covariance, got {sigma_ry.shape}")
-    sigma_lag = op.T @ sigma_ry @ op
+    n, m = sysmat.pattern.period, sysmat.pattern.size
+    if sigma_ry.shape != (m * m, m * m):
+        raise ValueError(f"expected {(m * m, m * m)} covariance, got {sigma_ry.shape}")
+    # slot M*row + col is entry M*col + row of the column-major vectorization
+    vec = sysmat.slots % m * m + sysmat.slots // m
+    weighted = sigma_ry[np.ix_(vec, vec)] * np.outer(sysmat.weights, sysmat.weights)
+    observed = np.diff(sysmat.starts, append=vec.size) > 0
+    starts = sysmat.starts[observed]
+    sigma_lag = np.zeros((n, n), dtype=weighted.dtype)
+    by_row_lag = np.add.reduceat(weighted, starts, axis=0)
+    sigma_lag[np.ix_(observed, observed)] = np.add.reduceat(by_row_lag, starts, axis=1)
     bins = np.arange(n)
     phase = np.exp(2j * np.pi * np.outer(bins, bins) / n)   # phase[i, k]
     n_grid = n * samples_per_coset

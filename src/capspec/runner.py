@@ -288,14 +288,15 @@ def _nmse_run(
     )
     scores = {}
     for sigma, sensed in zip(sweep.sigmas_dbm, levels):
-        spectra = [s.spectra for s in sensed.sets]
         for tau in sweep.taus:
-            nap = average_periodograms([spectral_ap(x[:tau]) for x in spectra])
+            nap = average_periodograms([spectral_ap(s.spectra[:tau]) for s in sensed.sets])
             for pattern in sweep.patterns:
-                obs = [
-                    CosetObservationSet(pattern, coset_dtft(x[:tau], pattern), label=d)
-                    for d, x in enumerate(spectra)
+                # synthesis has aliased the spectra into the scenario's own cosets
+                dtfts = [
+                    s.dtft[:tau] if pattern == s.pattern else coset_dtft(s.spectra[:tau], pattern)
+                    for s in sensed.sets
                 ]
+                obs = [CosetObservationSet(pattern, y, label=d) for d, y in enumerate(dtfts)]
                 _, cap = estimate_multicluster(obs)
                 scores[pattern, tau, sigma] = nmse(cap, nap)
     return [scores[combo] for combo in combos]
@@ -402,25 +403,24 @@ def run_variance_check(manifest: ExperimentManifest) -> dict:
     )
 
 
-def _timed(fn, min_time: float = 0.05, batches: int = 5) -> float:
-    """Median per-call seconds, batching calls until a batch is measurable."""
-    fn()
-    reps = 1
-    while True:
-        start = time.perf_counter()
-        for _ in range(reps):
-            fn()
-        elapsed = time.perf_counter() - start
-        if elapsed >= min_time:
-            break
-        reps *= 2
-    samples = []
-    for _ in range(batches):
-        start = time.perf_counter()
-        for _ in range(reps):
-            fn()
-        samples.append((time.perf_counter() - start) / reps)
-    return float(np.median(samples))
+def _per_call(fn, count: int) -> float:
+    start = time.perf_counter()
+    for _ in range(count):
+        fn()
+    return (time.perf_counter() - start) / count
+
+
+def _timed(fns, min_time: float = 0.05, batches: int = 5) -> list[float]:
+    """Median per-call seconds of each function, batching its calls until a
+    batch is measurable.  The functions' batches alternate, so a drift in
+    the host's speed reaches every function alike, not one side of a ratio."""
+    reps = [1] * len(fns)
+    for i, fn in enumerate(fns):
+        fn()
+        while _per_call(fn, reps[i]) * reps[i] < min_time:
+            reps[i] *= 2
+    rounds = [[_per_call(fn, count) for fn, count in zip(fns, reps)] for _ in range(batches)]
+    return [float(np.median(times)) for times in zip(*rounds)]
 
 
 class BenchGateError(RuntimeError):
@@ -437,18 +437,17 @@ def run_bench(manifest: ExperimentManifest) -> dict:
     """
     config = manifest.scenario
     taus = sorted(manifest.sweep.taus)
-    stages: dict[int, dict[str, float]] = {}
+    fns = []
     for tau in taus:
         cfg = replace(config, sensors_per_cluster=tau)
-        sensed = synthesize_observations(cfg, seed=(manifest.seed, 0))
-        obs = sensed.sets[0]
+        obs = synthesize_observations(cfg, seed=(manifest.seed, 0)).sets[0]
         stack = sample_covariance(obs)
-        stages[tau] = {
-            "covariance_s": _timed(lambda: sample_covariance(obs)),
-            "reconstruction_s": _timed(
-                lambda: assemble_cap(ls_reconstruct_rbar(stack))
-            ),
-        }
+        fns += [
+            partial(sample_covariance, obs),
+            lambda stack=stack: assemble_cap(ls_reconstruct_rbar(stack)),
+        ]
+    times = iter(_timed(fns))
+    stages = {tau: {"covariance_s": next(times), "reconstruction_s": next(times)} for tau in taus}
     checks = {}
     for lo, hi in zip(taus, taus[1:]):
         expected = hi / lo

@@ -4,14 +4,12 @@ Each sensor's Nyquist-grid spectrum is white noise plus, per user, a
 fading gain times a random draw times the user's fixed spectral shape;
 the active cosets' DTFT values follow through the aliasing map C B.
 Every draw is a sensors-by-width block from a generator keyed by (run,
-group, role[, user]), so a group's spectra are reproducible from its keys
+group, role[, user]), so a group's outputs are reproducible from its keys
 alone and its first tau sensors do not depend on its sensor count.
-Unsynchronized users on uncorrelated bins share one draw per group: given
-the gains, the sum of their independent circular Gaussian terms is one
-circular Gaussian, so one block scaled by the root of its variance has
-the law of the per-user sum at a fraction of the draws.
-Synthesis keeps the spectra on request and derives full-rate records from
-them only when read; recorded ones go through ``extract_coset_observations``.
+Synthesis makes only what the coset DTFTs read, the noise at the marks
+and K user rows times per-sensor values, except for the one full-grid
+draw that unsynchronized users on uncorrelated bins share per group.
+Spectra are built on request, and records are derived from them.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ BIN_MODES = ("uncorrelated", "correlated")
 
 # role codes for RNG keying
 _R_SIGNAL, _R_SHARED_SIGNAL, _R_FADING, _R_NOISE, _R_SYMBOL, _R_SHARED_SYMBOL = range(1, 7)
+_R_OFF_MARK_NOISE = 7
 
 
 def dbm_to_linear(dbm: float) -> float:
@@ -274,7 +273,8 @@ def coset_dtft(spectra: np.ndarray, pattern: CosetPattern) -> np.ndarray:
     ``CosetObservationSet.dtft``: C B times X's bin vector at each point,
     with C B taken as the rows of B at the marks."""
     coset_map = build_modulation_matrix(pattern.period)[list(pattern.marks)]
-    return coset_map @ spectra.reshape(spectra.shape[0], pattern.period, -1)
+    sensors, n_grid = spectra.shape
+    return coset_map @ spectra.reshape(sensors, pattern.period, n_grid // pattern.period)
 
 
 def extract_coset_observations(
@@ -293,6 +293,12 @@ def extract_coset_observations(
     return CosetObservationSet(pattern=pattern, dtft=dtft, label=label)
 
 
+def _plus_scaled(part: np.ndarray, noise: np.ndarray, scale: float, last: bool) -> np.ndarray:
+    """part + noise * scale, made in ``part`` and ``noise`` for the last level."""
+    scaled = np.multiply(noise, scale, out=noise if last else None)
+    return np.add(part, scaled, out=part if last else scaled)
+
+
 def synthesize_observations(
     config: ScenarioConfig,
     seed=None,
@@ -305,27 +311,28 @@ def synthesize_observations(
 
     ``seed`` overrides ``config.seed`` and may be a tuple, which lets Monte
     Carlo drivers key whole runs.  A group's sensors x grid spectra are
-    X = sqrt(n sigma2) W + sum_k G_k D_k shape_k, the same in distribution
-    as the time-domain model because the FFT of white CN(0, p) samples is
-    white CN(0, n p).  W (noise), G_k (fading, one per sensor, times the
-    root of the linear path loss) and D_k (one per grid point, or one
-    symbol per sensor for correlated bins; one row for all sensors when
-    synchronized) are CN(0, 1) blocks, each one ``standard_normal((sensors,
-    width, 2))`` viewed as complex, keyed by (seed, role, group[, k]) or
-    (seed, shared role, k).  For unsynchronized users on uncorrelated bins
-    the D_k are not drawn one by one: given the gains, sum_k G_k D_k shape_k
-    is CN(0, V) with V = sum_k |G_k|^2 |shape_k|^2 per sensor and point, so
-    one CN(0, 1) block keyed (seed, signal role, group), times sqrt(V),
-    has the same joint law; the gains and W keep their keys, and a group
-    without users draws no signal block.  ``dtft`` is ``coset_dtft`` of X.
-    ``keep_full_rate`` keeps X as ``spectra``, from which ``full_rate``
-    derives the records.  ``noise_levels`` (dBm, in place of
-    ``config.noise_dbm``) returns one run per level, each adding its scaled
-    W to the same user part, bit-identical to a call at that level.
-    Levels are checked at grid scale before anything is drawn.
+    X = sqrt(n sigma2) W + sum_k G_k D_k shape_k: G_k (fading, one per
+    sensor, times the root of the linear path loss) and D_k (one per grid
+    point, or one symbol per sensor for correlated bins; one row for all
+    sensors when synchronized) are CN(0, 1) blocks ``standard_normal((rows,
+    width, 2))`` keyed by (seed, role, group[, k]) or (seed, shared role, k).
+    Unsynchronized users on uncorrelated bins share one block keyed (seed,
+    signal role, group), times sqrt(sum_k |G_k shape_k|^2), which has the
+    law of their sum given the gains.  Every other user part is sum_k c_k
+    r_k, one value c_k per sensor times a row r_k, so its coset DTFT is
+    sum_k c_k ``coset_dtft``(r_k).  The noise is drawn as z = B W, white
+    CN(0, L sigma2) since B B^H = I / N: ``dtft`` adds its marks, one
+    sensors x M x L block keyed (seed, noise role, group), to the user
+    part's coset DTFT, alike whether or not spectra are kept.
+    ``keep_full_rate`` draws z's other cosets, keyed (seed, off-mark role,
+    group), and keeps X, with W = fft(z) along the cosets, as ``spectra``.
+    ``noise_levels`` (dBm, in place of ``config.noise_dbm``) returns one
+    run per level, each adding its scaled noise to the same user part,
+    bit-identical to a call at that level.  Levels are checked at grid
+    scale before anything is drawn.
     """
     levels = (config.noise_dbm,) if noise_levels is None else tuple(noise_levels)
-    n_grid = config.grid_size
+    n_grid, period, l_per = config.grid_size, config.period, config.samples_per_coset
     for level in levels:
         _check_grid_levels(n_grid, "noise_dbm", level)
     key = config.seed if seed is None else seed
@@ -353,13 +360,16 @@ def synthesize_observations(
         shared = [_standard_block(_rng(key, shared_role, k), 1, width) for k in range(len(shapes))]
     # unsynchronized users on uncorrelated bins: one draw for all of a group's users
     merged = bool(shapes) and shared is None and config.bin_mode == "uncorrelated"
-    powers = [np.abs(shape) ** 2 for shape in shapes] if merged else None
-    scales = [_cn_scale(n_grid * dbm_to_linear(level)) for level in levels]
-    # every group's draws are made into one buffer and shaped in place
+    if merged:
+        powers = [np.abs(shape) ** 2 for shape in shapes]
+    else:
+        rows = [shape if shared is None else shared[k] * shape for k, shape in enumerate(shapes)]
+        rows = np.array(rows, dtype=complex).reshape(len(shapes), n_grid)
+    scales = [_cn_scale(l_per * dbm_to_linear(level)) for level in levels]
+    # scratch: a merged variance (two float halves), a user's term, the noise
     work = np.empty((sensors, n_grid), dtype=complex)
     buffer = work.view(float).reshape(-1)
-    # its two halves hold a merged draw's variance and one user's term of it
-    variance, term = buffer.reshape(2, sensors, n_grid)
+    z = np.empty((sensors, period, l_per), dtype=complex) if keep_full_rate else None
     sets = [[] for _ in levels]
     for label, pattern, column in groups:
         gains = [
@@ -369,34 +379,45 @@ def synthesize_observations(
         ]
         if merged:
             # sum_k G_k D_k shape_k given the gains is CN(0, sum_k |G_k shape_k|^2)
+            variance, term = buffer.reshape(2, sensors, n_grid)
             np.multiply(np.abs(gains[0]) ** 2, powers[0], out=variance)
             for gain, power in zip(gains[1:], powers[1:]):
                 np.multiply(np.abs(gain) ** 2, power, out=term)
                 variance += term
             np.sqrt(variance, out=variance)
-            signal = np.empty((sensors, n_grid), dtype=complex)
-            _standard_block(
-                _rng(key, own_role, label), sensors, n_grid, signal.view(float).reshape(-1)
-            )
+            signal = _standard_block(_rng(key, own_role, label), sensors, n_grid)
             signal *= variance
+            signal_dtft = coset_dtft(signal, pattern)
         else:
-            signal = np.zeros((sensors, n_grid), dtype=complex)
-            for k, gain in enumerate(gains):
-                if shared is None:
-                    draw = _standard_block(_rng(key, own_role, label, k), sensors, width, buffer)
-                else:
-                    draw = shared[k]
-                np.multiply(draw, shapes[k], out=work)
-                work *= gain
-                signal += work
-        noise = _standard_block(_rng(key, _R_NOISE, label), sensors, n_grid, buffer)
+            # sum_k c_k rows[k]: c_k = G_k D_k, one symbol per sensor, or G_k
+            if shared is None:
+                gains = [
+                    gain * _standard_block(_rng(key, own_role, label, k), sensors, 1)
+                    for k, gain in enumerate(gains)
+                ]
+            signal_dtft = np.zeros((sensors, pattern.size, l_per), dtype=complex)
+            for coeff, row_dtft in zip(gains, coset_dtft(rows, pattern)):
+                signal_dtft += coeff[:, :, None] * row_dtft
+            if keep_full_rate:
+                signal = np.zeros((sensors, n_grid), dtype=complex)
+                for coeff, row in zip(gains, rows):
+                    signal += np.multiply(coeff, row, out=work)
+        marks = list(pattern.marks)
+        noise = _standard_block(_rng(key, _R_NOISE, label), sensors, len(marks) * l_per, buffer)
+        noise = noise.reshape(sensors, len(marks), l_per)
+        if keep_full_rate:
+            off = [c for c in range(period) if c not in pattern.marks]
+            z[:, marks] = noise
+            z[:, off] = _standard_block(
+                _rng(key, _R_OFF_MARK_NOISE, label), sensors, len(off) * l_per,
+                buffer[2 * noise.size :],
+            ).reshape(sensors, len(off), l_per)
+            # W = fft(z) along the cosets, one length-N transform per point
+            noise_spectra = np.fft.fft(z, axis=1, out=z).reshape(sensors, n_grid)
         for i, (scale, level_sets) in enumerate(zip(scales, sets)):
             last = i == len(scales) - 1
-            # the last level may consume the user part and the noise draw
-            spectra = signal if last else signal.copy()
-            spectra += np.multiply(noise, scale, out=noise if last else None)
-            dtft = coset_dtft(spectra, pattern)
-            kept = spectra if keep_full_rate else None
+            dtft = _plus_scaled(signal_dtft, noise, scale, last)
+            kept = _plus_scaled(signal, noise_spectra, scale, last) if keep_full_rate else None
             level_sets.append(CosetObservationSet(pattern, dtft, label, spectra=kept))
     runs = [SensingRun(sets=level_sets, warnings=list(warnings)) for level_sets in sets]
     return runs[0] if noise_levels is None else runs

@@ -16,12 +16,10 @@ lag it observes (``slots``), with its weight (``weights``) and the
 start of each lag's run of slots (``starts``).  A solve is then a
 gather, an in-place scale and one ``np.add.reduceat``; it makes no
 matrix product, so no BLAS call, and no BLAS thread, is on the Monte
-Carlo path.  ``operator`` materializes the dense matrix from the index
-form for the variance propagation and the tests.  Synthesis aliases
-bins into cosets with C B, taken as the rows of B at the marks; the
-dense builders ``build_selection_matrix``, ``build_repetition_matrix``,
-``dense_rc`` and ``dense_psi`` materialize model matrices for the test
-oracles.
+Carlo path.  Synthesis aliases bins into cosets with C B, taken as the
+rows of B at the marks; the dense builders ``build_selection_matrix``,
+``build_repetition_matrix``, ``dense_rc`` and ``dense_psi`` materialize
+model matrices for the test oracles.
 """
 
 from __future__ import annotations
@@ -51,13 +49,6 @@ class SystemMatrixRc:
     weights: np.ndarray = field(repr=False, compare=False)
 
     @property
-    def operator(self) -> np.ndarray:
-        """The M^2 x N averaging operator pinv(Rc)^T: row q = M*col + row of
-        the column-major vectorization holds 1/gamma[k] in the column k of
-        the lag that entry observes, and zeros elsewhere."""
-        return _materialize(self, self.pattern.size, self.pattern.period)
-
-    @property
     def identifiable(self) -> bool:
         return bool(np.min(self.gamma) >= 1)
 
@@ -85,12 +76,6 @@ class PsiMatrix:
     slots: np.ndarray = field(repr=False, compare=False)
     starts: np.ndarray = field(repr=False, compare=False)
     weights: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def operator(self) -> np.ndarray:
-        """The (Z M^2) x N averaging operator, rows in the column-major
-        vectorization z*M^2 + M*mp + m of each group's slot (m, mp)."""
-        return _materialize(self, self.family.patterns[0].size, self.family.period)
 
     @property
     def identifiable(self) -> bool:
@@ -147,18 +132,6 @@ def _lag_index(lags: np.ndarray, weights: np.ndarray, n: int) -> dict:
     for array in index.values():
         array.setflags(write=False)
     return index
-
-
-def _materialize(design, m: int, n: int) -> np.ndarray:
-    """Dense operator of an index form over stacked M x M blocks: memory
-    position z*M^2 + M*row + col becomes row z*M^2 + M*col + row."""
-    block, entry = np.divmod(design.slots, m * m)
-    row, col = np.divmod(entry, m)
-    lags = np.repeat(np.arange(n), np.diff(design.starts, append=design.slots.size))
-    operator = np.zeros((design.slots.size, n))
-    operator[block * m * m + col * m + row, lags] = design.weights
-    operator.setflags(write=False)
-    return operator
 
 
 def build_system_matrix(pattern: CosetPattern) -> SystemMatrixRc:

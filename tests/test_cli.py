@@ -576,7 +576,7 @@ class TestBench:
         from capspec.runner import _timed
         from capspec.sensing import ScenarioConfig, synthesize_observations
 
-        times = {}
+        fns = []
         for period in (18, 36):
             pattern = minimal_circular_sparse_ruler(period).pattern
             config = ScenarioConfig(
@@ -585,12 +585,13 @@ class TestBench:
             )
             obs = synthesize_observations(config, seed=1).sets[0]
             stack = sample_covariance(obs)
-            times[period] = _timed(lambda: assemble_cap(ls_reconstruct_rbar(stack)))
-        assert times[36] / times[18] <= 4.0
+            fns.append(lambda stack=stack: assemble_cap(ls_reconstruct_rbar(stack)))
+        time_18, time_36 = _timed(fns)
+        assert time_36 / time_18 <= 4.0
 
     def test_failed_gate_exits_1_and_keeps_bench_json(self, tmp_path, capsys, monkeypatch):
         # a constant timer makes the covariance ratio 1 where 2 is expected
-        monkeypatch.setattr(runner, "_timed", lambda fn: 1.0)
+        monkeypatch.setattr(runner, "_timed", lambda fns: [1.0 for _ in fns])
         manifest = write_manifest(
             tmp_path,
             f"[experiment]\nkind = bench\noutput = {tmp_path/'b'}\n"
@@ -621,7 +622,7 @@ class TestOutputs:
     def test_returned_paths_are_the_files_written(self, tmp_path, monkeypatch, kind):
         # bench: covariance time doubles with tau, reconstruction time stays flat
         times = iter([1.0, 1.0, 2.0, 1.0])
-        monkeypatch.setattr(runner, "_timed", lambda fn: next(times))
+        monkeypatch.setattr(runner, "_timed", lambda fns: [next(times) for _ in fns])
         out = tmp_path / "out"
         manifest = write_manifest(
             tmp_path,

@@ -17,6 +17,7 @@ from capspec.scenarios import load_fixture
 from capspec.sensing import (
     _R_FADING,
     _R_NOISE,
+    _R_OFF_MARK_NOISE,
     _R_SHARED_SIGNAL,
     _R_SHARED_SYMBOL,
     _R_SIGNAL,
@@ -32,6 +33,7 @@ from capspec.sensing import (
     _user_shape,
     band_grid_indices,
     bandpass_response,
+    coset_dtft,
     dbm_to_linear,
     extract_coset_observations,
     synthesize_observations,
@@ -345,39 +347,60 @@ class TestSynthesize:
         assert abs(z) < 5.0, z
 
 
-def rebuilt_spectra(config, key, g):
-    """Group g's sensors x grid spectra straight from its block streams:
-    noise plus, per user, fading gain times draw times the user's shape, in
-    the arithmetic order of the synthesis; no other group is synthesized.
-    Unsynchronized users on uncorrelated bins share one draw, scaled by the
-    root of the sum of their |gain * shape|^2."""
-    n_grid = config.grid_size
+def rebuilt_group(config, key, g, scale):
+    """Group g's coset DTFTs and sensors x grid spectra straight from its
+    block streams, in the arithmetic order of the synthesis; no other group
+    is synthesized.  Unsynchronized users on uncorrelated bins share one
+    draw, scaled by the root of the sum of their |gain * shape|^2; every
+    other signal is sum_k coeff_k row_k, and its coset DTFT is sum_k coeff_k
+    times the coset DTFT of row_k.  The noise is z, a standard block at the
+    marks and another at the other cosets, times ``scale``: the DTFTs add
+    its marks, the spectra its fft along the cosets."""
+    n_grid, period, l_per = config.grid_size, config.period, config.samples_per_coset
     if config.bin_mode == "uncorrelated":
         sensors, width, column = config.sensors_per_cluster, n_grid, g
         own_role, shared_role = _R_SIGNAL, _R_SHARED_SIGNAL
+        pattern = config.pattern
     else:
         sensors, width, column = config.sensors_per_group, 1, 0
         own_role, shared_role = _R_SYMBOL, _R_SHARED_SYMBOL
+        pattern = config.family.patterns[g]
+    marks = list(pattern.marks)
+    coset_map = build_selection_matrix(pattern) @ build_modulation_matrix(period)
     merged = config.sync == "unsynchronized" and config.bin_mode == "uncorrelated"
     signal = np.zeros((sensors, n_grid), dtype=complex)
+    signal_dtft = np.zeros((sensors, len(marks), l_per), dtype=complex)
     variance = np.zeros((sensors, n_grid))
     for k, user in enumerate(config.users):
         gain = _standard_block(_rng(key, _R_FADING, g, k), sensors, 1)
         gain = gain * _cn_scale(dbm_to_linear(user.path_loss_db[column]))
+        shape = _cn_scale(1.0) * _user_shape(user, n_grid, config.bin_mode)
         if merged:
-            shape = _cn_scale(1.0) * _user_shape(user, n_grid, config.bin_mode)
             variance = variance + np.abs(gain) ** 2 * np.abs(shape) ** 2
             continue
         if config.sync == "synchronized":
-            draw = _standard_block(_rng(key, shared_role, k), 1, width)
+            coeff = gain
+            row = _standard_block(_rng(key, shared_role, k), 1, width) * shape
         else:
-            draw = _standard_block(_rng(key, own_role, g, k), sensors, width)
-        shape = _cn_scale(1.0) * _user_shape(user, n_grid, config.bin_mode)
-        signal = signal + draw * shape * gain
+            coeff = gain * _standard_block(_rng(key, own_role, g, k), sensors, width)
+            row = shape
+        row_dtft = coset_map @ row.reshape(period, l_per)
+        signal_dtft = signal_dtft + coeff[:, :, None] * row_dtft
+        signal = signal + coeff * row
     if merged and config.users:
         signal = _standard_block(_rng(key, own_role, g), sensors, n_grid) * np.sqrt(variance)
-    noise = _standard_block(_rng(key, _R_NOISE, g), sensors, n_grid)
-    return signal + noise * _cn_scale(n_grid * dbm_to_linear(config.noise_dbm))
+        signal_dtft = coset_map @ signal.reshape(sensors, period, l_per)
+    off = [c for c in range(period) if c not in marks]
+    z = np.empty((sensors, period, l_per), dtype=complex)
+    z[:, marks] = _standard_block(_rng(key, _R_NOISE, g), sensors, len(marks) * l_per).reshape(
+        sensors, len(marks), l_per
+    )
+    z[:, off] = _standard_block(_rng(key, _R_OFF_MARK_NOISE, g), sensors, len(off) * l_per).reshape(
+        sensors, len(off), l_per
+    )
+    dtft = signal_dtft + z[:, marks] * scale
+    spectra = signal + np.fft.fft(z, axis=1).reshape(sensors, n_grid) * scale
+    return dtft, spectra
 
 
 @st.composite
@@ -429,15 +452,32 @@ class TestOneSynthesisLoop:
     @given(config=small_scenarios(), key=st.tuples(st.integers(0, 99), st.integers(0, 9)))
     def test_any_sensor_rebuilds_from_its_keyed_streams(self, config, key):
         run = synthesize_observations(config, seed=key, keep_full_rate=True)
-        modulation = build_modulation_matrix(config.period)
+        scale = _cn_scale(config.samples_per_coset * dbm_to_linear(config.noise_dbm))
         for g, obs in enumerate(run.sets):
             assert obs.label == g
-            spectra = rebuilt_spectra(config, key, g)
+            dtft, spectra = rebuilt_group(config, key, g, scale)
+            assert np.array_equal(obs.dtft, dtft), g
             assert np.array_equal(obs.spectra, spectra), g
             assert np.array_equal(obs.full_rate, np.fft.ifft(spectra, axis=1)), g
-            coset_map = build_selection_matrix(obs.pattern) @ modulation
-            want = coset_map @ spectra.reshape(spectra.shape[0], config.period, -1)
-            assert np.array_equal(obs.dtft, want), g
+            # the kept spectra alias into the DTFTs: B fft(z) = z at the marks
+            aliased = coset_dtft(spectra, obs.pattern)
+            assert np.max(np.abs(aliased - dtft)) <= 1e-12 * max(np.max(np.abs(dtft)), 1e-300), g
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        config=small_scenarios(),
+        key=st.tuples(st.integers(0, 99), st.integers(0, 9)),
+        levels=st.lists(
+            st.one_of(st.just(-math.inf), st.floats(-10.0, 10.0)), min_size=1, max_size=3
+        ),
+    )
+    def test_dtft_does_not_depend_on_keep_full_rate(self, config, key, levels):
+        kept = synthesize_observations(config, seed=key, keep_full_rate=True, noise_levels=levels)
+        lean = synthesize_observations(config, seed=key, noise_levels=levels)
+        for with_spectra, without in zip(kept, lean, strict=True):
+            for got, want in zip(with_spectra.sets, without.sets, strict=True):
+                assert want.spectra is None
+                assert np.array_equal(got.dtft, want.dtft)
 
     @settings(max_examples=60, deadline=None)
     @given(
