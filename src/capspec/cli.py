@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import whitenoise_variance_closed_form
@@ -70,14 +71,8 @@ def cmd_inspect_pattern(args) -> int:
 
 def _experiment_command(args) -> int:
     manifest = parse_manifest(args.manifest, kind=args.kind)
-    if args.seed is not None:
-        manifest.seed = args.seed
-    if args.threads is not None:
-        manifest.threads = args.threads
-    if args.output is not None:
-        manifest.output = Path(args.output)
-    if args.runs is not None:
-        manifest.runs = args.runs
+    flags = {"seed": args.seed, "threads": args.threads, "output": args.output, "runs": args.runs}
+    manifest = replace(manifest, **{key: v for key, v in flags.items() if v is not None})
     paths = run_manifest(manifest)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")
@@ -116,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads", type=int, default=None,
             help="worker processes for the Monte Carlo runs",
         )
-        p.add_argument("--output", type=str, default=None)
+        p.add_argument("--output", type=Path, default=None)
         p.add_argument("--runs", type=int, default=None)
         p.set_defaults(fn=_experiment_command, kind=kind)
 

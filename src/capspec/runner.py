@@ -35,11 +35,12 @@ from .estimator import (
 from .patterns import CosetPattern
 from .scenarios import (
     _parse_floats,
+    _read_ini,
+    _read_section,
     load_scenario,
     parse_band,
     parse_marks,
     parse_patterns,
-    required,
     scenario_from_parser,
 )
 from .sensing import CosetObservationSet, ScenarioConfig, _check_grid_levels, dbm_to_linear
@@ -57,6 +58,16 @@ class RocSetting:
         return f"tau{self.tau}_sigma{self.sigma2_dbm:g}_{self.sync}"
 
 
+def _parse_roc_settings(text: str) -> tuple[RocSetting, ...]:
+    entries = []
+    for chunk in filter(str.strip, text.split("|")):
+        parts = [tok.strip() for tok in chunk.split(",") if tok.strip()]
+        if len(parts) not in (2, 3):
+            raise ValueError(f"entry {chunk!r} is not tau,sigma2[,sync]")
+        entries.append(RocSetting(int(parts[0]), float(parts[1]), *parts[2:]))
+    return tuple(entries)
+
+
 @dataclass
 class SweepSpec:
     taus: tuple[int, ...] = ()
@@ -65,11 +76,34 @@ class SweepSpec:
     roc_settings: tuple[RocSetting, ...] = ()
 
 
+def _parse_bands(text: str) -> tuple[tuple[float, float], ...]:
+    return tuple(parse_band(chunk) for chunk in text.split("|") if chunk.strip())
+
+
+def _sweep_keys(period: int) -> dict:
+    """[sweep] key -> converter; patterns are of the scenario's ``period``."""
+    return {"tau": parse_marks, "sigma2_dbm": _parse_floats, "settings": _parse_roc_settings,
+            "patterns": partial(parse_patterns, period=period)}
+
+
+# the [sweep] keys named apart from their SweepSpec field
+_SWEEP_FIELDS = {"tau": "taus", "sigma2_dbm": "sigmas_dbm", "settings": "roc_settings"}
+_DETECTOR_KEYS = {"active_bands": _parse_bands, "quiet_bands": _parse_bands, "avg_width": int,
+                  "points_per_band": int, "quiet_points": int}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
 @dataclass
 class ExperimentManifest:
     kind: str
     scenario: ScenarioConfig
-    output: Path
+    output: Path = Path("out")
     runs: int = 1
     seed: int = 0
     threads: int = 1
@@ -128,82 +162,40 @@ class ExperimentManifest:
             raise ValueError("bench needs at least two tau values to compare")
 
 
+_EXPERIMENT_KEYS = {"kind": str, "output": Path, "runs": int, "seed": int, "threads": int,
+                    "keep_nap": _parse_bool}
+
+
 def _marks_text(marks) -> str:
     return ",".join(map(str, marks))
 
 
-def _parse_bands(text: str) -> tuple[tuple[float, float], ...]:
-    return tuple(parse_band(chunk) for chunk in text.split("|") if chunk.strip())
-
-
-def _parse_roc_settings(text: str) -> tuple[RocSetting, ...]:
-    entries = []
-    for chunk in text.split("|"):
-        parts = [tok.strip() for tok in chunk.split(",") if tok.strip()]
-        if not parts:
-            continue
-        if len(parts) not in (2, 3):
-            raise ValueError(f"entry {chunk!r} is not tau,sigma2[,sync]")
-        sync = parts[2] if len(parts) > 2 else "unsynchronized"
-        entries.append(RocSetting(int(parts[0]), float(parts[1]), sync))
-    return tuple(entries)
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
-
-
 def parse_manifest(path, kind: str | None = None) -> ExperimentManifest:
-    """Read a manifest INI file; ``kind`` overrides the [experiment] key."""
+    """Read a manifest INI file; its [experiment] kind may restate ``kind``, not contradict it."""
     path = Path(path)
-    parser = configparser.ConfigParser()
-    parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    parser = _read_ini(path, ("experiment", "scenario", "sweep", "detector"))
     if "experiment" not in parser:
         raise ValueError("manifest is missing its [experiment] section")
     exp = parser["experiment"]
-
-    if "scenario" in parser and parser["scenario"].get("file", None):
-        scenario = load_scenario(path.parent / parser["scenario"]["file"])
+    if kind is not None and exp.setdefault("kind", kind) != kind:
+        raise ValueError(f"[experiment] kind = {exp['kind']} does not match the {kind} command")
+    parts = _read_section(exp, _EXPERIMENT_KEYS, ExperimentManifest)
+    if "scenario" in parser and "file" in parser["scenario"]:
+        inline = [key for key in parser["scenario"] if key != "file"]
+        inline += [f"[{name}]" for name in parser.sections() if name.startswith("user.")]
+        if inline:
+            raise ValueError(f"[scenario] file excludes inline scenario keys: {', '.join(inline)}")
+        parts["scenario"] = load_scenario(path.parent / parser["scenario"]["file"])
     else:
-        scenario = scenario_from_parser(parser)
-
-    sweep = SweepSpec()
+        parts["scenario"] = scenario_from_parser(parser)
     if "sweep" in parser:
-        swp = parser["sweep"]
-        sweep = SweepSpec(
-            taus=required(swp, "tau", parse_marks, ()),
-            sigmas_dbm=required(swp, "sigma2_dbm", _parse_floats, ()),
-            patterns=required(
-                swp, "patterns", partial(parse_patterns, period=scenario.period), ()
-            ),
-            roc_settings=required(swp, "settings", _parse_roc_settings, ()),
-        )
-
-    detector = None
+        values = _read_section(parser["sweep"], _sweep_keys(parts["scenario"].period), SweepSpec)
+        parts["sweep"] = SweepSpec(**{_SWEEP_FIELDS.get(k, k): v for k, v in values.items()})
     if "detector" in parser:
-        det = parser["detector"]
-        detector = DetectorSpec(
-            active_bands=required(det, "active_bands", _parse_bands),
-            quiet_bands=required(det, "quiet_bands", _parse_bands),
-            avg_width=required(det, "avg_width", int, 11),
-            points_per_band=required(det, "points_per_band", int, None),
-            quiet_points=required(det, "quiet_points", int, None),
+        parts["detector"] = DetectorSpec(
+            **_read_section(parser["detector"], _DETECTOR_KEYS, DetectorSpec)
         )
-
-    return ExperimentManifest(
-        kind=kind if kind is not None else exp.get("kind"),
-        scenario=scenario,
-        output=Path(exp.get("output", "out")),
-        runs=required(exp, "runs", int, 1),
-        seed=required(exp, "seed", int, 0),
-        threads=required(exp, "threads", int, 1),
-        keep_nap=required(exp, "keep_nap", _parse_bool, True),
-        sweep=sweep,
-        detector=detector,
-    )
+    return ExperimentManifest(**parts)
 
 
 def _json_text(payload: dict) -> str:

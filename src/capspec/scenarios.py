@@ -10,6 +10,8 @@ per rad/sample.
 from __future__ import annotations
 
 import configparser
+import difflib
+from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
 
@@ -57,14 +59,27 @@ def fixture_path(name: str):
     return resources.files("capspec") / "fixtures" / name
 
 
-def load_scenario(source) -> ScenarioConfig:
-    """Read a scenario INI file (path, or file-like via .read)."""
-    parser = configparser.ConfigParser()
+def _read_ini(source, sections) -> configparser.ConfigParser:
+    """An INI file (path, or file-like) of ``sections`` and [user.<label>], every key valued."""
+    # no header names the empty default section, so [DEFAULT], whose keys
+    # would reach every section, is an ordinary and so an unknown section
+    parser = configparser.ConfigParser(default_section="", inline_comment_prefixes=(";",))
     if hasattr(source, "read"):
-        parser.read_string(source.read())
+        parser.read_file(source)
     else:
         parser.read_string(Path(source).read_text(encoding="utf-8"), source=str(source))
-    return scenario_from_parser(parser)
+    for name in parser.sections():
+        if name not in sections and not name.startswith("user."):
+            raise _unknown("unknown section", name, [*sections, "user.<label>"])
+        for key, value in parser[name].items():
+            if not value.strip():
+                raise ValueError(f"[{name}] needs a value for {key!r}")
+    return parser
+
+
+def load_scenario(source) -> ScenarioConfig:
+    """Read a scenario INI file (path, or file-like via .read)."""
+    return scenario_from_parser(_read_ini(source, ("scenario",)))
 
 
 def load_fixture(name: str) -> ScenarioConfig:
@@ -95,67 +110,65 @@ def parse_patterns(text: str, period: int) -> tuple[CosetPattern, ...]:
     )
 
 
-_NO_DEFAULT = object()
+def _unknown(what: str, name: str, known) -> ValueError:
+    close = difflib.get_close_matches(name, list(known), n=1)
+    return ValueError(f"{what} {name!r}" + (f" (did you mean {close[0]!r}?)" if close else ""))
 
 
-def required(
-    section: configparser.SectionProxy, key: str, convert=str, default=_NO_DEFAULT
-):
-    """Value of a key, converted; a missing key gives ``default`` if one is
-    given, else an error.  Errors name the section and key."""
-    text = section.get(key, None)
-    if text is None and default is not _NO_DEFAULT:
-        return default
-    if text is None or not text.strip():
-        raise ValueError(f"[{section.name}] needs a value for {key!r}")
-    try:
-        return convert(text)
-    except ValueError as exc:
-        raise ValueError(f"[{section.name}] {key}: {exc}") from None
+def _read_section(section: configparser.SectionProxy, table: dict, cls) -> dict:
+    """Keyword arguments for dataclass ``cls``: each key ``section`` holds, converted by
+    ``table`` (key -> converter).  A missing key keeps its default, or fails if it has none."""
+    kwargs = {}
+    for key, text in section.items():
+        if key not in table:
+            raise _unknown(f"[{section.name}] unknown key", key, table)
+        try:
+            kwargs[key] = table[key](text)
+        except ValueError as exc:
+            raise ValueError(f"[{section.name}] {key}: {exc}") from None
+    for f in fields(cls):
+        if f.name in table and f.name not in kwargs and f.default is f.default_factory is MISSING:
+            raise ValueError(f"[{section.name}] needs a value for {f.name!r}")
+    return kwargs
+
+
+# [scenario] key -> converter, for the keys every bin mode reads
+_SCENARIO_KEYS = {"period": int, "samples_per_coset": int, "noise_dbm": float, "sync": str,
+                  "bin_mode": str, "seed": int}
+# [scenario] keys that only one bin mode reads; ``marks`` becomes the pattern,
+# and exactly one of ``family`` and ``family_marks_per_pattern`` the family
+_BIN_MODE_KEYS = {
+    "uncorrelated": {"marks": parse_marks, "clusters": int, "sensors_per_cluster": int},
+    "correlated": {"family": str, "family_marks_per_pattern": int, "sensors_per_group": int},
+}
+_USER_KEYS = {"band": parse_band, "power_dbm": float, "path_loss_db": _parse_floats}
 
 
 def scenario_from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
     if "scenario" not in parser:
         raise ValueError("scenario file is missing its [scenario] section")
-    sec = parser["scenario"]
-    period = required(sec, "period", int)
-    users = []
-    for name in parser.sections():
-        if not name.startswith("user"):
-            continue
-        usec = parser[name]
-        users.append(
-            UserSpec(
-                band=required(usec, "band", parse_band),
-                power_dbm=required(usec, "power_dbm", float),
-                path_loss_db=required(usec, "path_loss_db", _parse_floats),
-            )
-        )
-    bin_mode = sec.get("bin_mode", "uncorrelated")
-    if bin_mode not in BIN_MODES:
-        raise ValueError(f"[scenario] bin_mode {bin_mode!r} is not one of {BIN_MODES}")
-    pattern = None
-    family = None
-    if bin_mode == "uncorrelated":
-        pattern = CosetPattern(period, required(sec, "marks", parse_marks))
-    elif sec.get("family", None):
-        family = PatternFamily(period, parse_patterns(sec.get("family"), period))
+    table = _SCENARIO_KEYS | _BIN_MODE_KEYS["uncorrelated"] | _BIN_MODE_KEYS["correlated"]
+    values = _read_section(parser["scenario"], table, ScenarioConfig)
+    user_sections = [parser[name] for name in parser.sections() if name.startswith("user.")]
+    users = tuple(UserSpec(**_read_section(sec, _USER_KEYS, UserSpec)) for sec in user_sections)
+    mode = values.get("bin_mode", ScenarioConfig.bin_mode)
+    if mode not in BIN_MODES:
+        raise ValueError(f"[scenario] bin_mode {mode!r} is not one of {BIN_MODES}")
+    unread = [k for k in values if k not in _SCENARIO_KEYS and k not in _BIN_MODE_KEYS[mode]]
+    if unread:
+        raise ValueError(f"[scenario] bin_mode = {mode} does not read {', '.join(unread)}")
+    period = values["period"]
+    if mode == "uncorrelated":
+        if "marks" not in values:
+            raise ValueError("[scenario] needs a value for 'marks'")
+        values["pattern"] = CosetPattern(period, values.pop("marks"))
+    elif len({"family", "family_marks_per_pattern"} & values.keys()) != 1:
+        raise ValueError("[scenario] needs exactly one of 'family' and 'family_marks_per_pattern'")
+    elif "family" in values:
+        values["family"] = PatternFamily(period, parse_patterns(values["family"], period))
     else:
-        family = design_pair_cover_family(period, required(sec, "family_marks_per_pattern", int))
-    return ScenarioConfig(
-        period=period,
-        samples_per_coset=required(sec, "samples_per_coset", int),
-        users=tuple(users),
-        noise_dbm=required(sec, "noise_dbm", float),
-        pattern=pattern,
-        family=family,
-        clusters=required(sec, "clusters", int, 1),
-        sensors_per_cluster=required(sec, "sensors_per_cluster", int, 1),
-        sensors_per_group=required(sec, "sensors_per_group", int, 1),
-        sync=sec.get("sync", "unsynchronized"),
-        bin_mode=bin_mode,
-        seed=required(sec, "seed", int, 0),
-    )
+        values["family"] = design_pair_cover_family(period, values.pop("family_marks_per_pattern"))
+    return ScenarioConfig(users=users, **values)
 
 
 def multiband_detector() -> DetectorSpec:

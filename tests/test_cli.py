@@ -1,3 +1,4 @@
+import configparser
 import json
 import tempfile
 from functools import partial
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capspec import runner
+from capspec import runner, scenarios
 from capspec.analysis import DetectorSpec
 from capspec.cli import main
 from capspec.patterns import CosetPattern
@@ -379,6 +380,91 @@ BAD_INPUTS = {
         + "\n[sweep]\nsettings = 6,0 | 3,3 | 6,0.0,unsynchronized\n" + DETECTOR,
         "settings lists tau6_sigma0_unsynchronized twice",
     ),
+    # every section is closed: a key or section it does not hold exits 2
+    "misspelled [experiment] key": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\nrunz = 5\noutput = OUT\n" + SMALL_SCENARIO,
+        "[experiment] unknown key 'runz' (did you mean 'runs'?)",
+    ),
+    "misspelled [scenario] key": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO.replace("sensors_per_cluster", "sensors_per_clustr"),
+        "[scenario] unknown key 'sensors_per_clustr'",
+    ),
+    "misspelled [user.1] key": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO.replace("path_loss_db", "pathloss_db"),
+        "[user.1] unknown key 'pathloss_db'",
+    ),
+    "misspelled [sweep] key": (
+        "nmse-sweep",
+        "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\ntaus = 3\nsigma2_dbm = 0\npatterns = 0,1,3\n",
+        "[sweep] unknown key 'taus'",
+    ),
+    "misspelled [detector] key": (
+        "roc",
+        "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\nsettings = 6,0\n" + DETECTOR.replace("avg_width", "avg_widht"),
+        "[detector] unknown key 'avg_widht'",
+    ),
+    "unknown section": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n" + SMALL_SCENARIO
+        + DETECTOR.replace("[detector]", "[detectr]"),
+        "unknown section 'detectr'",
+    ),
+    "users section": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n" + SMALL_SCENARIO
+        + "[users.2]\nband = 0.6,0.7\npower_dbm = 14\npath_loss_db = -3\n",
+        "unknown section 'users.2'",
+    ),
+    # configparser would copy a [DEFAULT] key into every section
+    "DEFAULT section": (
+        "reconstruct",
+        "[DEFAULT]\nruns = 3\n[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO,
+        "unknown section 'DEFAULT'",
+    ),
+    "kind other than the command's": (
+        "reconstruct",
+        "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\nsettings = 6,0\n" + DETECTOR,
+        "kind = roc does not match the reconstruct command",
+    ),
+    "scenario file next to an inline key": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        f"[scenario]\nfile = {fixture_path('table4.ini')}\nnoise_dbm = 300\n",
+        "file excludes inline scenario keys: noise_dbm",
+    ),
+    "scenario file next to a user section": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        f"[scenario]\nfile = {fixture_path('table4.ini')}\n"
+        "[user.4]\nband = 0.6,0.7\npower_dbm = 14\npath_loss_db = -3,-3,-3\n",
+        "file excludes inline scenario keys: [user.4]",
+    ),
+    "marks under correlated bins": (
+        "reconstruct",
+        CORRELATED_RUN.replace("bin_mode = correlated\n", "bin_mode = correlated\nmarks = 0,1\n"),
+        "bin_mode = correlated does not read marks",
+    ),
+    "sensors_per_group under uncorrelated bins": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO.replace("clusters = 1\n", "clusters = 1\nsensors_per_group = 4\n"),
+        "bin_mode = uncorrelated does not read sensors_per_group",
+    ),
+    "family and family_marks_per_pattern": (
+        "reconstruct",
+        CORRELATED_RUN.replace("bin_mode = correlated\n",
+                               "bin_mode = correlated\nfamily_marks_per_pattern = 3\n"),
+        "exactly one of 'family' and 'family_marks_per_pattern'",
+    ),
 }
 
 
@@ -693,3 +779,32 @@ class TestWorkerCountIndependence:
                         {p.name: p.read_bytes() for p in manifest.output.iterdir()}
                     )
                 assert written[0] == written[1]
+
+
+def readme_ini_block(heading):
+    """Section -> keys of the first ini block after ``heading`` in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split(heading, 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(block)
+    return {name: set(parser[name]) for name in parser.sections()}
+
+
+class TestReadmeReference:
+    def test_inline_comments_as_in_the_readme(self, tmp_path):
+        body = "[experiment]\nkind = roc    ; the kind\nruns = 3    ; Monte Carlo runs\n"
+        manifest = runner.parse_manifest(write_manifest(tmp_path, body + SMALL_SCENARIO))
+        assert (manifest.kind, manifest.runs) == ("roc", 3)
+
+    def test_documented_keys_are_the_keys_read(self):
+        # a manifest's [scenario] is a scenario file, or its keys inline
+        assert readme_ini_block("### Manifest format") == {
+            "experiment": set(runner._EXPERIMENT_KEYS),
+            "scenario": {"file"},
+            "sweep": set(runner._sweep_keys(1)),
+            "detector": set(runner._DETECTOR_KEYS),
+        }
+        assert readme_ini_block("### Scenario files") == {
+            "scenario": set(scenarios._SCENARIO_KEYS).union(*scenarios._BIN_MODE_KEYS.values()),
+            "user.1": set(scenarios._USER_KEYS),
+        }

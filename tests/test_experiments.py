@@ -10,7 +10,7 @@ from capspec.analysis import (
     whitenoise_variance_closed_form,
     whitenoise_variance_report,
 )
-from capspec.patterns import CosetPattern
+from capspec.patterns import CosetPattern, design_pair_cover_family
 from capspec.scenarios import (
     CORRELATED_UB_BASELINE,
     VARIANCE_EXTRA_PATTERNS,
@@ -97,7 +97,47 @@ class TestPatternSetFixtures:
                     assert build_system_matrix(pattern).identifiable
 
 
+# each shipped fixture's scenario, pinned: how scenario files are read may
+# change, what the fixtures describe may not
+FIXTURE_CONFIGS = {
+    "table2.ini": ScenarioConfig(
+        period=18, samples_per_coset=170, noise_dbm=7.0,
+        users=(
+            UserSpec((0.655, 0.695), 38.0, (-17.0, -19.0)),
+            UserSpec((0.755, 0.795), 40.0, (-20.0, -18.0)),
+            UserSpec((0.055, 0.095), 34.0, (-12.0, -10.0)),
+            UserSpec((0.155, 0.195), 34.0, (-16.0, -18.0)),
+            UserSpec((0.205, 0.245), 32.0, (-14.0, -12.0)),
+            UserSpec((0.355, 0.395), 35.0, (-18.0, -20.0)),
+        ),
+        pattern=CosetPattern(18, (0, 1, 4, 7, 9)), clusters=2, sensors_per_cluster=100,
+        sensors_per_group=1, sync="unsynchronized", bin_mode="uncorrelated", seed=0,
+    ),
+    "table4.ini": ScenarioConfig(
+        period=18, samples_per_coset=170, noise_dbm=11.0,
+        users=(
+            UserSpec((0.205, 0.245), 25.0, (-12.0, -13.0, -14.0)),
+            UserSpec((0.155, 0.195), 25.0, (-14.5, -13.0, -11.5)),
+            UserSpec((0.105, 0.145), 25.0, (-13.5, -13.0, -12.5)),
+        ),
+        pattern=CosetPattern(18, (0, 1, 4, 7, 9)), clusters=3, sensors_per_cluster=30,
+        sensors_per_group=1, sync="unsynchronized", bin_mode="uncorrelated", seed=0,
+    ),
+    # the family's marks are pinned in test_patterns
+    "table5.ini": ScenarioConfig(
+        period=40, samples_per_coset=77, noise_dbm=7.0,
+        users=(UserSpec((0.56, 0.9), 22.0, (-6.0,)), UserSpec((0.075, 0.46), 25.0, (-7.0,))),
+        family=design_pair_cover_family(40, 14), clusters=1, sensors_per_cluster=1,
+        sensors_per_group=25, sync="unsynchronized", bin_mode="correlated", seed=0,
+    ),
+}
+
+
 class TestScenarioFiles:
+    def test_fixtures_read_as_pinned(self):
+        for name, config in FIXTURE_CONFIGS.items():
+            assert load_fixture(name) == config, name
+
     def test_explicit_family_key(self, tmp_path):
         from capspec.scenarios import load_scenario
 
