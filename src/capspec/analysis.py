@@ -21,6 +21,7 @@ from .patterns import CosetPattern
 from .sensing import (
     ScenarioConfig,
     _check_band,
+    _unwrapped,
     band_grid_indices,
     dbm_to_linear,
     synthesize_observations,
@@ -33,7 +34,6 @@ def spectral_ap(spectra: np.ndarray) -> Periodogram:
     of full-rate records): mean |X|^2 over sensors, divided by the grid size."""
     n_grid = spectra.shape[1]
     return Periodogram(
-        thetas=np.arange(n_grid) / n_grid,
         values=np.mean(np.abs(spectra) ** 2, axis=0) / n_grid,
         estimator=NAP,
     )
@@ -61,29 +61,22 @@ def nmse(estimate, reference) -> float:
     return num / denom
 
 
-class IndependentSensorMoments:
-    """Second moments of the per-bin spectra X of independent sensors.
-
-    Every sensor has the N x N bin covariance ``bin_covariance``,
-    E[X_{t,i} X*_{t,b}] for bin indices i, b in 0..N-1; distinct sensors
-    are uncorrelated, E[X_{t,i} X*_{tp,b}] = 0 for t != tp; and all are
-    circular: E[X_{t,i} X_{tp,b}] is zero, so the pseudo-covariance term
-    of the fourth moment vanishes.  White noise of variance sigma2 on
-    n_grid samples has the bin covariance n_grid * sigma2 * I.
-    """
-
-    def __init__(self, bin_covariance: np.ndarray):
-        self.bin_covariance = np.asarray(bin_covariance)
-
-
 def analytical_gaussian_covariance(
-    moments: IndependentSensorMoments, pattern: CosetPattern, tau: int
+    bin_covariance: np.ndarray, pattern: CosetPattern, tau: int
 ) -> np.ndarray:
     """Covariance of the entries of the averaged coset covariance.
 
-    Evaluates the fourth-moment expansion of circular Gaussian spectra over
-    all bin pairs and sensor pairs: entry (M*mp + m, M*ap + a) of the
-    returned M^2 x M^2 matrix is Cov[cov_entry(m, mp), cov_entry(a, ap)].
+    Every sensor's per-bin spectra X have the N x N bin covariance
+    ``bin_covariance``, E[X_{t,i} X*_{t,b}] for bin indices i, b in
+    0..N-1; distinct sensors are uncorrelated, E[X_{t,i} X*_{tp,b}] = 0
+    for t != tp; and all are circular: E[X_{t,i} X_{tp,b}] is zero, so
+    the pseudo-covariance term of the fourth moment vanishes.  White
+    noise of variance sigma2 on n_grid samples has the bin covariance
+    n_grid * sigma2 * I.
+
+    Evaluates the fourth-moment expansion of these circular Gaussian
+    spectra over all bin pairs and sensor pairs: entry (M*mp + m, M*ap + a)
+    of the returned M^2 x M^2 matrix is Cov[cov_entry(m, mp), cov_entry(a, ap)].
     Of the tau^2 sensor pairs only the tau pairs of a sensor with itself
     contribute, each the same term, so the cost does not grow with tau.
     """
@@ -92,7 +85,7 @@ def analytical_gaussian_covariance(
     marks = np.asarray(pattern.marks)
     bins = np.arange(n)
     w = np.exp(2j * np.pi * np.outer(marks, bins) / n)      # (M, N)
-    f1 = w @ moments.bin_covariance @ w.conj().T
+    f1 = w @ bin_covariance @ w.conj().T
     term = tau * np.einsum("ma,bc->mabc", f1, f1.conj())    # [m, a, mp, ap]
     sigma = term.transpose(2, 0, 3, 1)
     return sigma.reshape(m_cnt * m_cnt, m_cnt * m_cnt) / (n**4 * tau**2)
@@ -127,31 +120,20 @@ def propagate_variance(
     return np.real(quad) * (n / n_grid) ** 2
 
 
-@dataclass(frozen=True)
-class WhiteNoiseVariance:
-    """Closed-form periodogram variance under pure white Gaussian noise."""
-
-    variance: float
-    nmse: float
-    identifiable: bool
-
-
-def whitenoise_variance_closed_form(
-    pattern: CosetPattern, sigma2: float, tau: int
-) -> WhiteNoiseVariance:
-    """sigma^4/(M tau) + (sigma^4/tau) sum_k 1/gamma_k over nonzero lags.
+def whitenoise_variance_closed_form(pattern: CosetPattern, sigma2: float, tau: int) -> float:
+    """Closed-form per-bin periodogram variance under pure white Gaussian
+    noise: sigma^4/(M tau) + (sigma^4/tau) sum_k 1/gamma_k over nonzero lags.
 
     A pattern missing some modular difference has a zero gamma entry and
     an unbounded variance; that case is reported as +inf rather than an
     error.  The matching analytical NMSE against the flat sigma^2 truth
-    is variance / sigma^4.
+    is variance / sigma2**2.
     """
     sysmat = build_system_matrix(pattern)
     if not sysmat.identifiable:
-        return WhiteNoiseVariance(math.inf, math.inf, False)
+        return math.inf
     gamma = sysmat.gamma.astype(float)
-    variance = sigma2**2 / tau * float(np.sum(1.0 / gamma))
-    return WhiteNoiseVariance(variance, variance / sigma2**2, True)
+    return sigma2**2 / tau * float(np.sum(1.0 / gamma))
 
 
 def dispatch_runs(one, runs: int, workers: int = 1) -> list:
@@ -203,8 +185,12 @@ class VarianceReport:
     analytical_variance: float
     analytical_nmse: float
     empirical_by_theta: np.ndarray = field(repr=False)
-    empirical_nmse: float = 0.0
-    thetas: np.ndarray = field(repr=False, default=None)
+    empirical_nmse: float
+
+    @property
+    def thetas(self) -> np.ndarray:
+        n_grid = self.empirical_by_theta.size
+        return np.arange(n_grid) / n_grid
 
     @property
     def empirical_variance(self) -> float:
@@ -228,11 +214,10 @@ def whitenoise_variance_report(
     empirical = np.var(caps, axis=0, ddof=1)
     emp_nmse = float(np.mean((caps - sigma2) ** 2) / sigma2**2)
     return VarianceReport(
-        analytical_variance=closed.variance,
-        analytical_nmse=closed.nmse,
+        analytical_variance=closed,
+        analytical_nmse=closed / sigma2**2,
         empirical_by_theta=empirical,
         empirical_nmse=emp_nmse,
-        thetas=np.arange(config.grid_size) / config.grid_size,
     )
 
 
@@ -273,12 +258,6 @@ class DetectorSpec:
                     for qlo, qhi in _unwrapped(quiet)
                 ):
                     raise ValueError(f"active band {active} overlaps quiet band {quiet}")
-
-
-def _unwrapped(band: tuple[float, float]) -> tuple[tuple[float, float], ...]:
-    """A band as intervals within [0, 1]: a wrapped one is [lo, 1) and [0, hi)."""
-    lo, hi = band
-    return ((lo, hi),) if lo <= hi else ((lo, 1.0), (0.0, hi))
 
 
 def _band_blocks(

@@ -61,8 +61,9 @@ def cmd_inspect_pattern(args) -> int:
     print(_pattern_line(pattern, f"ruler={'yes' if sysmat.identifiable else 'no'}"))
     print("gamma=" + ",".join(str(int(g)) for g in sysmat.gamma))
     if sysmat.identifiable:
+        # at unit noise the NMSE, variance / sigma2**2, is the variance
         closed = whitenoise_variance_closed_form(pattern, 1.0, 1)
-        print(f"identifiable=yes  unit-noise-nmse-times-tau={closed.nmse!r}")
+        print(f"identifiable=yes  unit-noise-nmse-times-tau={closed!r}")
     else:
         missing = ",".join(map(str, sysmat.missing_differences))
         print(f"identifiable=no  missing-differences={missing}")

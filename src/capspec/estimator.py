@@ -52,10 +52,14 @@ class CovarianceStack:
 class Periodogram:
     """Power estimate on the full grid of period * L frequency points."""
 
-    thetas: np.ndarray
     values: np.ndarray
     estimator: str
     max_imag_ratio: float = 0.0
+
+    @property
+    def thetas(self) -> np.ndarray:
+        n_grid = self.values.size
+        return np.arange(n_grid) / n_grid
 
     @property
     def negative_count(self) -> int:
@@ -100,21 +104,17 @@ def _solve_lags(
     return np.add.reduceat(vec, design.starts, axis=1)
 
 
-def ls_reconstruct_rbar(
-    stack: CovarianceStack, sysmat: SystemMatrixRc | None = None
-) -> np.ndarray:
+def ls_reconstruct_rbar(stack: CovarianceStack) -> np.ndarray:
     """Solve the per-point LS problem for the circulant lag vector.
 
     Because the normal matrix is diag(gamma), the solution for lag k is
     the mean of the covariance entries whose mark difference is k; the
-    system matrix's averaging operator computes all lags in one pass.
+    averaging operator of the system matrix of ``stack.pattern`` computes
+    all lags in one pass.
     Returns the (L, N) lags, one row per grid point.  Raises
     IdentifiabilityError when some lag is observed by no pair.
     """
-    if sysmat is None:
-        sysmat = build_system_matrix(stack.pattern)
-    if sysmat.pattern != stack.pattern:
-        raise ValueError("system matrix belongs to a different pattern")
+    sysmat = build_system_matrix(stack.pattern)
     if not sysmat.identifiable:
         missing = sysmat.missing_differences
         raise IdentifiabilityError(
@@ -136,25 +136,22 @@ def assemble_cap(lags: np.ndarray) -> Periodogram:
     kept as-is (small negatives included); the worst imaginary residue
     is recorded.
     """
-    l_pts, n = lags.shape
+    l_pts = lags.shape[0]
     diag = np.fft.fft(lags, axis=1) / l_pts
     scale = np.max(np.abs(diag))
     max_imag = float(np.max(np.abs(diag.imag)) / scale) if scale > 0 else 0.0
     # bin i of point l sits at global grid index i*L + l
     values = diag.real.T.reshape(-1).copy()
     return Periodogram(
-        thetas=np.arange(n * l_pts) / (n * l_pts),
         values=values,
         estimator=CAP_UB,
         max_imag_ratio=max_imag,
     )
 
 
-def reconstruct_cap(
-    observations: CosetObservationSet, sysmat: SystemMatrixRc | None = None
-) -> Periodogram:
+def reconstruct_cap(observations: CosetObservationSet) -> Periodogram:
     """Full single-cluster pipeline: covariance, LS lags, periodogram."""
-    return assemble_cap(ls_reconstruct_rbar(sample_covariance(observations), sysmat))
+    return assemble_cap(ls_reconstruct_rbar(sample_covariance(observations)))
 
 
 def estimate_multicluster(
@@ -166,8 +163,7 @@ def estimate_multicluster(
     for obs in observation_sets:
         if obs.pattern != observation_sets[0].pattern:
             raise ValueError("clusters use different patterns")
-    sysmat = build_system_matrix(observation_sets[0].pattern)
-    caps = [reconstruct_cap(obs, sysmat) for obs in observation_sets]
+    caps = [reconstruct_cap(obs) for obs in observation_sets]
     return caps, average_periodograms(caps)
 
 
@@ -176,17 +172,13 @@ def average_periodograms(parts: list[Periodogram]) -> Periodogram:
     if not parts:
         raise ValueError("nothing to average")
     return Periodogram(
-        thetas=parts[0].thetas,
         values=np.mean([p.values for p in parts], axis=0),
         estimator=parts[0].estimator,
         max_imag_ratio=max(p.max_imag_ratio for p in parts),
     )
 
 
-def estimate_correlated_bins(
-    group_observations: list[CosetObservationSet],
-    psi: PsiMatrix | None = None,
-) -> Periodogram:
+def estimate_correlated_bins(group_observations: list[CosetObservationSet]) -> Periodogram:
     """LS reconstruction without the circulant assumption.
 
     Per grid point, the per-group sample covariances provide one equation
@@ -202,10 +194,7 @@ def estimate_correlated_bins(
         period=group_observations[0].pattern.period,
         patterns=tuple(obs.pattern for obs in group_observations),
     )
-    if psi is None:
-        psi = build_psi(family)
-    elif psi.family.patterns != family.patterns:
-        raise ValueError("psi matrix belongs to a different family")
+    psi = build_psi(family)
     if not psi.identifiable:
         missing = psi.uncovered
         raise IdentifiabilityError(

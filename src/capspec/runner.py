@@ -58,6 +58,12 @@ class RocSetting:
         return f"tau{self.tau}_sigma{self.sigma2_dbm:g}_{self.sync}"
 
 
+def _roc_scenario(scenario: ScenarioConfig, setting: RocSetting) -> ScenarioConfig:
+    return replace(
+        scenario, sensors_per_cluster=setting.tau, noise_dbm=setting.sigma2_dbm, sync=setting.sync
+    )
+
+
 def _parse_roc_settings(text: str) -> tuple[RocSetting, ...]:
     entries = []
     for chunk in filter(str.strip, text.split("|")):
@@ -127,6 +133,12 @@ class ExperimentManifest:
                 raise ValueError(f"[sweep] tau entries must be positive, got {tau}")
         for level in self.sweep.sigmas_dbm:
             _check_grid_levels(self.scenario.grid_size, "[sweep] sigma2_dbm", level)
+        # the scenario checks each setting's tau, level and sync before any run
+        for setting in self.sweep.roc_settings:
+            try:
+                _roc_scenario(self.scenario, setting)
+            except ValueError as exc:
+                raise ValueError(f"[sweep] settings {setting.label}: {exc}") from None
         # a repeated entry would name two results alike
         for axis, entries in (
             ("tau", self.sweep.taus),
@@ -331,14 +343,8 @@ def run_roc(manifest: ExperimentManifest) -> dict:
     files = {}
     aucs = {}
     for setting in manifest.sweep.roc_settings:
-        config = replace(
-            manifest.scenario,
-            sensors_per_cluster=setting.tau,
-            noise_dbm=setting.sigma2_dbm,
-            sync=setting.sync,
-        )
         curve = analysis.roc_harness(
-            config,
+            _roc_scenario(manifest.scenario, setting),
             manifest.detector,
             runs=manifest.runs,
             seed=manifest.seed,

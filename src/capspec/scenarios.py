@@ -12,12 +12,13 @@ from __future__ import annotations
 import configparser
 import difflib
 from dataclasses import MISSING, fields
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
 from .analysis import DetectorSpec
 from .patterns import CosetPattern, PatternFamily, design_pair_cover_family
-from .sensing import BIN_MODES, ScenarioConfig, UserSpec
+from .sensing import BIN_MODES, SYNC_MODES, ScenarioConfig, UserSpec
 
 # Extra cosets activating a milder compression on top of the base ruler,
 # in activation order (fixture data for the reconstruction experiments).
@@ -132,9 +133,15 @@ def _read_section(section: configparser.SectionProxy, table: dict, cls) -> dict:
     return kwargs
 
 
+def _one_of(choices: tuple[str, ...], text: str) -> str:
+    if text not in choices:
+        raise ValueError(f"{text!r} is not one of {choices}")
+    return text
+
+
 # [scenario] key -> converter, for the keys every bin mode reads
-_SCENARIO_KEYS = {"period": int, "samples_per_coset": int, "noise_dbm": float, "sync": str,
-                  "bin_mode": str, "seed": int}
+_SCENARIO_KEYS = {"period": int, "samples_per_coset": int, "noise_dbm": float,
+                  "sync": partial(_one_of, SYNC_MODES), "bin_mode": partial(_one_of, BIN_MODES)}
 # [scenario] keys that only one bin mode reads; ``marks`` becomes the pattern,
 # and exactly one of ``family`` and ``family_marks_per_pattern`` the family
 _BIN_MODE_KEYS = {
@@ -146,14 +153,12 @@ _USER_KEYS = {"band": parse_band, "power_dbm": float, "path_loss_db": _parse_flo
 
 def scenario_from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
     if "scenario" not in parser:
-        raise ValueError("scenario file is missing its [scenario] section")
+        raise ValueError("the [scenario] section is missing")
     table = _SCENARIO_KEYS | _BIN_MODE_KEYS["uncorrelated"] | _BIN_MODE_KEYS["correlated"]
     values = _read_section(parser["scenario"], table, ScenarioConfig)
     user_sections = [parser[name] for name in parser.sections() if name.startswith("user.")]
     users = tuple(UserSpec(**_read_section(sec, _USER_KEYS, UserSpec)) for sec in user_sections)
     mode = values.get("bin_mode", ScenarioConfig.bin_mode)
-    if mode not in BIN_MODES:
-        raise ValueError(f"[scenario] bin_mode {mode!r} is not one of {BIN_MODES}")
     unread = [k for k in values if k not in _SCENARIO_KEYS and k not in _BIN_MODE_KEYS[mode]]
     if unread:
         raise ValueError(f"[scenario] bin_mode = {mode} does not read {', '.join(unread)}")

@@ -60,6 +60,18 @@ def _check_grid_levels(n_grid: int, name: str, dbm: float, losses=()) -> None:
         _check_level("path_loss_db", loss, scale, f"{where} with {name} {dbm}")
 
 
+def _unwrapped(band: tuple[float, float]) -> tuple[tuple[float, float], ...]:
+    """A band as intervals within [0, 1]: a wrapped one is [lo, 1) and [0, hi)."""
+    lo, hi = band
+    return ((lo, hi),) if lo <= hi else ((lo, 1.0), (0.0, hi))
+
+
+def _band_width(band: tuple[float, float]) -> float:
+    """Width of a band, wrapped around 1 when lo > hi; 0 for lo == hi."""
+    raw = band[1] - band[0]
+    return raw if raw > 0 else raw % 1.0
+
+
 def _check_band(name: str, band: tuple[float, float]) -> None:
     """Refuse a band whose edges leave [0, 1]: only lo > hi wraps around 1."""
     lo, hi = band
@@ -97,9 +109,7 @@ class UserSpec:
 
     @property
     def width(self) -> float:
-        lo, hi = self.band
-        raw = hi - lo
-        return raw if raw > 0 else raw % 1.0
+        return _band_width(self.band)
 
 
 @dataclass(frozen=True)
@@ -123,7 +133,6 @@ class ScenarioConfig:
     sensors_per_group: int = 1
     sync: str = "unsynchronized"
     bin_mode: str = "uncorrelated"
-    seed: int = 0
 
     def __post_init__(self):
         if self.period < 1 or self.samples_per_coset < 1:
@@ -222,8 +231,7 @@ def bandpass_response(band: tuple[float, float], n_grid: int) -> np.ndarray:
     ``width / 2`` and unit DC gain, modulated to the band center, applied
     circularly, normalized to unit peak gain.
     """
-    lo, hi = band
-    width = hi - lo if hi > lo else (hi - lo) % 1.0
+    width = _band_width(band)
     if width <= 0.0:
         raise ValueError(f"band {band} has zero width")
     if width >= 1.0 - 2.0 / n_grid:
@@ -234,7 +242,7 @@ def bandpass_response(band: tuple[float, float], n_grid: int) -> np.ndarray:
     window = 0.54 + (1 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, FILTER_TAPS))
     lowpass = width * np.sinc(width * m) * window
     lowpass /= np.sum(lowpass)
-    center = (lo + width / 2.0) % 1.0
+    center = (band[0] + width / 2.0) % 1.0
     taps_idx = np.arange(FILTER_TAPS)
     response = np.fft.fft(lowpass * np.exp(2j * np.pi * center * taps_idx), n_grid)
     return response / np.max(np.abs(response))
@@ -245,12 +253,9 @@ def band_grid_indices(band: tuple[float, float], n_grid: int) -> np.ndarray:
 
     A band that wraps around 1 (lo > hi) lists [lo, 1) and then [0, hi).
     """
-    lo, hi = band
     k = np.arange(n_grid)
     theta = k / n_grid
-    if lo <= hi:
-        return k[(theta >= lo) & (theta < hi)]
-    return np.concatenate([k[theta >= lo], k[theta < hi]])
+    return np.concatenate([k[(theta >= lo) & (theta < hi)] for lo, hi in _unwrapped(band)])
 
 
 def _user_shape(spec: UserSpec, n_grid: int, bin_mode: str) -> np.ndarray:
@@ -301,7 +306,7 @@ def _plus_scaled(part: np.ndarray, noise: np.ndarray, scale: float, last: bool) 
 
 def synthesize_observations(
     config: ScenarioConfig,
-    seed=None,
+    seed,
     keep_full_rate: bool = False,
     noise_levels=None,
 ) -> SensingRun | list[SensingRun]:
@@ -309,9 +314,9 @@ def synthesize_observations(
     d of ``config.pattern`` with path-loss column d (uncorrelated bins), or
     per group z of ``family.patterns[z]`` with column 0 (correlated bins).
 
-    ``seed`` overrides ``config.seed`` and may be a tuple, which lets Monte
-    Carlo drivers key whole runs.  A group's sensors x grid spectra are
-    X = sqrt(n sigma2) W + sum_k G_k D_k shape_k: G_k (fading, one per
+    ``seed`` is an int or a tuple, which lets Monte Carlo drivers key whole
+    runs.  A group's sensors x grid spectra are X = sqrt(n sigma2) W +
+    sum_k G_k D_k shape_k: G_k (fading, one per
     sensor, times the root of the linear path loss) and D_k (one per grid
     point, or one symbol per sensor for correlated bins; one row for all
     sensors when synchronized) are CN(0, 1) blocks ``standard_normal((rows,
@@ -335,7 +340,6 @@ def synthesize_observations(
     n_grid, period, l_per = config.grid_size, config.period, config.samples_per_coset
     for level in levels:
         _check_grid_levels(n_grid, "noise_dbm", level)
-    key = config.seed if seed is None else seed
     warnings: list[str] = []
     if config.bin_mode == "uncorrelated":
         offenders = config.bin_width_violations()
@@ -357,7 +361,7 @@ def synthesize_observations(
     ]
     shared = None
     if config.sync == "synchronized":
-        shared = [_standard_block(_rng(key, shared_role, k), 1, width) for k in range(len(shapes))]
+        shared = [_standard_block(_rng(seed, shared_role, k), 1, width) for k in range(len(shapes))]
     # unsynchronized users on uncorrelated bins: one draw for all of a group's users
     merged = bool(shapes) and shared is None and config.bin_mode == "uncorrelated"
     if merged:
@@ -373,7 +377,7 @@ def synthesize_observations(
     sets = [[] for _ in levels]
     for label, pattern, column in groups:
         gains = [
-            _standard_block(_rng(key, _R_FADING, label, k), sensors, 1)
+            _standard_block(_rng(seed, _R_FADING, label, k), sensors, 1)
             * _cn_scale(dbm_to_linear(user.path_loss_db[column]))
             for k, user in enumerate(config.users)
         ]
@@ -385,14 +389,14 @@ def synthesize_observations(
                 np.multiply(np.abs(gain) ** 2, power, out=term)
                 variance += term
             np.sqrt(variance, out=variance)
-            signal = _standard_block(_rng(key, own_role, label), sensors, n_grid)
+            signal = _standard_block(_rng(seed, own_role, label), sensors, n_grid)
             signal *= variance
             signal_dtft = coset_dtft(signal, pattern)
         else:
             # sum_k c_k rows[k]: c_k = G_k D_k, one symbol per sensor, or G_k
             if shared is None:
                 gains = [
-                    gain * _standard_block(_rng(key, own_role, label, k), sensors, 1)
+                    gain * _standard_block(_rng(seed, own_role, label, k), sensors, 1)
                     for k, gain in enumerate(gains)
                 ]
             signal_dtft = np.zeros((sensors, pattern.size, l_per), dtype=complex)
@@ -403,13 +407,13 @@ def synthesize_observations(
                 for coeff, row in zip(gains, rows):
                     signal += np.multiply(coeff, row, out=work)
         marks = list(pattern.marks)
-        noise = _standard_block(_rng(key, _R_NOISE, label), sensors, len(marks) * l_per, buffer)
+        noise = _standard_block(_rng(seed, _R_NOISE, label), sensors, len(marks) * l_per, buffer)
         noise = noise.reshape(sensors, len(marks), l_per)
         if keep_full_rate:
             off = [c for c in range(period) if c not in pattern.marks]
             z[:, marks] = noise
             z[:, off] = _standard_block(
-                _rng(key, _R_OFF_MARK_NOISE, label), sensors, len(off) * l_per,
+                _rng(seed, _R_OFF_MARK_NOISE, label), sensors, len(off) * l_per,
                 buffer[2 * noise.size :],
             ).reshape(sensors, len(off), l_per)
             # W = fft(z) along the cosets, one length-N transform per point

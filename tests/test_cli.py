@@ -465,6 +465,44 @@ BAD_INPUTS = {
                                "bin_mode = correlated\nfamily_marks_per_pattern = 3\n"),
         "exactly one of 'family' and 'family_marks_per_pattern'",
     ),
+    # a choice key is checked where it is read, under its section and key
+    "misspelled sync": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO.replace("sync = unsynchronized", "sync = sync"),
+        "[scenario] sync: 'sync' is not one of",
+    ),
+    # every roc setting is checked before the first one runs
+    "roc setting of no sensors": (
+        "roc",
+        "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\nsettings = 3,0 | 0,0\n" + DETECTOR,
+        "[sweep] settings tau0_sigma0_unsynchronized",
+    ),
+    "roc setting of an unknown sync": (
+        "roc",
+        "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\nsettings = 3,0,sync\n" + DETECTOR,
+        "[sweep] settings tau3_sigma0_sync",
+    ),
+    "roc setting overflowing at grid scale": (
+        "roc",
+        "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\nsettings = 3,0 | 3,3080\n" + DETECTOR,
+        "[sweep] settings tau3_sigma3080_unsynchronized: noise_dbm",
+    ),
+    "manifest without [scenario]": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n",
+        "the [scenario] section is missing",
+    ),
+    # synthesis takes its seed from the command, so a scenario holds none
+    "scenario seed": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO.replace("[scenario]\n", "[scenario]\nseed = 3\n"),
+        "[scenario] unknown key 'seed'",
+    ),
 }
 
 

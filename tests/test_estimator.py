@@ -21,7 +21,6 @@ from capspec.sensing import (
 )
 from capspec.structure import (
     build_modulation_matrix,
-    build_psi,
     build_repetition_matrix,
     build_selection_matrix,
     dense_psi,
@@ -246,13 +245,12 @@ class TestCorrelatedBins:
     def test_exact_recovery_full_hermitian(self, rng):
         n = 8
         family = design_pair_cover_family(n, 3)
-        psi = build_psi(family)
         b = build_modulation_matrix(n)
         for _ in range(10):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             rx = a @ a.conj().T
             obs = self.family_observations(family, b @ rx @ b.conj().T)
-            cap = estimate_correlated_bins(obs, psi)
+            cap = estimate_correlated_bins(obs)
             l_pts = 3
             want = np.repeat(np.real(np.diag(rx)), l_pts) / (n * l_pts)
             assert np.max(np.abs(cap.values - want)) < 1e-10

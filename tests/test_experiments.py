@@ -111,7 +111,7 @@ FIXTURE_CONFIGS = {
             UserSpec((0.355, 0.395), 35.0, (-18.0, -20.0)),
         ),
         pattern=CosetPattern(18, (0, 1, 4, 7, 9)), clusters=2, sensors_per_cluster=100,
-        sensors_per_group=1, sync="unsynchronized", bin_mode="uncorrelated", seed=0,
+        sensors_per_group=1, sync="unsynchronized", bin_mode="uncorrelated",
     ),
     "table4.ini": ScenarioConfig(
         period=18, samples_per_coset=170, noise_dbm=11.0,
@@ -121,14 +121,14 @@ FIXTURE_CONFIGS = {
             UserSpec((0.105, 0.145), 25.0, (-13.5, -13.0, -12.5)),
         ),
         pattern=CosetPattern(18, (0, 1, 4, 7, 9)), clusters=3, sensors_per_cluster=30,
-        sensors_per_group=1, sync="unsynchronized", bin_mode="uncorrelated", seed=0,
+        sensors_per_group=1, sync="unsynchronized", bin_mode="uncorrelated",
     ),
     # the family's marks are pinned in test_patterns
     "table5.ini": ScenarioConfig(
         period=40, samples_per_coset=77, noise_dbm=7.0,
         users=(UserSpec((0.56, 0.9), 22.0, (-6.0,)), UserSpec((0.075, 0.46), 25.0, (-7.0,))),
         family=design_pair_cover_family(40, 14), clusters=1, sensors_per_cluster=1,
-        sensors_per_group=25, sync="unsynchronized", bin_mode="correlated", seed=0,
+        sensors_per_group=25, sync="unsynchronized", bin_mode="correlated",
     ),
 }
 
@@ -174,7 +174,7 @@ class TestVariancePatternFixtures:
             )
             report = whitenoise_variance_report(config, runs=runs, seed=88)
             assert report.relative_gap < 0.1
-            analytical.append(closed.nmse)
+            analytical.append(closed / sigma2**2)
             empirical.append(report.empirical_nmse)
         assert len(set(np.round(analytical, 12))) == 3
         assert np.argsort(analytical).tolist() == np.argsort(empirical).tolist()

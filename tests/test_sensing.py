@@ -523,7 +523,7 @@ class TestOneSynthesisLoop:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_noise_levels_reject_nan_and_plus_inf(self, bad):
         with pytest.raises(ValueError, match="noise_dbm"):
-            synthesize_observations(noise_only_config(tau=1), noise_levels=(0.0, bad))
+            synthesize_observations(noise_only_config(tau=1), seed=0, noise_levels=(0.0, bad))
 
     def test_correlated_band_between_grid_points_rejected(self):
         user = UserSpec(band=(0.01, 0.05), power_dbm=0.0, path_loss_db=(0.0,))
