@@ -136,6 +136,16 @@ def whitenoise_variance_closed_form(pattern: CosetPattern, sigma2: float, tau: i
     return sigma2**2 / tau * float(np.sum(1.0 / gamma))
 
 
+_pool = None    # the warm pool: (creating PID, worker count, executor)
+
+
+def _close_pool() -> None:
+    global _pool    # a pool inherited from a parent process is dropped, not shut down
+    pool, _pool = _pool, None
+    if pool is not None and pool[0] == os.getpid():
+        pool[2].shutdown()
+
+
 def dispatch_runs(one, runs: int, workers: int = 1) -> list:
     """Return ``[one(run) for run in range(runs)]``, in run order.
 
@@ -145,16 +155,28 @@ def dispatch_runs(one, runs: int, workers: int = 1) -> list:
     module-level function with ``functools.partial``.  Each run is keyed
     by its index, so the results do not depend on the worker count.  The
     first failing run, in run order, raises in the caller, and the runs
-    not yet started are dropped.
+    not yet started are dropped.  The workers, forked by the first call that
+    needs them, keep that moment's module state and serve later calls until
+    the process exits; another worker count or a dead worker replaces them.
     """
+    global _pool
     workers = min(workers, runs, len(os.sched_getaffinity(0)))
     if workers <= 1:
         return [one(run) for run in range(runs)]
     # imported here, so that ``import capspec`` does not load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing.util import Finalize
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(runs)))
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        _close_pool()
+        _pool = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
+        # run at exit, and in a worker before it joins its own children
+        Finalize(None, _close_pool, exitpriority=0)
+    try:
+        return list(_pool[2].map(one, range(runs)))
+    except BrokenProcessPool:
+        _close_pool()
+        raise
 
 
 def _mc_run(config: ScenarioConfig, seed: int, run: int) -> np.ndarray:
@@ -174,6 +196,8 @@ def mc_caps(
     Returns the (runs, grid) array of CAP values.  Runs are independently
     seeded by (seed, run) and dispatched to ``threads`` worker processes
     (see ``dispatch_runs``), so results are identical for any worker count.
+    The workers, forked on the first multi-worker call, keep the module
+    state of that moment and live until the process exits.
     """
     return np.array(dispatch_runs(partial(_mc_run, config, seed), runs, threads))
 

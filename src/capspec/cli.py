@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 when a bench scaling check fails (``bench.json``
 is still written), 2 on identifiability or configuration errors, 3 on I/O
-errors; stderr carries the reason in one line.  A run that fails before its
-outputs are written leaves no output directory behind.
+errors or a worker that died; stderr carries the reason in one line.  A run
+that fails before its outputs are written leaves no output directory behind.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -132,6 +133,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
+        return 3
+    except BrokenExecutor as exc:
+        print(f"error: worker: {exc}", file=sys.stderr)
         return 3
     except BenchGateError as exc:
         print(f"error: bench: {exc}", file=sys.stderr)

@@ -8,6 +8,8 @@ output directory and writes the files, so a run that fails writes
 nothing.  Monte Carlo runs are dispatched to worker processes and keyed
 by (seed, run index), and all aggregation happens in run order
 afterwards, so output files are byte-identical for any worker count.
+The workers, forked on the first multi-worker run, keep the module state
+of that moment (a later monkeypatch misses them) until the process exits.
 """
 
 from __future__ import annotations

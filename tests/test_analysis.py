@@ -1,12 +1,15 @@
 import os
+import subprocess
 import sys
 import time
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from capspec import analysis
 from capspec.analysis import (
     DetectorSpec,
     _mc_run,
@@ -324,28 +327,44 @@ def _threads_after(fn, *args):
     return len(os.listdir("/proc/self/task"))
 
 
-def _correlated_bins_cap(config, seed):
-    estimate_correlated_bins(synthesize_observations(config, seed=seed).sets)
+def _correlated_bins_cap(config, seed, run):
+    estimate_correlated_bins(synthesize_observations(config, seed=(seed, run)).sets)
+
+
+def _exit_in_worker(caller, run):
+    if os.getpid() != caller:
+        os._exit(1)
+    return run
+
+
+def _nested_pids(run):
+    pids = dispatch_runs(_pid, 2, 2)
+    # leave this worker as it was: one thread, no children
+    analysis._close_pool()
+    return os.getpid(), pids
+
+
+two_cpus = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="runs stay in the caller on one CPU"
+)
 
 
 class TestWorkerThreads:
-    # A worker forked like those of ``dispatch_runs`` starts with one thread.
-    # A BLAS product large enough for OpenBLAS to split would start its
-    # helper thread, which then spins on a core the other worker needs; no
-    # step of a CAP-UB run or of a CAP-CB solve may make one.
+    # A worker of ``dispatch_runs`` starts with one thread and serves every
+    # later run.  A BLAS product large enough for OpenBLAS to split would
+    # start its helper thread, which then spins on a core the other worker
+    # needs; no step of a CAP-UB run or of a CAP-CB solve may make one.
     @pytest.mark.skipif(
         not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
         reason="reads /proc/self/task; OpenBLAS starts no helper on one CPU",
     )
     def test_a_worker_run_starts_no_blas_thread(self):
-        from concurrent.futures import ProcessPoolExecutor
-
         table2 = replace(load_fixture("table2.ini"), sensors_per_cluster=2)
         table5 = replace(load_fixture("table5.ini"), sensors_per_group=2)
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(_threads_after, _mc_run, table2, 11, 0).result() == 1
-            cap_cb = pool.submit(_threads_after, _correlated_bins_cap, table5, (11, 0))
-            assert cap_cb.result() == 1
+        cap_ub = dispatch_runs(partial(_threads_after, _mc_run, table2, 11), 2, 2)
+        assert cap_ub == [1, 1]
+        cap_cb = dispatch_runs(partial(_threads_after, _correlated_bins_cap, table5, 11), 2, 2)
+        assert cap_cb == [1, 1]
 
 
 class TestDispatchRuns:
@@ -369,6 +388,53 @@ class TestDispatchRuns:
             dispatch_runs(partial(_fail_first, tmp_path), 40, 2)
         # the runs already handed to a worker may still finish
         assert len(list(tmp_path.iterdir())) < 10
+
+    def test_later_calls_reuse_the_workers(self):
+        first, second = dispatch_runs(_pid, 4, 2), dispatch_runs(_pid, 4, 2)
+        assert len(set(first) | set(second)) <= min(2, len(os.sched_getaffinity(0)))
+
+    @two_cpus
+    def test_a_dead_worker_fails_its_call_and_the_next_call_recovers(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        before = set(dispatch_runs(_pid, 4, 2))
+        with pytest.raises(BrokenProcessPool):
+            dispatch_runs(partial(_exit_in_worker, os.getpid()), 2, 2)
+        after = set(dispatch_runs(_pid, 4, 2))
+        assert os.getpid() not in after and not after & before
+
+    @two_cpus
+    def test_a_worker_never_uses_its_parents_pool(self):
+        outer = dispatch_runs(_nested_pids, 2, 2)
+        outer_pids = {pid for pid, _ in outer}
+        inner_pids = {pid for _, pids in outer for pid in pids}
+        assert not inner_pids & (outer_pids | {os.getpid()})
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+        reason="reads /proc; runs stay in the caller on one CPU",
+    )
+    def test_the_workers_exit_with_their_process(self):
+        # sys holds the module into the last stage of interpreter teardown,
+        # as a test runner's references do; the pool must be gone by then
+        code = (
+            "import os, sys, time\n"
+            "from capspec import analysis\n"
+            "from capspec.analysis import dispatch_runs\n"
+            "sys.analysis = analysis\n"
+            "def pid(run):\n"
+            "    time.sleep(0.05)\n"
+            "    return os.getpid()\n"
+            "print(*set(dispatch_runs(pid, 4, 2)))\n"
+        )
+        src = str(Path(analysis.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        pids = done.stdout.split()
+        assert pids and not any(Path(f"/proc/{pid}").exists() for pid in pids)
 
     def test_worker_errors_reach_the_caller_intact(self):
         config = ScenarioConfig(

@@ -1,5 +1,6 @@
 import configparser
 import json
+import os
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -31,6 +32,11 @@ band = 0.2,0.3
 power_dbm = 14
 path_loss_db = -3
 """
+
+
+def _exit_in_worker(caller, *args):
+    if os.getpid() != caller:
+        os._exit(1)
 
 
 def write_manifest(tmp_path, body, name="manifest.ini"):
@@ -652,6 +658,26 @@ class TestSweeps:
         assert code == 2
         assert err.startswith("error: identifiability:") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2, reason="runs stay in the caller on one CPU"
+    )
+    def test_dead_worker_exits_3_with_one_line(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.setattr(runner, "_nmse_run", partial(_exit_in_worker, os.getpid()))
+        out = tmp_path / "out"
+        manifest = write_manifest(
+            tmp_path,
+            f"[experiment]\nkind = nmse-sweep\nruns = 4\noutput = {out}\n"
+            + SMALL_SCENARIO
+            + "\n[sweep]\ntau = 3\nsigma2_dbm = 0\npatterns = 0,1,3\n",
+        )
+        code = main(
+            ["nmse-sweep", "--manifest", str(manifest), "--seed", "1", "--threads", "2"]
+        )
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.startswith("error: worker:") and err.count("\n") == 1, err
         assert not out.exists()
 
     def test_variance_check_rejects_users(self, tmp_path, capsys):
