@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a bench scaling check fails (``bench.json``
 is still written), 2 on identifiability or configuration errors, 3 on I/O
-errors or a worker that died; stderr carries the reason in one line.  A run
+errors, a worker that died or an array too large to allocate; stderr
+carries the reason in one line.  A run
 that fails before its outputs are written leaves no output directory behind.
 """
 
@@ -136,6 +137,9 @@ def main(argv=None) -> int:
         return 3
     except BrokenExecutor as exc:
         print(f"error: worker: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print("error: memory: " + " ".join(str(exc).split()), file=sys.stderr)
         return 3
     except BenchGateError as exc:
         print(f"error: bench: {exc}", file=sys.stderr)

@@ -5,11 +5,13 @@ frequency point, per-sensor outer products of the coset DTFT vectors
 are averaged into sample covariances; the design's averaging operator
 (see ``structure``) maps them, stacked, to the N circulant lags, the
 closed-form LS solution; and a length-N transform of the lags gives
-the periodogram in O(N log N).  The operator is applied in its index
-form, by a gather, an in-place scale and ``np.add.reduceat``, not as a
-matrix product: a product would be the one BLAS call of a Monte Carlo
-run, and OpenBLAS would run it on threads that compete with the other
-worker processes for the cores.
+the periodogram in O(N log N).  The sample covariance, the one step
+whose cost grows with the sensor count, is a batched BLAS product, one
+M x M matrix per point, taken over chunks of sensors small enough that
+OpenBLAS runs each product on the calling thread: a helper thread would
+compete with the other worker processes for the cores.  The operator
+is applied in its index form, by a gather, an in-place scale and
+``np.add.reduceat``, with no BLAS call at all.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .patterns import CosetPattern, PatternFamily
-from .sensing import CosetObservationSet
+from .sensing import BLAS_SPLIT_SIZE, CosetObservationSet
 from .structure import PsiMatrix, SystemMatrixRc, build_psi, build_system_matrix
 
 CAP_UB = "CAP-UB"
@@ -74,20 +76,42 @@ class Periodogram:
             )
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write("theta,value,estimator,run_id\n")
-            for theta, value in zip(self.thetas, self.values):
-                f.write(f"{float(theta)!r},{float(value)!r},{self.estimator},0\n")
+        """Write ``theta,value,estimator,run_id`` rows, as ``cap.csv`` is written."""
+        from .runner import _periodogram_csv    # runner imports this module
+
+        _periodogram_csv(self)(path)
+
+
+def covariance_sums(dtft: np.ndarray, stops) -> list[np.ndarray]:
+    """Sums over sensors of the outer products of the coset DTFT vectors.
+
+    ``dtft`` is (sensors, M, L); for each of the ascending sensor counts
+    ``stops`` the C-order (L, M, M) sum over the first ``stop`` sensors is
+    returned.  Each sensor enters once: the DTFT is transposed to one
+    M x sensors matrix per point, and each chunk of sensors adds its
+    batched product to a running sum; a chunk holds as many sensors as
+    keep a product below ``BLAS_SPLIT_SIZE``.
+    """
+    m = dtft.shape[1]
+    chunk = max(1, (BLAS_SPLIT_SIZE - 1) // (m * m))
+    y = np.ascontiguousarray(dtft[: stops[-1]].transpose(2, 1, 0))
+    total = np.zeros((y.shape[0], m, m), dtype=complex)
+    sums, start = [], 0
+    for stop in stops:
+        for lo in range(start, stop, chunk):
+            part = y[:, :, lo : min(lo + chunk, stop)]
+            total += part @ part.conj().swapaxes(1, 2)
+        sums.append(total.copy())
+        start = stop
+    return sums
 
 
 def sample_covariance(observations: CosetObservationSet) -> CovarianceStack:
     """Average the per-sensor outer products of the coset DTFT vectors."""
-    y = observations.dtft
-    tau = y.shape[0]
+    tau = observations.dtft.shape[0]
     if tau == 0:
         raise ValueError(f"cluster/group {observations.label} is empty")
-    # divided into C order, so that the solve reads each point's matrices as one flat row
-    matrices = np.divide(np.einsum("tml,tnl->lmn", y, y.conj()), tau, order="C")
+    matrices = covariance_sums(observations.dtft, [tau])[0] / tau
     return CovarianceStack(matrices=matrices, count=tau, pattern=observations.pattern)
 
 

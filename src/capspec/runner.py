@@ -20,6 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,9 @@ import numpy as np
 from . import analysis
 from .analysis import DetectorSpec, dispatch_runs, nmse, spectral_ap
 from .estimator import (
+    CovarianceStack,
     average_periodograms,
+    covariance_sums,
     estimate_correlated_bins,
     estimate_multicluster,
     ls_reconstruct_rbar,
@@ -45,7 +48,7 @@ from .scenarios import (
     parse_patterns,
     scenario_from_parser,
 )
-from .sensing import CosetObservationSet, ScenarioConfig, _check_grid_levels, dbm_to_linear
+from .sensing import ScenarioConfig, _check_grid_levels, dbm_to_linear
 from .sensing import coset_dtft, synthesize_observations
 
 
@@ -221,16 +224,19 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _csv_rows(path: Path, header: str, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV, built in one join and written
+    at once.  Rows are tuples of Python floats, ints and strings; a float
+    is written as its repr."""
+    line = ",".join(["%s"] * (header.count(",") + 1))
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(
-                ",".join(
-                    repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                    for v in row
-                )
-            )
-            f.write("\n")
+        f.write("\n".join([header, *(line % row for row in rows), ""]))
+
+
+def _periodogram_csv(periodogram) -> partial:
+    """Writer of a periodogram's ``theta,value,estimator,run_id`` rows."""
+    rows = list(zip(periodogram.thetas.tolist(), periodogram.values.tolist(),
+                    repeat(periodogram.estimator), repeat(0)))
+    return partial(_csv_rows, header="theta,value,estimator,run_id", rows=rows)
 
 
 def _write_outputs(
@@ -271,7 +277,7 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
         if manifest.keep_nap:
             nap = average_periodograms([spectral_ap(s.spectra) for s in sensed.sets])
             nap.require_finite()
-    files = {"cap.csv": cap.write_csv}
+    files = {"cap.csv": _periodogram_csv(cap)}
     summary = {
         "estimator": cap.estimator,
         "grid_points": int(cap.values.size),
@@ -280,7 +286,7 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
         "warnings": sensed.warnings,
     }
     if nap is not None:
-        files["nap.csv"] = nap.write_csv
+        files["nap.csv"] = _periodogram_csv(nap)
         summary["nmse_vs_nap"] = nmse(cap, nap) if np.any(nap.values) else None
     return _write_outputs(manifest, files, summary)
 
@@ -288,23 +294,46 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
 def _nmse_run(
     config: ScenarioConfig, sweep: SweepSpec, combos: list, seed: int, run: int
 ) -> list[float]:
-    """Run ``run`` of an nmse-sweep: its NMSE per entry of ``combos``."""
+    """Run ``run`` of an nmse-sweep: its NMSE per entry of ``combos``.
+
+    Per noise level and cluster, the covariance over the union of the
+    sweep's marks and the NAP's |X|^2 are summed once, with running sums
+    at the sorted taus, and each (pattern, tau) solve reads its M x M
+    submatrix.  The scenario's own marks come from synthesis' coset DTFT,
+    the other marks from one ``coset_dtft`` of the kept spectra.
+    """
     levels = synthesize_observations(
         config, seed=(seed, run), keep_full_rate=True, noise_levels=sweep.sigmas_dbm
     )
+    taus = sorted(sweep.taus)
+    own = config.pattern.marks
+    union = sorted({mark for pattern in sweep.patterns for mark in pattern.marks})
+    kept = [own.index(mark) for mark in union if mark in own]
+    extra = [mark for mark in union if mark not in own]
+    # the union's rows: the scenario's marks, then the others
+    order = [own[row] for row in kept] + extra
+    rows = {p: np.array([order.index(mark) for mark in p.marks]) for p in sweep.patterns}
     scores = {}
     for sigma, sensed in zip(sweep.sigmas_dbm, levels):
-        for tau in sweep.taus:
-            nap = average_periodograms([spectral_ap(s.spectra[:tau]) for s in sensed.sets])
+        caps = {(pattern, tau): [] for pattern in sweep.patterns for tau in taus}
+        naps = {tau: [] for tau in taus}
+        for s in sensed.sets:
+            dtft = s.dtft[:, kept]
+            if extra:
+                extra_dtft = coset_dtft(s.spectra, CosetPattern(config.period, extra))
+                dtft = np.concatenate([dtft, extra_dtft], axis=1)
+            for tau, total in zip(taus, covariance_sums(dtft, taus)):
+                for pattern, idx in rows.items():
+                    stack = CovarianceStack(total[:, idx[:, None], idx] / tau, tau, pattern)
+                    caps[pattern, tau].append(assemble_cap(ls_reconstruct_rbar(stack)))
+            # |X|^2 summed between consecutive taus, then accumulated
+            power = np.abs(s.spectra) ** 2
+            for tau, total in zip(taus, np.add.reduceat(power, [0, *taus[:-1]]).cumsum(0)):
+                naps[tau].append(total / tau / config.grid_size)
+        for tau in taus:
+            nap = np.mean(naps[tau], axis=0)
             for pattern in sweep.patterns:
-                # synthesis has aliased the spectra into the scenario's own cosets
-                dtfts = [
-                    s.dtft[:tau] if pattern == s.pattern else coset_dtft(s.spectra[:tau], pattern)
-                    for s in sensed.sets
-                ]
-                obs = [CosetObservationSet(pattern, y, label=d) for d, y in enumerate(dtfts)]
-                _, cap = estimate_multicluster(obs)
-                scores[pattern, tau, sigma] = nmse(cap, nap)
+                scores[pattern, tau, sigma] = nmse(average_periodograms(caps[pattern, tau]), nap)
     return [scores[combo] for combo in combos]
 
 
@@ -353,7 +382,7 @@ def run_roc(manifest: ExperimentManifest) -> dict:
             threads=manifest.threads,
         )
         aucs[setting.label] = curve.auc
-        rows = list(zip(curve.thresholds, curve.pfa, curve.pd))
+        rows = list(zip(curve.thresholds.tolist(), curve.pfa.tolist(), curve.pd.tolist()))
         files[f"roc_{setting.label}.csv"] = partial(
             _csv_rows, header="threshold,pfa,pd", rows=rows
         )
@@ -373,7 +402,7 @@ def run_variance_check(manifest: ExperimentManifest) -> dict:
             )
             detail = [
                 (theta, report.analytical_variance, emp)
-                for theta, emp in zip(report.thetas, report.empirical_by_theta)
+                for theta, emp in zip(report.thetas.tolist(), report.empirical_by_theta.tolist())
             ]
             name = "-".join(map(str, pattern.marks))
             files[f"variance_theta_{name}_tau{tau}.csv"] = partial(

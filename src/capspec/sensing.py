@@ -273,13 +273,25 @@ def _user_shape(spec: UserSpec, n_grid: int, bin_mode: str) -> np.ndarray:
     return shape
 
 
+# OpenBLAS (0.3.31, Haswell) may split a complex product of this many
+# multiply-adds or more over a helper thread, which would then compete
+# with the other worker processes for the cores
+BLAS_SPLIT_SIZE = 65536
+
+
 def coset_dtft(spectra: np.ndarray, pattern: CosetPattern) -> np.ndarray:
     """Coset DTFT values of sensors x grid spectra X, as in
     ``CosetObservationSet.dtft``: C B times X's bin vector at each point,
-    with C B taken as the rows of B at the marks."""
+    with C B taken as the rows of B at the marks.  Each product takes
+    as many points as keep it below ``BLAS_SPLIT_SIZE``."""
     coset_map = build_modulation_matrix(pattern.period)[list(pattern.marks)]
     sensors, n_grid = spectra.shape
-    return coset_map @ spectra.reshape(sensors, pattern.period, n_grid // pattern.period)
+    bins = spectra.reshape(sensors, pattern.period, n_grid // pattern.period)
+    out = np.empty((sensors, pattern.size, bins.shape[2]), dtype=complex)
+    step = max(1, (BLAS_SPLIT_SIZE - 1) // coset_map.size)
+    for lo in range(0, bins.shape[2], step):
+        np.matmul(coset_map, bins[..., lo : lo + step], out=out[..., lo : lo + step])
+    return out
 
 
 def extract_coset_observations(

@@ -14,12 +14,14 @@ The designs keep that operator in index form: every covariance slot,
 counted in memory order over the stacked M x M matrices, sorted by the
 lag it observes (``slots``), with its weight (``weights``) and the
 start of each lag's run of slots (``starts``).  A solve is then a
-gather, an in-place scale and one ``np.add.reduceat``; it makes no
-matrix product, so no BLAS call, and no BLAS thread, is on the Monte
-Carlo path.  Synthesis aliases bins into cosets with C B, taken as the
-rows of B at the marks; the dense builders ``build_selection_matrix``,
-``build_repetition_matrix``, ``dense_rc`` and ``dense_psi`` materialize
-model matrices for the test oracles.
+gather, an in-place scale and one ``np.add.reduceat``: no matrix
+product, so no BLAS call.  The BLAS products of a Monte Carlo run, the
+sample covariance and the coset map C B, are taken in chunks below the
+size at which OpenBLAS would split them over a helper thread.  Synthesis
+aliases bins into cosets with C B, taken as the rows of B at the marks;
+the dense builders ``build_selection_matrix``, ``build_repetition_matrix``,
+``dense_rc`` and ``dense_psi`` materialize model matrices for the test
+oracles.
 """
 
 from __future__ import annotations

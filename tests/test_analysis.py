@@ -30,9 +30,11 @@ from capspec.estimator import (
     estimate_correlated_bins,
     estimate_multicluster,
     reconstruct_cap,
+    sample_covariance,
 )
 from capspec.patterns import CosetPattern
-from capspec.scenarios import load_fixture
+from capspec.runner import SweepSpec, _nmse_run
+from capspec.scenarios import EXPERIMENT1_EXTRA_COSETS, extend_pattern, load_fixture
 from capspec.sensing import (
     CosetObservationSet,
     ScenarioConfig,
@@ -331,6 +333,15 @@ def _correlated_bins_cap(config, seed, run):
     estimate_correlated_bins(synthesize_observations(config, seed=(seed, run)).sets)
 
 
+def _noise_covariance(config, seed, run):
+    sample_covariance(synthesize_observations(config, seed=(seed, run)).sets[0])
+
+
+def _long_grid_dtft(run):
+    # 5 x 18 x 8000 multiply-adds per sensor would be split unchunked
+    coset_dtft(np.ones((3, 18 * 8000), dtype=complex), CosetPattern(18, (0, 1, 4, 7, 9)))
+
+
 def _exit_in_worker(caller, run):
     if os.getpid() != caller:
         os._exit(1)
@@ -349,15 +360,15 @@ two_cpus = pytest.mark.skipif(
 )
 
 
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    reason="reads /proc/self/task; OpenBLAS starts no helper on one CPU",
+)
 class TestWorkerThreads:
     # A worker of ``dispatch_runs`` starts with one thread and serves every
     # later run.  A BLAS product large enough for OpenBLAS to split would
     # start its helper thread, which then spins on a core the other worker
     # needs; no step of a CAP-UB run or of a CAP-CB solve may make one.
-    @pytest.mark.skipif(
-        not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
-        reason="reads /proc/self/task; OpenBLAS starts no helper on one CPU",
-    )
     def test_a_worker_run_starts_no_blas_thread(self):
         table2 = replace(load_fixture("table2.ini"), sensors_per_cluster=2)
         table5 = replace(load_fixture("table5.ini"), sensors_per_group=2)
@@ -365,6 +376,25 @@ class TestWorkerThreads:
         assert cap_ub == [1, 1]
         cap_cb = dispatch_runs(partial(_threads_after, _correlated_bins_cap, table5, 11), 2, 2)
         assert cap_cb == [1, 1]
+
+    def test_a_full_size_sweep_run_starts_no_blas_thread(self):
+        table2 = load_fixture("table2.ini")
+        rich = extend_pattern(table2.pattern, EXPERIMENT1_EXTRA_COSETS, 3)
+        sweep = SweepSpec(taus=(20, 100), sigmas_dbm=(7.0, 10.0), patterns=(table2.pattern, rich))
+        config = replace(table2, sensors_per_cluster=100)
+        combos = [(p, tau, sigma) for p in sweep.patterns for tau in sweep.taus
+                  for sigma in sweep.sigmas_dbm]
+        run = partial(_threads_after, _nmse_run, config, sweep, combos, 11)
+        assert dispatch_runs(run, 2, 2) == [1, 1]
+
+    def test_large_products_start_no_blas_thread(self):
+        # 18 x 18 x 400 multiply-adds per point would be split unchunked
+        config = ScenarioConfig(
+            period=18, samples_per_coset=20, users=(), noise_dbm=0.0,
+            pattern=CosetPattern(18, tuple(range(18))), sensors_per_cluster=400,
+        )
+        assert dispatch_runs(partial(_threads_after, _noise_covariance, config, 11), 2, 2) == [1, 1]
+        assert dispatch_runs(partial(_threads_after, _long_grid_dtft), 2, 2) == [1, 1]
 
 
 class TestDispatchRuns:

@@ -153,6 +153,21 @@ class TestReconstruct:
         assert "identifiability" in err and "3" in err
         assert not (tmp_path / "bad").exists()
 
+    def test_too_large_a_grid_exits_3_with_one_line(self, tmp_path, capsys):
+        # 3 sensors x 6e11 points: numpy refuses the 26 TiB before it
+        # allocates anything.  A size between this and what fits would be
+        # allocated for real, so no other size is tried.
+        manifest = write_manifest(
+            tmp_path,
+            f"[experiment]\nkind = reconstruct\noutput = {tmp_path/'big'}\n"
+            "[scenario]\nperiod = 6\nsamples_per_coset = 99999999999\nmarks = 0,1,3\n"
+            "noise_dbm = 0\nsensors_per_cluster = 3\n",
+        )
+        assert main(["reconstruct", "--manifest", str(manifest), "--seed", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: memory:") and err.count("\n") == 1, err
+        assert not (tmp_path / "big").exists()
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")

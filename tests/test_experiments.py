@@ -19,8 +19,10 @@ from capspec.scenarios import (
 )
 from capspec.runner import SweepSpec, _nmse_run
 from capspec.sensing import (
+    CosetObservationSet,
     ScenarioConfig,
     UserSpec,
+    coset_dtft,
     dbm_to_linear,
     extract_coset_observations,
     synthesize_observations,
@@ -220,6 +222,46 @@ class TestSweepAgainstRecords:
                     obs = [
                         extract_coset_observations(x[:tau], p, label=d)
                         for d, x in enumerate(records)
+                    ]
+                    want[p, tau, sigma] = nmse(estimate_multicluster(obs)[1], nap)
+        np.testing.assert_allclose(got, [want[c] for c in combos], rtol=self.RTOL, atol=0)
+
+    def test_shared_sweep_matches_the_per_combination_path(self):
+        # the sweep sums one covariance over the union of its marks per
+        # level and cluster; the reference solves every (pattern, tau) on
+        # its own slice, as one estimate_multicluster call.  Neither pattern
+        # holds the other, the scenario's own is one of them, and the taus
+        # are listed unsorted.
+        users = (UserSpec(band=(0.3, 0.37), power_dbm=8.0, path_loss_db=(-1.0, -3.0)),)
+        own, other = CosetPattern(6, (0, 1, 3)), CosetPattern(6, (1, 2, 4))
+        sweep = SweepSpec(taus=(5, 2), sigmas_dbm=(0.0, 3.0), patterns=(own, other))
+        config = ScenarioConfig(
+            period=6, samples_per_coset=20, users=users, noise_dbm=0.0,
+            pattern=own, clusters=2, sensors_per_cluster=max(sweep.taus),
+        )
+        combos = [
+            (p, tau, sigma)
+            for p in sweep.patterns
+            for tau in sweep.taus
+            for sigma in sweep.sigmas_dbm
+        ]
+        got = _nmse_run(config, sweep, combos, 21, 0)
+
+        levels = synthesize_observations(
+            config, seed=(21, 0), keep_full_rate=True, noise_levels=sweep.sigmas_dbm
+        )
+        want = {}
+        for sigma, sensed in zip(sweep.sigmas_dbm, levels):
+            for tau in sweep.taus:
+                nap = average_periodograms([spectral_ap(s.spectra[:tau]) for s in sensed.sets])
+                for p in sweep.patterns:
+                    obs = [
+                        CosetObservationSet(
+                            p,
+                            s.dtft[:tau] if p == s.pattern else coset_dtft(s.spectra[:tau], p),
+                            label=d,
+                        )
+                        for d, s in enumerate(sensed.sets)
                     ]
                     want[p, tau, sigma] = nmse(estimate_multicluster(obs)[1], nap)
         np.testing.assert_allclose(got, [want[c] for c in combos], rtol=self.RTOL, atol=0)
