@@ -51,7 +51,6 @@ from .structure import (
     SystemMatrixRc,
     build_modulation_matrix,
     build_psi,
-    build_repetition_matrix,
     build_system_matrix,
 )
 

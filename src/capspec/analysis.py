@@ -24,6 +24,7 @@ from .sensing import (
     _unwrapped,
     band_grid_indices,
     dbm_to_linear,
+    nap_values,
     synthesize_observations,
 )
 from .structure import SystemMatrixRc, build_system_matrix
@@ -31,12 +32,9 @@ from .structure import SystemMatrixRc, build_system_matrix
 
 def spectral_ap(spectra: np.ndarray) -> Periodogram:
     """Averaged periodogram of spectra X (sensors x grid points, the DFTs
-    of full-rate records): mean |X|^2 over sensors, divided by the grid size."""
-    n_grid = spectra.shape[1]
-    return Periodogram(
-        values=np.mean(np.abs(spectra) ** 2, axis=0) / n_grid,
-        estimator=NAP,
-    )
+    of full-rate records): ``nap_values``, mean |X|^2 over sensors divided
+    by the grid size."""
+    return Periodogram(values=nap_values(spectra), estimator=NAP)
 
 
 def nyquist_ap(records: np.ndarray) -> Periodogram:

@@ -173,10 +173,13 @@ def minimal_circular_sparse_ruler(
     the lexicographically smallest mark set, which makes the output
     deterministic.  The node budget keeps the search bounded for large
     periods; if it is exhausted the best complete ruler found is returned
-    with ``minimal=False``.
+    with ``minimal=False``.  A budget below 1 visits no node, so it is
+    refused.
     """
     if n < 1:
         raise ValueError(f"period must be positive, got {n}")
+    if node_budget < 1:
+        raise ValueError(f"node budget must be positive, got {node_budget}")
     if n == 1:
         return RulerSearchResult(CosetPattern(1, (0,)), True)
 

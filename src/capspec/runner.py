@@ -26,9 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .analysis import DetectorSpec, dispatch_runs, nmse, spectral_ap
+from .analysis import DetectorSpec, dispatch_runs, nmse
 from .estimator import (
+    NAP,
     CovarianceStack,
+    Periodogram,
     average_periodograms,
     covariance_sums,
     estimate_correlated_bins,
@@ -232,10 +234,15 @@ def _csv_rows(path: Path, header: str, rows) -> None:
         f.write("\n".join([header, *(line % row for row in rows), ""]))
 
 
-def _periodogram_csv(periodogram) -> partial:
-    """Writer of a periodogram's ``theta,value,estimator,run_id`` rows."""
-    rows = list(zip(periodogram.thetas.tolist(), periodogram.values.tolist(),
-                    repeat(periodogram.estimator), repeat(0)))
+def _theta_text(periodogram) -> list[str]:
+    """The theta column of a periodogram's rows, each value as its repr."""
+    return list(map(repr, periodogram.thetas.tolist()))
+
+
+def _periodogram_csv(periodogram, thetas: list[str]) -> partial:
+    """Writer of a periodogram's ``theta,value,estimator,run_id`` rows, with
+    ``thetas``, the ``_theta_text`` of its grid, as the theta column."""
+    rows = list(zip(thetas, periodogram.values.tolist(), repeat(periodogram.estimator), repeat(0)))
     return partial(_csv_rows, header="theta,value,estimator,run_id", rows=rows)
 
 
@@ -259,15 +266,16 @@ def _write_outputs(
 def run_reconstruct(manifest: ExperimentManifest) -> dict:
     """One seeded realization: CAP (and NAP baseline) to CSV plus summary.
 
-    Levels are checked at grid scale before synthesis, but finite powers
-    can still overflow once squared in a covariance; a CAP or NAP that is
-    not finite is then refused before anything is written.
+    With ``keep_nap``, synthesis reduces each group's spectra to its NAP
+    as it builds them, so no more than one group's spectra exist at once,
+    and the NAP is the average of the groups' NAPs.  Levels are checked
+    at grid scale before synthesis, but finite powers can still overflow
+    once squared in a covariance; a CAP or NAP that is not finite is then
+    refused before anything is written.
     """
     config = manifest.scenario
     with np.errstate(over="ignore", invalid="ignore"):
-        sensed = synthesize_observations(
-            config, seed=(manifest.seed, 0), keep_full_rate=manifest.keep_nap
-        )
+        sensed = synthesize_observations(config, seed=(manifest.seed, 0), nap=manifest.keep_nap)
         if config.bin_mode == "uncorrelated":
             _, cap = estimate_multicluster(sensed.sets)
         else:
@@ -275,9 +283,11 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
         cap.require_finite()
         nap = None
         if manifest.keep_nap:
-            nap = average_periodograms([spectral_ap(s.spectra) for s in sensed.sets])
+            nap = average_periodograms([Periodogram(s.nap, NAP) for s in sensed.sets])
             nap.require_finite()
-    files = {"cap.csv": _periodogram_csv(cap)}
+    # cap.csv and nap.csv share one grid, so its theta column is formatted once
+    thetas = _theta_text(cap)
+    files = {"cap.csv": _periodogram_csv(cap, thetas)}
     summary = {
         "estimator": cap.estimator,
         "grid_points": int(cap.values.size),
@@ -286,7 +296,7 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
         "warnings": sensed.warnings,
     }
     if nap is not None:
-        files["nap.csv"] = _periodogram_csv(nap)
+        files["nap.csv"] = _periodogram_csv(nap, thetas)
         summary["nmse_vs_nap"] = nmse(cap, nap) if np.any(nap.values) else None
     return _write_outputs(manifest, files, summary)
 

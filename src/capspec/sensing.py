@@ -9,7 +9,10 @@ alone and its first tau sensors do not depend on its sensor count.
 Synthesis makes only what the coset DTFTs read, the noise at the marks
 and K user rows times per-sensor values, except for the one full-grid
 draw that unsynchronized users on uncorrelated bins share per group.
-Spectra are built on request, and records are derived from them.
+Spectra are built on request: kept, one sensors x grid array per group
+and level, with records derived from them; or, for the Nyquist baseline
+alone, built in scratch reused across groups and levels and reduced at
+once to their averaged periodogram, so only one group's spectra are held.
 """
 
 from __future__ import annotations
@@ -185,12 +188,14 @@ class CosetObservationSet:
     ``pattern.marks[m]`` at sensor t, at theta = l / grid_size.
     ``spectra``, when kept, is the sensors x grid DFT of the full-rate
     records; ``full_rate`` derives the records from it on each read.
+    ``nap``, when asked for, is ``nap_values`` of those spectra.
     """
 
     pattern: CosetPattern
     dtft: np.ndarray
     label: int = 0
     spectra: np.ndarray | None = None
+    nap: np.ndarray | None = None
 
     @property
     def full_rate(self) -> np.ndarray | None:
@@ -310,9 +315,19 @@ def extract_coset_observations(
     return CosetObservationSet(pattern=pattern, dtft=dtft, label=label)
 
 
-def _plus_scaled(part: np.ndarray, noise: np.ndarray, scale: float, last: bool) -> np.ndarray:
-    """part + noise * scale, made in ``part`` and ``noise`` for the last level."""
-    scaled = np.multiply(noise, scale, out=noise if last else None)
+def nap_values(spectra: np.ndarray) -> np.ndarray:
+    """Nyquist averaged periodogram of spectra X (sensors x grid points, the
+    DFTs of full-rate records): mean |X|^2 over sensors, divided by the
+    grid size."""
+    return np.mean(np.abs(spectra) ** 2, axis=0) / spectra.shape[1]
+
+
+def _plus_scaled(
+    part: np.ndarray, noise: np.ndarray, scale: float, last: bool, out=None
+) -> np.ndarray:
+    """part + noise * scale, made in ``part`` and ``noise`` for the last
+    level, else in ``out`` (a new array if None)."""
+    scaled = np.multiply(noise, scale, out=noise if last else out)
     return np.add(part, scaled, out=part if last else scaled)
 
 
@@ -321,6 +336,7 @@ def synthesize_observations(
     seed,
     keep_full_rate: bool = False,
     noise_levels=None,
+    nap: bool = False,
 ) -> SensingRun | list[SensingRun]:
     """Simulate acquisition for ``config``: one observation set per cluster
     d of ``config.pattern`` with path-loss column d (uncorrelated bins), or
@@ -343,10 +359,13 @@ def synthesize_observations(
     part's coset DTFT, alike whether or not spectra are kept.
     ``keep_full_rate`` draws z's other cosets, keyed (seed, off-mark role,
     group), and keeps X, with W = fft(z) along the cosets, as ``spectra``.
-    ``noise_levels`` (dBm, in place of ``config.noise_dbm``) returns one
-    run per level, each adding its scaled noise to the same user part,
-    bit-identical to a call at that level.  Levels are checked at grid
-    scale before anything is drawn.
+    ``nap`` builds the same X, bit for bit, and stores ``nap_values`` of it
+    as each set's ``nap``; without ``keep_full_rate`` X is built in scratch
+    that the next group and level reuse, so at most one group's spectra
+    exist at a time.  ``noise_levels`` (dBm, in place of
+    ``config.noise_dbm``) returns one run per level, each adding its scaled
+    noise to the same user part, bit-identical to a call at that level.
+    Levels are checked at grid scale before anything is drawn.
     """
     levels = (config.noise_dbm,) if noise_levels is None else tuple(noise_levels)
     n_grid, period, l_per = config.grid_size, config.period, config.samples_per_coset
@@ -385,7 +404,12 @@ def synthesize_observations(
     # scratch: a merged variance (two float halves), a user's term, the noise
     work = np.empty((sensors, n_grid), dtype=complex)
     buffer = work.view(float).reshape(-1)
-    z = np.empty((sensors, period, l_per), dtype=complex) if keep_full_rate else None
+    with_spectra = keep_full_rate or nap
+    z = np.empty((sensors, period, l_per), dtype=complex) if with_spectra else None
+    # spectra made only for their NAP: the signal and the levels before the last
+    scratch = None
+    if nap and not keep_full_rate:
+        scratch = np.empty((min(len(levels), 2), sensors, n_grid), dtype=complex)
     sets = [[] for _ in levels]
     for label, pattern, column in groups:
         gains = [
@@ -401,7 +425,10 @@ def synthesize_observations(
                 np.multiply(np.abs(gain) ** 2, power, out=term)
                 variance += term
             np.sqrt(variance, out=variance)
-            signal = _standard_block(_rng(seed, own_role, label), sensors, n_grid)
+            signal = _standard_block(
+                _rng(seed, own_role, label), sensors, n_grid,
+                None if scratch is None else scratch[0].view(float).reshape(-1),
+            )
             signal *= variance
             signal_dtft = coset_dtft(signal, pattern)
         else:
@@ -414,14 +441,15 @@ def synthesize_observations(
             signal_dtft = np.zeros((sensors, pattern.size, l_per), dtype=complex)
             for coeff, row_dtft in zip(gains, coset_dtft(rows, pattern)):
                 signal_dtft += coeff[:, :, None] * row_dtft
-            if keep_full_rate:
-                signal = np.zeros((sensors, n_grid), dtype=complex)
+            if with_spectra:
+                signal = np.empty_like(work) if scratch is None else scratch[0]
+                signal.fill(0)
                 for coeff, row in zip(gains, rows):
                     signal += np.multiply(coeff, row, out=work)
         marks = list(pattern.marks)
         noise = _standard_block(_rng(seed, _R_NOISE, label), sensors, len(marks) * l_per, buffer)
         noise = noise.reshape(sensors, len(marks), l_per)
-        if keep_full_rate:
+        if with_spectra:
             off = [c for c in range(period) if c not in pattern.marks]
             z[:, marks] = noise
             z[:, off] = _standard_block(
@@ -433,7 +461,14 @@ def synthesize_observations(
         for i, (scale, level_sets) in enumerate(zip(scales, sets)):
             last = i == len(scales) - 1
             dtft = _plus_scaled(signal_dtft, noise, scale, last)
-            kept = _plus_scaled(signal, noise_spectra, scale, last) if keep_full_rate else None
-            level_sets.append(CosetObservationSet(pattern, dtft, label, spectra=kept))
+            spectra = None
+            if with_spectra:
+                out = None if scratch is None else scratch[-1]
+                spectra = _plus_scaled(signal, noise_spectra, scale, last, out)
+            level_sets.append(CosetObservationSet(
+                pattern, dtft, label,
+                spectra=spectra if keep_full_rate else None,
+                nap=nap_values(spectra) if nap else None,
+            ))
     runs = [SensingRun(sets=level_sets, warnings=list(warnings)) for level_sets in sets]
     return runs[0] if noise_levels is None else runs

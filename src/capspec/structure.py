@@ -18,10 +18,9 @@ gather, an in-place scale and one ``np.add.reduceat``: no matrix
 product, so no BLAS call.  The BLAS products of a Monte Carlo run, the
 sample covariance and the coset map C B, are taken in chunks below the
 size at which OpenBLAS would split them over a helper thread.  Synthesis
-aliases bins into cosets with C B, taken as the rows of B at the marks;
-the dense builders ``build_selection_matrix``, ``build_repetition_matrix``,
-``dense_rc`` and ``dense_psi`` materialize model matrices for the test
-oracles.
+aliases bins into cosets with C B, taken as the rows of B at the marks.
+B is the one model matrix built densely; C, T, Rc and Psi exist here in
+index form only.
 """
 
 from __future__ import annotations
@@ -101,26 +100,6 @@ def build_modulation_matrix(n: int) -> np.ndarray:
     return matrix
 
 
-def build_repetition_matrix(n: int) -> np.ndarray:
-    """Read-only N^2 x N binary matrix T mapping circulant lags to
-    vectorized entries.
-
-    Row q carries a single one in column ((q - floor(q/N)) mod N): the
-    vectorized entry at (row r, column c) equals lag (r - c) mod N.
-    """
-    q = np.arange(n * n)
-    lag = (q - q // n) % n
-    matrix = np.zeros((n * n, n))
-    matrix[q, lag] = 1.0
-    matrix.setflags(write=False)
-    return matrix
-
-
-def build_selection_matrix(pattern: CosetPattern) -> np.ndarray:
-    """Dense M x N row-selection matrix for the active cosets."""
-    c = np.zeros((pattern.size, pattern.period))
-    c[np.arange(pattern.size), list(pattern.marks)] = 1.0
-    return c
 
 
 def _lag_index(lags: np.ndarray, weights: np.ndarray, n: int) -> dict:
@@ -149,13 +128,6 @@ def build_system_matrix(pattern: CosetPattern) -> SystemMatrixRc:
     )
 
 
-def dense_rc(pattern: CosetPattern) -> np.ndarray:
-    """Materialize Rc = (C kron C) T; M^2 x N. Verification path only."""
-    c = build_selection_matrix(pattern)
-    t = build_repetition_matrix(pattern.period)
-    return np.kron(c, c) @ t
-
-
 def build_psi(family: PatternFamily) -> PsiMatrix:
     """Ordered-pair counts and averaging operator for a pattern family."""
     n = family.period
@@ -169,12 +141,3 @@ def build_psi(family: PatternFamily) -> PsiMatrix:
     lags = ((rows - cols) % n).reshape(-1)
     weights = 1.0 / (n * pair_counts[vec_index])
     return PsiMatrix(family=family, pair_counts=pair_counts, **_lag_index(lags, weights, n))
-
-
-def dense_psi(family: PatternFamily) -> np.ndarray:
-    """Materialize Psi by stacking C_z kron C_z; M^2 Z x N^2. Tests only."""
-    blocks = [
-        np.kron(build_selection_matrix(p), build_selection_matrix(p))
-        for p in family.patterns
-    ]
-    return np.vstack(blocks)

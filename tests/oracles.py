@@ -1,0 +1,49 @@
+"""Dense model matrices for the test oracles.
+
+The library keeps its designs in index form (see ``capspec.structure``);
+these builders materialize the matrices of the model, so that tests can
+check the index forms, the estimators and the synthesis against plain
+linear algebra.
+"""
+
+import numpy as np
+
+from capspec.patterns import CosetPattern, PatternFamily
+
+
+def build_repetition_matrix(n: int) -> np.ndarray:
+    """Read-only N^2 x N binary matrix T mapping circulant lags to
+    vectorized entries.
+
+    Row q carries a single one in column ((q - floor(q/N)) mod N): the
+    vectorized entry at (row r, column c) equals lag (r - c) mod N.
+    """
+    q = np.arange(n * n)
+    lag = (q - q // n) % n
+    matrix = np.zeros((n * n, n))
+    matrix[q, lag] = 1.0
+    matrix.setflags(write=False)
+    return matrix
+
+
+def build_selection_matrix(pattern: CosetPattern) -> np.ndarray:
+    """Dense M x N row-selection matrix for the active cosets."""
+    c = np.zeros((pattern.size, pattern.period))
+    c[np.arange(pattern.size), list(pattern.marks)] = 1.0
+    return c
+
+
+def dense_rc(pattern: CosetPattern) -> np.ndarray:
+    """Materialize Rc = (C kron C) T; M^2 x N."""
+    c = build_selection_matrix(pattern)
+    t = build_repetition_matrix(pattern.period)
+    return np.kron(c, c) @ t
+
+
+def dense_psi(family: PatternFamily) -> np.ndarray:
+    """Materialize Psi by stacking C_z kron C_z; M^2 Z x N^2."""
+    blocks = [
+        np.kron(build_selection_matrix(p), build_selection_matrix(p))
+        for p in family.patterns
+    ]
+    return np.vstack(blocks)

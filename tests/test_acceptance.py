@@ -46,13 +46,9 @@ from capspec.sensing import (
     dbm_to_linear,
     extract_coset_observations,
 )
-from capspec.structure import (
-    build_modulation_matrix,
-    build_selection_matrix,
-    build_system_matrix,
-    dense_rc,
-)
+from capspec.structure import build_modulation_matrix, build_system_matrix
 from conftest import random_identifiable_pattern
+from oracles import build_selection_matrix, dense_rc
 from test_estimator import population_stack, observations_from_vectors
 
 RULER18 = CosetPattern(18, (0, 1, 4, 7, 9))

@@ -42,12 +42,8 @@ from capspec.sensing import (
     dbm_to_linear,
     synthesize_observations,
 )
-from capspec.structure import (
-    build_modulation_matrix,
-    build_repetition_matrix,
-    build_system_matrix,
-    dense_rc,
-)
+from capspec.structure import build_modulation_matrix, build_system_matrix
+from oracles import build_repetition_matrix, dense_rc
 
 
 class TestNyquistAp:

@@ -524,6 +524,14 @@ BAD_INPUTS = {
         + SMALL_SCENARIO.replace("[scenario]\n", "[scenario]\nseed = 3\n"),
         "[scenario] unknown key 'seed'",
     ),
+    # a budget below 1 visits no node, so the ruler it prints is not searched for;
+    # design commands read no manifest
+    **{
+        f"node budget {budget}": (
+            f"design-ruler --period 5 --node-budget {budget}", None, "node budget"
+        )
+        for budget in (0, -1)
+    },
 }
 
 
@@ -532,8 +540,11 @@ class TestBadInput:
     def test_exits_2_with_one_line_and_writes_nothing(self, tmp_path, capsys, case):
         command, body, field = BAD_INPUTS[case]
         out = tmp_path / "out"
-        manifest = write_manifest(tmp_path, body.replace("OUT", str(out)))
-        assert main([*command.split(), "--manifest", str(manifest), "--seed", "0"]) == 2
+        argv = command.split()
+        if body is not None:
+            manifest = write_manifest(tmp_path, body.replace("OUT", str(out)))
+            argv += ["--manifest", str(manifest), "--seed", "0"]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and err.count("\n") == 1, err
         assert "Traceback" not in err and field in err

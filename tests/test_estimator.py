@@ -19,14 +19,9 @@ from capspec.sensing import (
     ScenarioConfig,
     synthesize_observations,
 )
-from capspec.structure import (
-    build_modulation_matrix,
-    build_repetition_matrix,
-    build_selection_matrix,
-    dense_psi,
-    dense_rc,
-)
+from capspec.structure import build_modulation_matrix
 from conftest import random_identifiable_pattern
+from oracles import build_repetition_matrix, build_selection_matrix, dense_psi, dense_rc
 
 
 def population_stack(pattern, rx_diags):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capspec
-from capspec.analysis import nyquist_ap
+from capspec.analysis import nyquist_ap, spectral_ap
 from capspec.patterns import CosetPattern, PatternFamily
 from capspec.scenarios import load_fixture
 from capspec.sensing import (
@@ -38,7 +39,8 @@ from capspec.sensing import (
     extract_coset_observations,
     synthesize_observations,
 )
-from capspec.structure import build_modulation_matrix, build_selection_matrix
+from capspec.structure import build_modulation_matrix
+from oracles import build_selection_matrix
 
 GRID = 3060
 
@@ -478,6 +480,48 @@ class TestOneSynthesisLoop:
             for got, want in zip(with_spectra.sets, without.sets, strict=True):
                 assert want.spectra is None
                 assert np.array_equal(got.dtft, want.dtft)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        config=small_scenarios(),
+        key=st.tuples(st.integers(0, 99), st.integers(0, 9)),
+        levels=st.lists(
+            st.one_of(st.just(-math.inf), st.floats(-10.0, 10.0)), min_size=1, max_size=3
+        ),
+    )
+    def test_nap_is_the_baseline_of_the_kept_spectra(self, config, key, levels):
+        kept = synthesize_observations(config, seed=key, keep_full_rate=True, noise_levels=levels)
+        lean = synthesize_observations(config, seed=key, noise_levels=levels)
+        naps = synthesize_observations(config, seed=key, nap=True, noise_levels=levels)
+        for runs in zip(kept, lean, naps, strict=True):
+            for with_spectra, without, got in zip(*(run.sets for run in runs), strict=True):
+                assert got.spectra is None
+                assert np.array_equal(got.nap, spectral_ap(with_spectra.spectra).values)
+                assert np.array_equal(got.dtft, without.dtft)
+
+    def test_nap_holds_one_groups_spectra_at_a_time(self):
+        # numpy reports its buffers to tracemalloc, so the peaks are exact
+        period, groups, sensors = 20, 12, 30
+        family = PatternFamily(period, tuple(
+            CosetPattern(period, tuple((m + z) % period for m in (0, 1, 3))) for z in range(groups)
+        ))
+        config = ScenarioConfig(
+            period=period, samples_per_coset=40, noise_dbm=0.0, family=family,
+            users=(UserSpec(band=(0.1, 0.3), power_dbm=10.0, path_loss_db=(0.0,)),),
+            sensors_per_group=sensors, bin_mode="correlated",
+        )
+        all_spectra = groups * sensors * config.grid_size * np.dtype(complex).itemsize
+
+        def peak(**keep):
+            tracemalloc.start()
+            try:
+                run = synthesize_observations(config, seed=(5, 0), **keep)
+                assert len(run.sets) == groups
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(nap=True) < all_spectra < peak(keep_full_rate=True)
 
     @settings(max_examples=60, deadline=None)
     @given(
