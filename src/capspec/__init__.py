@@ -4,13 +4,10 @@ from .analysis import (
     DetectorSpec,
     RocCurve,
     VarianceReport,
-    analytical_gaussian_covariance,
     mc_caps,
     nmse,
     nyquist_ap,
-    propagate_variance,
     roc_harness,
-    spectral_ap,
     whitenoise_variance_closed_form,
 )
 from .estimator import (
@@ -33,8 +30,6 @@ from .patterns import (
     PatternFamily,
     RulerSearchResult,
     design_pair_cover_family,
-    exhaustive_minimal_ruler,
-    is_circular_sparse_ruler,
     minimal_circular_sparse_ruler,
 )
 from .sensing import (

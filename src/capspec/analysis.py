@@ -1,6 +1,7 @@
 """Baselines, statistical performance formulas, and Monte Carlo harnesses.
 
-Provides the Nyquist-rate averaged periodogram, the NMSE figure of
+Provides the Nyquist-rate averaged periodogram of full-rate records
+(the NAP formula itself is ``sensing.nap_values``), the NMSE figure of
 merit, the fourth-moment covariance of the sample coset covariance for
 jointly Gaussian signals together with its propagation to per-bin
 periodogram variance, the white-noise closed forms, and drivers for
@@ -30,16 +31,11 @@ from .sensing import (
 from .structure import SystemMatrixRc, build_system_matrix
 
 
-def spectral_ap(spectra: np.ndarray) -> Periodogram:
-    """Averaged periodogram of spectra X (sensors x grid points, the DFTs
-    of full-rate records): ``nap_values``, mean |X|^2 over sensors divided
-    by the grid size."""
-    return Periodogram(values=nap_values(spectra), estimator=NAP)
-
-
 def nyquist_ap(records: np.ndarray) -> Periodogram:
-    """Averaged periodogram of full-rate records (sensors x grid points)."""
-    return spectral_ap(np.fft.fft(np.atleast_2d(records), axis=1))
+    """Averaged periodogram of full-rate records (sensors x grid points):
+    ``sensing.nap_values`` of their DFTs, the one NAP formula."""
+    spectra = np.fft.fft(np.atleast_2d(records), axis=1)
+    return Periodogram(values=nap_values(spectra), estimator=NAP)
 
 
 def nmse(estimate, reference) -> float:

@@ -19,10 +19,9 @@ from pathlib import Path
 from .analysis import whitenoise_variance_closed_form
 from .estimator import IdentifiabilityError
 from .patterns import (
+    NODE_BUDGET,
     CosetPattern,
     design_pair_cover_family,
-    exhaustive_minimal_ruler,
-    is_circular_sparse_ruler,
     minimal_circular_sparse_ruler,
 )
 from .runner import RUNNERS, BenchGateError, parse_manifest, run_manifest
@@ -36,15 +35,10 @@ def _pattern_line(pattern: CosetPattern, status: str) -> str:
 
 
 def cmd_design_ruler(args) -> int:
-    if args.exhaustive:
-        pattern = exhaustive_minimal_ruler(args.period)
-        status = "ruler=yes minimal=yes"
-    else:
-        result = minimal_circular_sparse_ruler(args.period, node_budget=args.node_budget)
-        pattern = result.pattern
-        status = f"ruler=yes minimal={'yes' if result.minimal else 'no'}"
-    assert is_circular_sparse_ruler(pattern)
-    print(_pattern_line(pattern, status))
+    result = minimal_circular_sparse_ruler(args.period, node_budget=args.node_budget)
+    assert build_system_matrix(result.pattern).identifiable
+    minimal = "yes" if result.minimal else "no"
+    print(_pattern_line(result.pattern, f"ruler=yes minimal={minimal}"))
     return 0
 
 
@@ -92,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design-ruler", help="minimum-cardinality circular sparse ruler")
     p.add_argument("--period", type=int, required=True)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--node-budget", type=int, default=5_000_000)
+    p.add_argument("--node-budget", type=int, default=NODE_BUDGET)
     p.set_defaults(fn=cmd_design_ruler)
 
     p = sub.add_parser("design-family", help="pair-covering pattern family")

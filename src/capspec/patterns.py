@@ -1,17 +1,18 @@
-"""Design and verification of multi-coset sampling patterns.
+"""Design of multi-coset sampling patterns.
 
 A sampling pattern selects M of the N cosets in each period of the
 Nyquist grid.  The key design object is the circular sparse ruler: a
 mark set whose pairwise differences mod N cover every residue, which
 is exactly the condition for the compressed covariance system to be
-identifiable.  For the correlated-bins estimator the requirement is
-stronger: a family of patterns must jointly contain every unordered
-pair of cosets.
+identifiable.  ``minimal_circular_sparse_ruler`` finds one of fewest
+marks by branch and bound; whether a pattern is a ruler is read from
+``structure.build_system_matrix(pattern).identifiable``.  For the
+correlated-bins estimator the requirement is stronger: a family of
+patterns must jointly contain every unordered pair of cosets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,11 @@ class PatternFamily:
         return self.patterns[0].size
 
 
+# Nodes a ruler search may visit per cardinality before it settles for a
+# ruler not proven minimal.
+NODE_BUDGET = 5_000_000
+
+
 @dataclass(frozen=True)
 class RulerSearchResult:
     """Outcome of a minimal-ruler search.
@@ -86,12 +92,6 @@ class RulerSearchResult:
 
     pattern: CosetPattern
     minimal: bool
-
-
-def is_circular_sparse_ruler(pattern: CosetPattern) -> bool:
-    """True iff the modular differences of the marks cover 0..N-1."""
-    n = pattern.period
-    return len({(a - b) % n for a in pattern.marks for b in pattern.marks}) == n
 
 
 def _pair_differences(mark: int, marks: tuple[int, ...], n: int) -> int:
@@ -164,7 +164,7 @@ def _dfs_ruler(n: int, size: int, budget: int) -> tuple[tuple[int, ...] | None, 
 
 
 def minimal_circular_sparse_ruler(
-    n: int, node_budget: int = 5_000_000
+    n: int, node_budget: int = NODE_BUDGET
 ) -> RulerSearchResult:
     """Search for a minimum-cardinality circular sparse ruler of period ``n``.
 
@@ -196,24 +196,6 @@ def minimal_circular_sparse_ruler(
             return RulerSearchResult(CosetPattern(n, marks), minimal=not any_truncated)
     # Every level up to the greedy size was truncated without a solution.
     return RulerSearchResult(CosetPattern(n, fallback), minimal=False)
-
-
-def exhaustive_minimal_ruler(n: int) -> CosetPattern:
-    """Plain enumeration oracle: smallest cardinality, lexicographically first.
-
-    Enumerates 0-anchored mark sets in lexicographic order for each
-    cardinality (any complete set can be rotated to contain 0, so this
-    loses no solutions).  Intended for modest periods; cost grows as
-    C(n-1, M-1).
-    """
-    if n < 1:
-        raise ValueError(f"period must be positive, got {n}")
-    for size in range(1, n + 1):
-        for rest in itertools.combinations(range(1, n), size - 1):
-            pattern = CosetPattern(n, (0,) + rest)
-            if is_circular_sparse_ruler(pattern):
-                return pattern
-    raise AssertionError("unreachable: the full mark set is always complete")
 
 
 def design_pair_cover_family(n: int, m: int) -> PatternFamily:

@@ -51,7 +51,7 @@ from .scenarios import (
     scenario_from_parser,
 )
 from .sensing import ScenarioConfig, _check_grid_levels, dbm_to_linear
-from .sensing import coset_dtft, synthesize_observations
+from .sensing import coset_dtft, nap_values, synthesize_observations
 
 
 @dataclass(frozen=True)
@@ -307,10 +307,11 @@ def _nmse_run(
     """Run ``run`` of an nmse-sweep: its NMSE per entry of ``combos``.
 
     Per noise level and cluster, the covariance over the union of the
-    sweep's marks and the NAP's |X|^2 are summed once, with running sums
-    at the sorted taus, and each (pattern, tau) solve reads its M x M
-    submatrix.  The scenario's own marks come from synthesis' coset DTFT,
-    the other marks from one ``coset_dtft`` of the kept spectra.
+    sweep's marks is summed once, with running sums at the sorted taus,
+    and each (pattern, tau) solve reads its M x M submatrix.  The NAP at
+    each tau is ``nap_values`` of the cluster's first tau spectra.  The
+    scenario's own marks come from synthesis' coset DTFT, the other marks
+    from one ``coset_dtft`` of the kept spectra.
     """
     levels = synthesize_observations(
         config, seed=(seed, run), keep_full_rate=True, noise_levels=sweep.sigmas_dbm
@@ -336,10 +337,8 @@ def _nmse_run(
                 for pattern, idx in rows.items():
                     stack = CovarianceStack(total[:, idx[:, None], idx] / tau, tau, pattern)
                     caps[pattern, tau].append(assemble_cap(ls_reconstruct_rbar(stack)))
-            # |X|^2 summed between consecutive taus, then accumulated
-            power = np.abs(s.spectra) ** 2
-            for tau, total in zip(taus, np.add.reduceat(power, [0, *taus[:-1]]).cumsum(0)):
-                naps[tau].append(total / tau / config.grid_size)
+            for tau in taus:
+                naps[tau].append(nap_values(s.spectra[:tau]))
         for tau in taus:
             nap = np.mean(naps[tau], axis=0)
             for pattern in sweep.patterns:
@@ -449,16 +448,21 @@ def _per_call(fn, count: int) -> float:
     return (time.perf_counter() - start) / count
 
 
-def _timed(fns, min_time: float = 0.05, batches: int = 5) -> list[float]:
-    """Median per-call seconds of each function, batching its calls until a
-    batch is measurable.  The functions' batches alternate, so a drift in
-    the host's speed reaches every function alike, not one side of a ratio."""
+TIMED_MIN_S = 0.05
+TIMED_BATCHES = 5
+
+
+def _timed(fns) -> list[float]:
+    """Median per-call seconds of each function over TIMED_BATCHES batches,
+    doubling its calls per batch until a batch takes TIMED_MIN_S.  The
+    functions' batches alternate, so a drift in the host's speed reaches
+    every function alike, not one side of a ratio."""
     reps = [1] * len(fns)
     for i, fn in enumerate(fns):
         fn()
-        while _per_call(fn, reps[i]) * reps[i] < min_time:
+        while _per_call(fn, reps[i]) * reps[i] < TIMED_MIN_S:
             reps[i] *= 2
-    rounds = [[_per_call(fn, count) for fn, count in zip(fns, reps)] for _ in range(batches)]
+    rounds = [[_per_call(fn, count) for fn, count in zip(fns, reps)] for _ in range(TIMED_BATCHES)]
     return [float(np.median(times)) for times in zip(*rounds)]
 
 

@@ -24,31 +24,6 @@ from .sensing import BIN_MODES, SYNC_MODES, ScenarioConfig, UserSpec
 # in activation order (fixture data for the reconstruction experiments).
 EXPERIMENT1_EXTRA_COSETS = (2, 12, 14)
 
-# Two fixture sets of (base ruler, activation order of extra cosets) per period.
-PATTERN_SETS = {
-    1: {
-        18: ((0, 1, 4, 7, 9), (17, 2, 13, 12, 15, 6)),
-        14: ((0, 1, 2, 4, 7), (10, 6, 12, 5)),
-        10: ((0, 1, 3, 5), (8, 4)),
-    },
-    2: {
-        18: ((0, 1, 4, 7, 9), (5, 2, 6, 17, 15, 14)),
-        14: ((0, 1, 2, 4, 7), (12, 10, 13, 11)),
-        10: ((0, 1, 3, 5), (4, 6)),
-    },
-}
-
-# Extra-coset orders used by the white-noise variance study at period 18.
-VARIANCE_EXTRA_PATTERNS = {
-    "pattern1": (17, 11, 2, 6),
-    "pattern2": (3, 5, 6, 8),
-    "pattern3": (2, 3, 5, 6),
-}
-
-# Fixed single-pattern baseline for the correlated-bins comparison at N=40.
-CORRELATED_UB_BASELINE = (0, 1, 2, 3, 4, 9, 10, 15, 16, 18, 20, 30, 33, 37)
-
-
 def extend_pattern(base: CosetPattern, extras, count: int) -> CosetPattern:
     """Activate the first ``count`` extra cosets on top of ``base``."""
     if count > len(extras):

@@ -248,8 +248,12 @@ def bandpass_response(band: tuple[float, float], n_grid: int) -> np.ndarray:
     lowpass = width * np.sinc(width * m) * window
     lowpass /= np.sum(lowpass)
     center = (band[0] + width / 2.0) % 1.0
-    taps_idx = np.arange(FILTER_TAPS)
-    response = np.fft.fft(lowpass * np.exp(2j * np.pi * center * taps_idx), n_grid)
+    taps = lowpass * np.exp(2j * np.pi * center * np.arange(FILTER_TAPS))
+    # circularly, taps m and m + n_grid act alike: pad the taps to whole
+    # grids and fold those onto one
+    folded = np.zeros(-(-FILTER_TAPS // n_grid) * n_grid, dtype=complex)
+    folded[:FILTER_TAPS] = taps
+    response = np.fft.fft(folded.reshape(-1, n_grid).sum(axis=0))
     return response / np.max(np.abs(response))
 
 

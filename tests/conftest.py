@@ -17,7 +17,7 @@ def ruler18():
 
 def random_identifiable_pattern(rng, n_max=11):
     """Rejection-sample a pattern whose difference set is complete."""
-    from capspec.patterns import is_circular_sparse_ruler
+    from oracles import is_circular_sparse_ruler
 
     while True:
         n = int(rng.integers(4, n_max))

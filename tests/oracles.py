@@ -1,10 +1,14 @@
-"""Dense model matrices for the test oracles.
+"""Reference implementations for the tests.
 
 The library keeps its designs in index form (see ``capspec.structure``);
-these builders materialize the matrices of the model, so that tests can
-check the index forms, the estimators and the synthesis against plain
-linear algebra.
+the dense builders here materialize the matrices of the model, so that
+tests can check the index forms, the estimators and the synthesis
+against plain linear algebra.  The ruler test and the exhaustive ruler
+search are the plain definitions that the library's identifiability
+test and branch-and-bound search are checked against.
 """
+
+import itertools
 
 import numpy as np
 
@@ -47,3 +51,27 @@ def dense_psi(family: PatternFamily) -> np.ndarray:
         for p in family.patterns
     ]
     return np.vstack(blocks)
+
+
+def is_circular_sparse_ruler(pattern: CosetPattern) -> bool:
+    """True iff the modular differences of the marks cover 0..N-1."""
+    n = pattern.period
+    return len({(a - b) % n for a in pattern.marks for b in pattern.marks}) == n
+
+
+def exhaustive_minimal_ruler(n: int) -> CosetPattern:
+    """Plain enumeration oracle: smallest cardinality, lexicographically first.
+
+    Enumerates 0-anchored mark sets in lexicographic order for each
+    cardinality (any complete set can be rotated to contain 0, so this
+    loses no solutions).  Intended for modest periods; cost grows as
+    C(n-1, M-1).
+    """
+    if n < 1:
+        raise ValueError(f"period must be positive, got {n}")
+    for size in range(1, n + 1):
+        for rest in itertools.combinations(range(1, n), size - 1):
+            pattern = CosetPattern(n, (0,) + rest)
+            if is_circular_sparse_ruler(pattern):
+                return pattern
+    raise AssertionError("unreachable: the full mark set is always complete")

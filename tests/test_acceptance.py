@@ -31,7 +31,6 @@ from capspec.estimator import (
 from capspec.patterns import (
     CosetPattern,
     design_pair_cover_family,
-    is_circular_sparse_ruler,
     minimal_circular_sparse_ruler,
 )
 from capspec.runner import ExperimentManifest, SweepSpec, run_nmse_sweep
@@ -48,7 +47,7 @@ from capspec.sensing import (
 )
 from capspec.structure import build_modulation_matrix, build_system_matrix
 from conftest import random_identifiable_pattern
-from oracles import build_selection_matrix, dense_rc
+from oracles import build_selection_matrix, dense_rc, is_circular_sparse_ruler
 from test_estimator import population_stack, observations_from_vectors
 
 RULER18 = CosetPattern(18, (0, 1, 4, 7, 9))

@@ -51,12 +51,15 @@ class TestDesignCommands:
         out = capsys.readouterr().out
         assert "cardinality=5" in out
         assert "ruler=yes" in out and "minimal=yes" in out
-
-    def test_design_ruler_exhaustive(self, capsys):
-        assert main(["design-ruler", "--period", "10", "--exhaustive"]) == 0
+        assert main(["design-ruler", "--period", "10"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("0,1,2,5")
         assert "cardinality=4" in out
+        assert "minimal=yes" in out
+        # one search: argparse refuses the flag of the removed exhaustive one
+        with pytest.raises(SystemExit) as exc:
+            main(["design-ruler", "--period", "10", "--exhaustive"])
+        assert exc.value.code == 2
 
     def test_design_family(self, capsys):
         # (40, 14) is the family of the table5 fixture
@@ -871,16 +874,26 @@ class TestWorkerCountIndependence:
                 assert written[0] == written[1]
 
 
+def readme_block(heading, language):
+    """The first ``language`` code block after ``heading`` in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(heading, 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_ini_block(heading):
     """Section -> keys of the first ini block after ``heading`` in README.md."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split(heading, 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(block)
+    parser.read_string(readme_block(heading, "ini"))
     return {name: set(parser[name]) for name in parser.sections()}
 
 
 class TestReadmeReference:
+    def test_library_quick_start_runs(self, capsys):
+        exec(readme_block("## Library quick start", "python"), {})
+        line = capsys.readouterr().out
+        assert line.startswith("NMSE vs Nyquist baseline: ")
+        assert 0.0 < float(line.split(": ")[1]) < 0.05
+
     def test_inline_comments_as_in_the_readme(self, tmp_path):
         body = "[experiment]\nkind = roc    ; the kind\nruns = 3    ; Monte Carlo runs\n"
         manifest = runner.parse_manifest(write_manifest(tmp_path, body + SMALL_SCENARIO))

@@ -6,17 +6,11 @@ from dataclasses import replace
 from capspec.analysis import (
     nmse,
     nyquist_ap,
-    spectral_ap,
     whitenoise_variance_closed_form,
     whitenoise_variance_report,
 )
 from capspec.patterns import CosetPattern, design_pair_cover_family
-from capspec.scenarios import (
-    CORRELATED_UB_BASELINE,
-    VARIANCE_EXTRA_PATTERNS,
-    extend_pattern,
-    load_fixture,
-)
+from capspec.scenarios import extend_pattern, load_fixture
 from capspec.runner import SweepSpec, _nmse_run
 from capspec.sensing import (
     CosetObservationSet,
@@ -25,13 +19,41 @@ from capspec.sensing import (
     coset_dtft,
     dbm_to_linear,
     extract_coset_observations,
+    nap_values,
     synthesize_observations,
 )
 from capspec.estimator import (
+    NAP,
+    Periodogram,
     average_periodograms,
     estimate_correlated_bins,
     estimate_multicluster,
 )
+from oracles import is_circular_sparse_ruler
+
+# Two fixture sets of (base ruler, activation order of extra cosets) per period.
+PATTERN_SETS = {
+    1: {
+        18: ((0, 1, 4, 7, 9), (17, 2, 13, 12, 15, 6)),
+        14: ((0, 1, 2, 4, 7), (10, 6, 12, 5)),
+        10: ((0, 1, 3, 5), (8, 4)),
+    },
+    2: {
+        18: ((0, 1, 4, 7, 9), (5, 2, 6, 17, 15, 14)),
+        14: ((0, 1, 2, 4, 7), (12, 10, 13, 11)),
+        10: ((0, 1, 3, 5), (4, 6)),
+    },
+}
+
+# Extra-coset orders used by the white-noise variance study at period 18.
+VARIANCE_EXTRA_PATTERNS = {
+    "pattern1": (17, 11, 2, 6),
+    "pattern2": (3, 5, 6, 8),
+    "pattern3": (2, 3, 5, 6),
+}
+
+# Fixed single-pattern baseline for the correlated-bins comparison at N=40.
+CORRELATED_UB_BASELINE = (0, 1, 2, 3, 4, 9, 10, 15, 16, 18, 20, 30, 33, 37)
 
 
 def band_mask(thetas, lo, hi):
@@ -85,8 +107,7 @@ class TestWidebandCorrelatedScenario:
 
 class TestPatternSetFixtures:
     def test_bases_are_minimal_rulers_and_extensions_stay_identifiable(self):
-        from capspec.patterns import is_circular_sparse_ruler, minimal_circular_sparse_ruler
-        from capspec.scenarios import PATTERN_SETS
+        from capspec.patterns import minimal_circular_sparse_ruler
         from capspec.structure import build_system_matrix
 
         for pattern_set in PATTERN_SETS.values():
@@ -253,7 +274,7 @@ class TestSweepAgainstRecords:
         want = {}
         for sigma, sensed in zip(sweep.sigmas_dbm, levels):
             for tau in sweep.taus:
-                nap = average_periodograms([spectral_ap(s.spectra[:tau]) for s in sensed.sets])
+                nap = np.mean([nap_values(s.spectra[:tau]) for s in sensed.sets], axis=0)
                 for p in sweep.patterns:
                     obs = [
                         CosetObservationSet(
@@ -270,6 +291,6 @@ class TestSweepAgainstRecords:
         spectra = np.random.default_rng(5).standard_normal((2, 7, 60, 2)).view(complex)[..., 0]
         for x in spectra:
             want = nyquist_ap(np.fft.ifft(x, axis=1))
-            got = spectral_ap(x)
+            got = Periodogram(nap_values(x), NAP)
             np.testing.assert_allclose(got.values, want.values, rtol=self.RTOL, atol=0)
             assert np.array_equal(got.thetas, want.thetas) and got.estimator == want.estimator

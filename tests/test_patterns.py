@@ -7,12 +7,11 @@ from capspec.patterns import (
     CosetPattern,
     PatternFamily,
     design_pair_cover_family,
-    exhaustive_minimal_ruler,
-    is_circular_sparse_ruler,
     minimal_circular_sparse_ruler,
 )
 from capspec.structure import build_psi, build_system_matrix
 from conftest import random_pattern
+from oracles import exhaustive_minimal_ruler, is_circular_sparse_ruler
 
 
 def brute_force_differences(marks, n):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capspec
-from capspec.analysis import nyquist_ap, spectral_ap
+from capspec.analysis import nyquist_ap
 from capspec.patterns import CosetPattern, PatternFamily
 from capspec.scenarios import load_fixture
 from capspec.sensing import (
@@ -37,6 +37,7 @@ from capspec.sensing import (
     coset_dtft,
     dbm_to_linear,
     extract_coset_observations,
+    nap_values,
     synthesize_observations,
 )
 from capspec.structure import build_modulation_matrix
@@ -106,6 +107,20 @@ class TestUserSignal:
             want = np.fft.fft(lowpass * np.exp(2j * np.pi * center * taps), n_grid)
             want /= np.max(np.abs(want))
             assert np.array_equal(bandpass_response(band, n_grid), want), band
+
+    def test_short_grid_applies_the_taps_circularly(self):
+        # below FILTER_TAPS points the response is still the filter's DTFT at
+        # k / n_grid; stopband points near 1e-16 of the unit peak need the atol
+        for n_grid in (36, 120, 199):
+            for band in ((0.9, 0.1), (0.2, 0.3), (0.5, 0.51)):
+                taps = np.fft.ifft(bandpass_response(band, FILTER_TAPS))
+                phase = np.outer(np.arange(n_grid), np.arange(FILTER_TAPS)) % n_grid
+                want = np.exp(-2j * np.pi * phase / n_grid) @ taps
+                want /= np.max(np.abs(want))
+                got = bandpass_response(band, n_grid)
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-12, atol=1e-14, err_msg=f"{band} {n_grid}"
+                )
 
     def test_zero_power_gives_zeros(self):
         spec = UserSpec(band=(0.1, 0.2), power_dbm=-np.inf, path_loss_db=(0.0,))
@@ -496,7 +511,7 @@ class TestOneSynthesisLoop:
         for runs in zip(kept, lean, naps, strict=True):
             for with_spectra, without, got in zip(*(run.sets for run in runs), strict=True):
                 assert got.spectra is None
-                assert np.array_equal(got.nap, spectral_ap(with_spectra.spectra).values)
+                assert np.array_equal(got.nap, nap_values(with_spectra.spectra))
                 assert np.array_equal(got.dtft, without.dtft)
 
     def test_nap_holds_one_groups_spectra_at_a_time(self):

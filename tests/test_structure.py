@@ -8,11 +8,16 @@ from capspec.patterns import (
     CosetPattern,
     PatternFamily,
     design_pair_cover_family,
-    is_circular_sparse_ruler,
 )
 from capspec.structure import build_modulation_matrix, build_psi, build_system_matrix
 from conftest import random_pattern
-from oracles import build_repetition_matrix, build_selection_matrix, dense_psi, dense_rc
+from oracles import (
+    build_repetition_matrix,
+    build_selection_matrix,
+    dense_psi,
+    dense_rc,
+    is_circular_sparse_ruler,
+)
 
 
 def dense_operator(design, patterns):
