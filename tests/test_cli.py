@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import exhaustive_minimal_ruler
 
 from capspec import runner, scenarios
 from capspec.analysis import DetectorSpec
@@ -51,12 +52,16 @@ class TestDesignCommands:
         out = capsys.readouterr().out
         assert "cardinality=5" in out
         assert "ruler=yes" in out and "minimal=yes" in out
+
+    def test_design_ruler_exhaustive(self, capsys):
+        # the one search reaches the exhaustive search's minimum
         assert main(["design-ruler", "--period", "10"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("0,1,2,5")
+        assert f"cardinality={exhaustive_minimal_ruler(10).size}" in out
         assert "cardinality=4" in out
         assert "minimal=yes" in out
-        # one search: argparse refuses the flag of the removed exhaustive one
+        # argparse refuses the flag of the removed exhaustive search
         with pytest.raises(SystemExit) as exc:
             main(["design-ruler", "--period", "10", "--exhaustive"])
         assert exc.value.code == 2
