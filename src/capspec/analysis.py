@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .estimator import NAP, Periodogram, estimate_multicluster
 from .patterns import CosetPattern
 from .sensing import (
+    CosetObservationSet,
     ScenarioConfig,
     _check_band,
     _unwrapped,
@@ -173,27 +175,58 @@ def dispatch_runs(one, runs: int, workers: int = 1) -> list:
         raise
 
 
-def _mc_run(config: ScenarioConfig, seed: int, run: int) -> np.ndarray:
-    """Run ``run`` of ``mc_caps``: its averaged CAP, refused if not finite."""
+def _mc_run(configs: tuple[ScenarioConfig, ...], seed: int, run: int) -> np.ndarray:
+    """Run ``run`` of ``mc_caps``: each config's averaged CAP, one row per
+    config, refused if not finite.
+
+    One synthesis serves every config: at their largest tau, with their
+    distinct noise levels as ``noise_levels``.  A config reads its level's
+    sets cut to its first tau sensors, which are bit for bit those of its
+    own synthesis, since a group's first tau sensors do not depend on its
+    sensor count.
+    """
+    levels = list(dict.fromkeys(config.noise_dbm for config in configs))
+    widest = max(configs, key=lambda config: config.sensors_per_cluster)
     with np.errstate(over="ignore", invalid="ignore"):
-        sensed = synthesize_observations(config, seed=(seed, run))
-        _, averaged = estimate_multicluster(sensed.sets)
-    averaged.require_finite()
-    return averaged.values
+        sensed = synthesize_observations(widest, seed=(seed, run), noise_levels=levels)
+        caps = []
+        for config in configs:
+            tau = config.sensors_per_cluster
+            _, averaged = estimate_multicluster([
+                CosetObservationSet(s.pattern, s.dtft[:tau], s.label)
+                for s in sensed[levels.index(config.noise_dbm)].sets
+            ])
+            caps.append(averaged)
+    for cap in caps:
+        cap.require_finite()
+    return np.array([cap.values for cap in caps])
 
 
 def mc_caps(
-    config: ScenarioConfig, runs: int, seed: int, threads: int = 1
+    configs: Sequence[ScenarioConfig], runs: int, seed: int, threads: int = 1
 ) -> np.ndarray:
-    """Monte Carlo reconstructions: one averaged periodogram per run.
+    """Monte Carlo reconstructions: one averaged periodogram per config and run.
 
-    Returns the (runs, grid) array of CAP values.  Runs are independently
-    seeded by (seed, run) and dispatched to ``threads`` worker processes
-    (see ``dispatch_runs``), so results are identical for any worker count.
-    The workers, forked on the first multi-worker call, keep the module
-    state of that moment and live until the process exits.
+    Returns the (configs, runs, grid) array of CAP values.  The configs are
+    uncorrelated-bins scenarios that differ at most in their sensor count
+    and noise level.  Runs are independently seeded by (seed, run) and
+    dispatched to ``threads`` worker processes (see ``dispatch_runs``), so
+    results are identical for any worker count.  Within a run every config
+    reads one synthesis (see ``_mc_run``), so comparisons across the
+    configs are paired, as the nmse-sweep's taus and levels are, and each
+    config's rows equal those of a call with it alone.  The workers, forked
+    on the first multi-worker call, keep the module state of that moment
+    and live until the process exits.
     """
-    return np.array(dispatch_runs(partial(_mc_run, config, seed), runs, threads))
+    configs = tuple(configs)
+    shared = [replace(c, sensors_per_cluster=1, noise_dbm=0.0) for c in configs]
+    if shared[0].bin_mode != "uncorrelated" or any(c != shared[0] for c in shared):
+        raise ValueError(
+            "paired configs are uncorrelated-bins scenarios that differ at most "
+            "in sensors_per_cluster and noise_dbm"
+        )
+    # one (runs, grid) block per config, its runs contiguous
+    return np.stack(dispatch_runs(partial(_mc_run, configs, seed), runs, threads), axis=1)
 
 
 @dataclass
@@ -220,23 +253,23 @@ class VarianceReport:
 
 
 def whitenoise_variance_report(
-    config: ScenarioConfig, runs: int, seed: int, threads: int = 1
-) -> VarianceReport:
-    """Monte Carlo check of the white-noise variance closed form."""
-    if config.users:
+    configs: Sequence[ScenarioConfig], runs: int, seed: int, threads: int = 1
+) -> list[VarianceReport]:
+    """Monte Carlo check of the white-noise variance closed form, one report
+    per config; the configs' runs are paired as in ``mc_caps``."""
+    if any(config.users for config in configs):
         raise ValueError("variance check expects a noise-only scenario")
-    sigma2 = dbm_to_linear(config.noise_dbm)
-    tau = config.sensors_per_cluster
-    closed = whitenoise_variance_closed_form(config.pattern, sigma2, tau)
-    caps = mc_caps(config, runs, seed, threads=threads)
-    empirical = np.var(caps, axis=0, ddof=1)
-    emp_nmse = float(np.mean((caps - sigma2) ** 2) / sigma2**2)
-    return VarianceReport(
-        analytical_variance=closed,
-        analytical_nmse=closed / sigma2**2,
-        empirical_by_theta=empirical,
-        empirical_nmse=emp_nmse,
-    )
+    reports = []
+    for config, caps in zip(configs, mc_caps(configs, runs, seed, threads=threads)):
+        sigma2, tau = dbm_to_linear(config.noise_dbm), config.sensors_per_cluster
+        closed = whitenoise_variance_closed_form(config.pattern, sigma2, tau)
+        reports.append(VarianceReport(
+            analytical_variance=closed,
+            analytical_nmse=closed / sigma2**2,
+            empirical_by_theta=np.var(caps, axis=0, ddof=1),
+            empirical_nmse=float(np.mean((caps - sigma2) ** 2) / sigma2**2),
+        ))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -339,18 +372,22 @@ def roc_from_scores(active: np.ndarray, quiet: np.ndarray) -> RocCurve:
 
 
 def roc_harness(
-    config: ScenarioConfig,
+    configs: Sequence[ScenarioConfig],
     detector: DetectorSpec,
     runs: int,
     seed: int,
     threads: int = 1,
-) -> RocCurve:
-    """Monte Carlo detection experiment on the reconstructed periodogram:
-    each run's statistics are the block means of its ``mc_caps`` row."""
-    active_blocks, quiet_blocks = detection_blocks(detector, config.grid_size)
-    caps = mc_caps(config, runs, seed, threads=threads)
+) -> list[RocCurve]:
+    """Monte Carlo detection experiment on the reconstructed periodogram,
+    one curve per config: each run's statistics are the block means of its
+    ``mc_caps`` row.  The configs share each run's synthesis as in
+    ``mc_caps``, and each curve equals that of a call with its config alone."""
+    active_blocks, quiet_blocks = detection_blocks(detector, configs[0].grid_size)
     # row by row: a 3-D mean over all runs at once sums in another order
-    return roc_from_scores(
-        np.array([cap[active_blocks].mean(axis=1) for cap in caps]),
-        np.array([cap[quiet_blocks].mean(axis=1) for cap in caps]),
-    )
+    return [
+        roc_from_scores(
+            np.array([cap[active_blocks].mean(axis=1) for cap in caps]),
+            np.array([cap[quiet_blocks].mean(axis=1) for cap in caps]),
+        )
+        for caps in mc_caps(configs, runs, seed, threads=threads)
+    ]

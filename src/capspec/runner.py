@@ -62,7 +62,12 @@ class RocSetting:
 
     @property
     def label(self) -> str:
-        return f"tau{self.tau}_sigma{self.sigma2_dbm:g}_{self.sync}"
+        """``tau<T>_sigma<S>_<sync>``, S the level in ``:g`` form where that
+        reads back as the same float, else its repr."""
+        level = f"{self.sigma2_dbm:g}"
+        if float(level) != self.sigma2_dbm:
+            level = repr(self.sigma2_dbm)
+        return f"tau{self.tau}_sigma{level}_{self.sync}"
 
 
 def _roc_scenario(scenario: ScenarioConfig, setting: RocSetting) -> ScenarioConfig:
@@ -379,17 +384,29 @@ def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
 
 
 def run_roc(manifest: ExperimentManifest) -> dict:
-    """Detection ROC per sweep setting; one curve CSV each, AUCs to summary."""
-    files = {}
-    aucs = {}
-    for setting in manifest.sweep.roc_settings:
-        curve = analysis.roc_harness(
-            _roc_scenario(manifest.scenario, setting),
+    """Detection ROC per sweep setting; one curve CSV each, AUCs to summary.
+
+    Settings of one sync mode are paired: each run synthesizes once for all
+    of them, at their largest tau with each of their levels, and a setting
+    reads its first tau sensors at its level (see ``analysis.mc_caps``), so
+    its curve is the one it would get alone.  The two sync modes draw their
+    user parts from other streams, so each has its own synthesis.
+    """
+    settings = manifest.sweep.roc_settings
+    curves = {}
+    for sync in dict.fromkeys(setting.sync for setting in settings):
+        paired = [setting for setting in settings if setting.sync == sync]
+        curves.update(zip(paired, analysis.roc_harness(
+            [_roc_scenario(manifest.scenario, setting) for setting in paired],
             manifest.detector,
             runs=manifest.runs,
             seed=manifest.seed,
             threads=manifest.threads,
-        )
+        )))
+    files = {}
+    aucs = {}
+    for setting in settings:
+        curve = curves[setting]
         aucs[setting.label] = curve.auc
         rows = list(zip(curve.thresholds.tolist(), curve.pfa.tolist(), curve.pd.tolist()))
         files[f"roc_{setting.label}.csv"] = partial(
@@ -399,16 +416,21 @@ def run_roc(manifest: ExperimentManifest) -> dict:
 
 
 def run_variance_check(manifest: ExperimentManifest) -> dict:
-    """White-noise variance closed form vs Monte Carlo over the sweep."""
+    """White-noise variance closed form vs Monte Carlo over the sweep.
+
+    A pattern's taus are paired: each run synthesizes once at the largest
+    tau, and each tau reads its first tau sensors (see ``analysis.mc_caps``).
+    """
     config = manifest.scenario
     files = {}
     rows = []
     for pattern in manifest.sweep.patterns:
-        for tau in manifest.sweep.taus:
-            cfg = replace(config, pattern=pattern, sensors_per_cluster=tau)
-            report = analysis.whitenoise_variance_report(
-                cfg, runs=manifest.runs, seed=manifest.seed, threads=manifest.threads
-            )
+        reports = analysis.whitenoise_variance_report(
+            [replace(config, pattern=pattern, sensors_per_cluster=tau)
+             for tau in manifest.sweep.taus],
+            runs=manifest.runs, seed=manifest.seed, threads=manifest.threads,
+        )
+        for tau, report in zip(manifest.sweep.taus, reports):
             detail = [
                 (theta, report.analytical_variance, emp)
                 for theta, emp in zip(report.thetas.tolist(), report.empirical_by_theta.tolist())

@@ -5,14 +5,19 @@ the dense builders here materialize the matrices of the model, so that
 tests can check the index forms, the estimators and the synthesis
 against plain linear algebra.  The ruler test and the exhaustive ruler
 search are the plain definitions that the library's identifiability
-test and branch-and-bound search are checked against.
+test and branch-and-bound search are checked against.  The per-run ROC
+synthesizes every configuration on its own, as the roc harness did
+before configurations shared a run's synthesis.
 """
 
 import itertools
 
 import numpy as np
 
+from capspec.analysis import detection_blocks, roc_from_scores
+from capspec.estimator import estimate_multicluster
 from capspec.patterns import CosetPattern, PatternFamily
+from capspec.sensing import synthesize_observations
 
 
 def build_repetition_matrix(n: int) -> np.ndarray:
@@ -75,3 +80,15 @@ def exhaustive_minimal_ruler(n: int) -> CosetPattern:
             if is_circular_sparse_ruler(pattern):
                 return pattern
     raise AssertionError("unreachable: the full mark set is always complete")
+
+
+def per_run_roc(config, detector, runs: int, seed: int):
+    """ROC of ``config`` alone: each run (seed, run) synthesizes it, and its
+    CAP's block means are the run's statistics."""
+    active_blocks, quiet_blocks = detection_blocks(detector, config.grid_size)
+    active, quiet = [], []
+    for run in range(runs):
+        _, cap = estimate_multicluster(synthesize_observations(config, seed=(seed, run)).sets)
+        active.append(cap.values[active_blocks].mean(axis=1))
+        quiet.append(cap.values[quiet_blocks].mean(axis=1))
+    return roc_from_scores(np.array(active), np.array(quiet))

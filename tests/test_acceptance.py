@@ -70,7 +70,7 @@ def whitenoise_mc():
             period=18, samples_per_coset=170, users=(), noise_dbm=NOISE_DBM,
             pattern=RULER18, clusters=1, sensors_per_cluster=tau,
         )
-        caps[tau] = mc_caps(config, runs=MC_RUNS, seed=MC_SEED, threads=2)
+        caps[tau] = mc_caps([config], runs=MC_RUNS, seed=MC_SEED, threads=2)[0]
     return caps
 
 
@@ -274,7 +274,7 @@ def test_criterion_9_roc_orderings():
         config = replace(
             scenario, sensors_per_cluster=tau, noise_dbm=sigma, sync=sync
         )
-        return roc_harness(config, detector, runs=runs, seed=seed, threads=2).auc
+        return roc_harness([config], detector, runs=runs, seed=seed, threads=2)[0].auc
 
     strong = auc(30, 11.0, "unsynchronized")
     weak = auc(17, 14.0, "unsynchronized")

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -28,7 +29,6 @@ from capspec.analysis import (
 from capspec.estimator import (
     IdentifiabilityError,
     estimate_correlated_bins,
-    estimate_multicluster,
     reconstruct_cap,
     sample_covariance,
 )
@@ -43,7 +43,7 @@ from capspec.sensing import (
     synthesize_observations,
 )
 from capspec.structure import build_modulation_matrix, build_system_matrix
-from oracles import build_repetition_matrix, dense_rc
+from oracles import build_repetition_matrix, dense_rc, per_run_roc
 
 
 class TestNyquistAp:
@@ -272,7 +272,7 @@ class TestMonteCarloWhiteNoise:
             period=n, samples_per_coset=12, users=(), noise_dbm=2.0,
             pattern=pattern, sensors_per_cluster=tau,
         )
-        caps = mc_caps(config, runs=1200, seed=77)
+        caps = mc_caps([config], runs=1200, seed=77)[0]
         sigma2 = dbm_to_linear(2.0)
         closed = whitenoise_variance_closed_form(pattern, sigma2, tau)
         per_bin = np.var(caps, axis=0, ddof=1)
@@ -286,7 +286,7 @@ class TestMonteCarloWhiteNoise:
             period=6, samples_per_coset=10, users=(), noise_dbm=0.0,
             pattern=pattern, sensors_per_cluster=10,
         )
-        report = whitenoise_variance_report(config, runs=800, seed=5)
+        (report,) = whitenoise_variance_report([config], runs=800, seed=5)
         assert report.relative_gap < 0.1
         assert abs(report.empirical_nmse - report.analytical_nmse) / report.analytical_nmse < 0.1
 
@@ -299,8 +299,19 @@ class TestMonteCarloWhiteNoise:
             pattern=ruler18, sensors_per_cluster=4,
         )
         with pytest.raises(ValueError):
-            whitenoise_variance_report(config, runs=2, seed=0)
+            whitenoise_variance_report([config], runs=2, seed=0)
 
+
+    def test_paired_configs_differ_only_in_sensors_and_noise(self):
+        config = ScenarioConfig(
+            period=6, samples_per_coset=10, users=(), noise_dbm=0.0,
+            pattern=CosetPattern(6, (0, 1, 3)), sensors_per_cluster=4,
+        )
+        paired = [config, replace(config, sensors_per_cluster=2, noise_dbm=-math.inf)]
+        assert mc_caps(paired, runs=2, seed=0).shape == (2, 2, config.grid_size)
+        other = replace(config, pattern=CosetPattern(6, (0, 1, 4)))
+        with pytest.raises(ValueError, match="differ at most"):
+            mc_caps([config, other], runs=2, seed=0)
 
 def _slow_square(run):
     # later runs finish first, so results arrive out of run order
@@ -368,7 +379,7 @@ class TestWorkerThreads:
     def test_a_worker_run_starts_no_blas_thread(self):
         table2 = replace(load_fixture("table2.ini"), sensors_per_cluster=2)
         table5 = replace(load_fixture("table5.ini"), sensors_per_group=2)
-        cap_ub = dispatch_runs(partial(_threads_after, _mc_run, table2, 11), 2, 2)
+        cap_ub = dispatch_runs(partial(_threads_after, _mc_run, (table2,), 11), 2, 2)
         assert cap_ub == [1, 1]
         cap_cb = dispatch_runs(partial(_threads_after, _correlated_bins_cap, table5, 11), 2, 2)
         assert cap_cb == [1, 1]
@@ -468,7 +479,7 @@ class TestDispatchRuns:
             pattern=CosetPattern(6, (0, 1, 2)), sensors_per_cluster=2,
         )
         with pytest.raises(IdentifiabilityError, match="circular sparse ruler") as err:
-            mc_caps(config, runs=2, seed=0, threads=2)
+            mc_caps([config], runs=2, seed=0, threads=2)
         assert err.value.missing == (3,)
 
 
@@ -550,11 +561,10 @@ class TestDetection:
             quiet_bands=((0.6, 0.8),),
             avg_width=4,
         )
-        curve = roc_harness(config, detector, runs=1000, seed=321)
+        (curve,) = roc_harness([config], detector, runs=1000, seed=321)
         assert abs(curve.auc - 0.5) < 0.05
 
     def test_harness_matches_per_run_reference(self):
-        # the per-run loop roc_harness had before it went through mc_caps;
         # 11-point blocks are long enough for numpy's pairwise summation
         config = ScenarioConfig(
             period=6, samples_per_coset=30, users=(), noise_dbm=0.0,
@@ -563,15 +573,7 @@ class TestDetection:
         detector = DetectorSpec(
             active_bands=((0.1, 0.35),), quiet_bands=((0.6, 0.85),), avg_width=11
         )
-        active_blocks, quiet_blocks = detection_blocks(detector, config.grid_size)
-        active, quiet = [], []
-        for run in range(5):
-            _, cap = estimate_multicluster(
-                synthesize_observations(config, seed=(8, run)).sets
-            )
-            active.append(cap.values[active_blocks].mean(axis=1))
-            quiet.append(cap.values[quiet_blocks].mean(axis=1))
-        want = roc_from_scores(np.array(active), np.array(quiet))
-        got = roc_harness(config, detector, runs=5, seed=8, threads=2)
+        want = per_run_roc(config, detector, runs=5, seed=8)
+        (got,) = roc_harness([config], detector, runs=5, seed=8, threads=2)
         for field in ("thresholds", "pfa", "pd"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field

@@ -1,5 +1,6 @@
 import configparser
 import json
+import math
 import os
 import tempfile
 from functools import partial
@@ -8,14 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import exhaustive_minimal_ruler
+from oracles import exhaustive_minimal_ruler, per_run_roc
 
-from capspec import runner, scenarios
+from capspec import analysis, runner, scenarios
 from capspec.analysis import DetectorSpec
 from capspec.cli import main
 from capspec.patterns import CosetPattern
 from capspec.scenarios import fixture_path
-from capspec.sensing import SYNC_MODES, ScenarioConfig, UserSpec
+from capspec.sensing import SYNC_MODES, ScenarioConfig, UserSpec, synthesize_observations
 
 SMALL_SCENARIO = """
 [scenario]
@@ -631,6 +632,20 @@ class TestSweeps:
         )
         assert roc_rows[0] == "threshold,pfa,pd"
 
+    def test_roc_labels_tell_close_levels_apart(self, tmp_path):
+        # 10.000000001 prints as 10 in :g form, so its label takes the repr
+        out = tmp_path / "roc"
+        manifest = write_manifest(
+            tmp_path,
+            f"[experiment]\nkind = roc\nruns = 3\noutput = {out}\n" + SMALL_SCENARIO
+            + "\n[sweep]\nsettings = 6,1e1 | 6,10.000000001\n" + DETECTOR,
+        )
+        assert main(["roc", "--manifest", str(manifest), "--seed", "4"]) == 0
+        assert sorted(p.name for p in out.glob("roc_*.csv")) == [
+            "roc_tau6_sigma10.000000001_unsynchronized.csv",
+            "roc_tau6_sigma10_unsynchronized.csv",
+        ]
+
     def test_variance_check_small(self, tmp_path):
         manifest = write_manifest(
             tmp_path,
@@ -877,6 +892,64 @@ class TestWorkerCountIndependence:
                         {p.name: p.read_bytes() for p in manifest.output.iterdir()}
                     )
                 assert written[0] == written[1]
+
+
+class TestRocPairing:
+    # mixed taus, a -inf level, two settings at 0 dBm, both sync modes
+    SETTINGS = (
+        runner.RocSetting(6, 0.0), runner.RocSetting(3, -math.inf),
+        runner.RocSetting(4, 0.0), runner.RocSetting(5, 3.0, "synchronized"),
+        runner.RocSetting(2, -math.inf, "synchronized"),
+    )
+
+    def manifest(self, output, threads=1):
+        scenario = ScenarioConfig(
+            period=6, samples_per_coset=20, noise_dbm=0.0, pattern=CosetPattern(6, (0, 1, 3)),
+            users=(UserSpec(band=(0.2, 0.3), power_dbm=14.0, path_loss_db=(-3.0, -6.0)),),
+            clusters=2,
+        )
+        return runner.ExperimentManifest(
+            kind="roc", scenario=scenario, output=output, runs=4, seed=11, threads=threads,
+            sweep=runner.SweepSpec(roc_settings=self.SETTINGS),
+            detector=DetectorSpec(((0.2, 0.3),), ((0.6, 0.9),), avg_width=4),
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_files_match_the_per_setting_reference(self, tmp_path, threads):
+        manifest = self.manifest(tmp_path / "roc", threads)
+        runner.run_manifest(manifest)
+        want = {}
+        aucs = {}
+        for setting in self.SETTINGS:
+            curve = per_run_roc(
+                runner._roc_scenario(manifest.scenario, setting), manifest.detector,
+                runs=manifest.runs, seed=manifest.seed,
+            )
+            aucs[setting.label] = curve.auc
+            path = tmp_path / f"roc_{setting.label}.csv"
+            runner._csv_rows(path, "threshold,pfa,pd", zip(
+                curve.thresholds.tolist(), curve.pfa.tolist(), curve.pd.tolist()
+            ))
+            want[path.name] = path.read_bytes()
+        want["summary.json"] = runner._json_text(
+            {"kind": "roc", "seed": manifest.seed, "runs": manifest.runs, "auc": aucs}
+        ).encode()
+        assert {p.name: p.read_bytes() for p in manifest.output.iterdir()} == want
+
+    def test_one_synthesis_per_sync_mode_and_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(config, seed, **kwargs):
+            calls.append((config.sync, config.sensors_per_cluster, tuple(kwargs["noise_levels"])))
+            return synthesize_observations(config, seed, **kwargs)
+
+        monkeypatch.setattr(analysis, "synthesize_observations", counted)
+        manifest = self.manifest(tmp_path / "roc")
+        runner.run_manifest(manifest)
+        assert calls == (
+            [("unsynchronized", 6, (0.0, -math.inf))] * manifest.runs
+            + [("synchronized", 5, (3.0, -math.inf))] * manifest.runs
+        )
 
 
 def readme_block(heading, language):

@@ -195,7 +195,7 @@ class TestVariancePatternFixtures:
                 period=18, samples_per_coset=170, users=(), noise_dbm=7.0,
                 pattern=pattern, sensors_per_cluster=tau,
             )
-            report = whitenoise_variance_report(config, runs=runs, seed=88)
+            (report,) = whitenoise_variance_report([config], runs=runs, seed=88)
             assert report.relative_gap < 0.1
             analytical.append(closed / sigma2**2)
             empirical.append(report.empirical_nmse)

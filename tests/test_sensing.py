@@ -476,9 +476,12 @@ class TestOneSynthesisLoop:
             assert np.array_equal(obs.dtft, dtft), g
             assert np.array_equal(obs.spectra, spectra), g
             assert np.array_equal(obs.full_rate, np.fft.ifft(spectra, axis=1)), g
-            # the kept spectra alias into the DTFTs: B fft(z) = z at the marks
+            # the kept spectra alias into the DTFTs: B fft(z) = z at the marks;
+            # the map's rounding grows with the spectra it reads, not with
+            # the DTFT, which a group's users and noise can cancel to ~1e-17
             aliased = coset_dtft(spectra, obs.pattern)
-            assert np.max(np.abs(aliased - dtft)) <= 1e-12 * max(np.max(np.abs(dtft)), 1e-300), g
+            bound = 1e-12 * max(np.max(np.abs(spectra)), 1e-300)
+            assert np.max(np.abs(aliased - dtft)) <= bound, g
 
     @settings(max_examples=60, deadline=None)
     @given(
