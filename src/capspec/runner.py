@@ -104,8 +104,12 @@ def _sweep_keys(period: int) -> dict:
             "patterns": partial(parse_patterns, period=period)}
 
 
-# the [sweep] keys named apart from their SweepSpec field
-_SWEEP_FIELDS = {"tau": "taus", "sigma2_dbm": "sigmas_dbm", "settings": "roc_settings"}
+# [sweep] key -> its SweepSpec field
+_SWEEP_FIELDS = {"tau": "taus", "sigma2_dbm": "sigmas_dbm", "patterns": "patterns",
+                 "settings": "roc_settings"}
+# kind -> the [sweep] axes it reads; it needs each of them, and refuses any other
+_SWEEP_AXES = {"reconstruct": (), "nmse-sweep": ("tau", "sigma2_dbm", "patterns"),
+               "roc": ("settings",), "variance-check": ("tau", "patterns"), "bench": ("tau",)}
 _DETECTOR_KEYS = {"active_bands": _parse_bands, "quiet_bands": _parse_bands, "avg_width": int,
                   "points_per_band": int, "quiet_points": int}
 
@@ -140,6 +144,14 @@ class ExperimentManifest:
             raise ValueError(f"threads must be positive, got {self.threads}")
         if self.kind != "reconstruct" and self.scenario.bin_mode != "uncorrelated":
             raise ValueError(f"{self.kind} runs on uncorrelated-bins scenarios")
+        for axis, name in _SWEEP_FIELDS.items():
+            reads = axis in _SWEEP_AXES[self.kind]
+            if reads != bool(getattr(self.sweep, name)):
+                verb = "needs" if reads else "does not read"
+                raise ValueError(f"{self.kind} {verb} [sweep] {axis}")
+        if (self.detector is None) == (self.kind == "roc"):
+            verb = "needs" if self.kind == "roc" else "does not read"
+            raise ValueError(f"{self.kind} {verb} a [detector] section")
         for tau in self.sweep.taus:
             if tau < 1:
                 raise ValueError(f"[sweep] tau entries must be positive, got {tau}")
@@ -163,12 +175,7 @@ class ExperimentManifest:
                 if entry in seen:
                     raise ValueError(f"[sweep] {axis} lists {entry} twice")
                 seen.add(entry)
-        if self.kind == "nmse-sweep":
-            if not (self.sweep.taus and self.sweep.sigmas_dbm and self.sweep.patterns):
-                raise ValueError("nmse-sweep needs tau, sigma2_dbm and patterns axes")
         if self.kind == "variance-check":
-            if not (self.sweep.taus and self.sweep.patterns):
-                raise ValueError("variance-check needs tau and patterns axes")
             # the closed form divides by the squared noise power, the sample variance by runs - 1
             noise = self.scenario.noise_dbm
             if not 0.0 < dbm_to_linear(noise) * dbm_to_linear(noise) < math.inf:
@@ -177,11 +184,6 @@ class ExperimentManifest:
                 )
             if self.runs < 2:
                 raise ValueError(f"variance-check needs runs >= 2, got {self.runs}")
-        if self.kind == "roc":
-            if not self.sweep.roc_settings:
-                raise ValueError("roc needs at least one settings entry")
-            if self.detector is None:
-                raise ValueError("roc needs a [detector] section")
         if self.kind == "bench" and len(self.sweep.taus) < 2:
             raise ValueError("bench needs at least two tau values to compare")
 
@@ -214,7 +216,7 @@ def parse_manifest(path, kind: str | None = None) -> ExperimentManifest:
         parts["scenario"] = scenario_from_parser(parser)
     if "sweep" in parser:
         values = _read_section(parser["sweep"], _sweep_keys(parts["scenario"].period), SweepSpec)
-        parts["sweep"] = SweepSpec(**{_SWEEP_FIELDS.get(k, k): v for k, v in values.items()})
+        parts["sweep"] = SweepSpec(**{_SWEEP_FIELDS[k]: v for k, v in values.items()})
     if "detector" in parser:
         parts["detector"] = DetectorSpec(
             **_read_section(parser["detector"], _DETECTOR_KEYS, DetectorSpec)
@@ -386,27 +388,21 @@ def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
 def run_roc(manifest: ExperimentManifest) -> dict:
     """Detection ROC per sweep setting; one curve CSV each, AUCs to summary.
 
-    Settings of one sync mode are paired: each run synthesizes once for all
-    of them, at their largest tau with each of their levels, and a setting
-    reads its first tau sensors at its level (see ``analysis.mc_caps``), so
-    its curve is the one it would get alone.  The two sync modes draw their
-    user parts from other streams, so each has its own synthesis.
+    The settings' curves come from one ``analysis.roc_harness`` call, so
+    they share each run's synthesis as ``analysis.mc_caps`` decides, and
+    each curve is the one its setting would get alone.
     """
     settings = manifest.sweep.roc_settings
-    curves = {}
-    for sync in dict.fromkeys(setting.sync for setting in settings):
-        paired = [setting for setting in settings if setting.sync == sync]
-        curves.update(zip(paired, analysis.roc_harness(
-            [_roc_scenario(manifest.scenario, setting) for setting in paired],
-            manifest.detector,
-            runs=manifest.runs,
-            seed=manifest.seed,
-            threads=manifest.threads,
-        )))
+    curves = analysis.roc_harness(
+        [_roc_scenario(manifest.scenario, setting) for setting in settings],
+        manifest.detector,
+        runs=manifest.runs,
+        seed=manifest.seed,
+        threads=manifest.threads,
+    )
     files = {}
     aucs = {}
-    for setting in settings:
-        curve = curves[setting]
+    for setting, curve in zip(settings, curves):
         aucs[setting.label] = curve.auc
         rows = list(zip(curve.thresholds.tolist(), curve.pfa.tolist(), curve.pd.tolist()))
         files[f"roc_{setting.label}.csv"] = partial(
@@ -418,40 +414,40 @@ def run_roc(manifest: ExperimentManifest) -> dict:
 def run_variance_check(manifest: ExperimentManifest) -> dict:
     """White-noise variance closed form vs Monte Carlo over the sweep.
 
-    A pattern's taus are paired: each run synthesizes once at the largest
-    tau, and each tau reads its first tau sensors (see ``analysis.mc_caps``).
+    Every (pattern, tau) report comes from one
+    ``analysis.whitenoise_variance_report`` call, so the configs share each
+    run's synthesis as ``analysis.mc_caps`` decides.
     """
-    config = manifest.scenario
+    config, sweep = manifest.scenario, manifest.sweep
+    combos = [(pattern, tau) for pattern in sweep.patterns for tau in sweep.taus]
+    reports = analysis.whitenoise_variance_report(
+        [replace(config, pattern=pattern, sensors_per_cluster=tau) for pattern, tau in combos],
+        runs=manifest.runs, seed=manifest.seed, threads=manifest.threads,
+    )
     files = {}
     rows = []
-    for pattern in manifest.sweep.patterns:
-        reports = analysis.whitenoise_variance_report(
-            [replace(config, pattern=pattern, sensors_per_cluster=tau)
-             for tau in manifest.sweep.taus],
-            runs=manifest.runs, seed=manifest.seed, threads=manifest.threads,
+    for (pattern, tau), report in zip(combos, reports):
+        detail = [
+            (theta, report.analytical_variance, emp)
+            for theta, emp in zip(report.thetas.tolist(), report.empirical_by_theta.tolist())
+        ]
+        name = "-".join(map(str, pattern.marks))
+        files[f"variance_theta_{name}_tau{tau}.csv"] = partial(
+            _csv_rows, header="theta,analytical,empirical", rows=detail
         )
-        for tau, report in zip(manifest.sweep.taus, reports):
-            detail = [
-                (theta, report.analytical_variance, emp)
-                for theta, emp in zip(report.thetas.tolist(), report.empirical_by_theta.tolist())
-            ]
-            name = "-".join(map(str, pattern.marks))
-            files[f"variance_theta_{name}_tau{tau}.csv"] = partial(
-                _csv_rows, header="theta,analytical,empirical", rows=detail
+        rows.append(
+            (
+                '"' + _marks_text(pattern.marks) + '"',
+                tau,
+                float(config.noise_dbm),
+                manifest.runs,
+                report.analytical_variance,
+                report.empirical_variance,
+                report.analytical_nmse,
+                report.empirical_nmse,
+                report.relative_gap,
             )
-            rows.append(
-                (
-                    '"' + _marks_text(pattern.marks) + '"',
-                    tau,
-                    float(config.noise_dbm),
-                    manifest.runs,
-                    report.analytical_variance,
-                    report.empirical_variance,
-                    report.analytical_nmse,
-                    report.empirical_nmse,
-                    report.relative_gap,
-                )
-            )
+        )
     files["variance.csv"] = partial(
         _csv_rows,
         header="marks,tau,sigma2_dbm,runs,analytical_variance,empirical_variance,"

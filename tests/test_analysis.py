@@ -32,12 +32,13 @@ from capspec.estimator import (
     reconstruct_cap,
     sample_covariance,
 )
-from capspec.patterns import CosetPattern
+from capspec.patterns import CosetPattern, PatternFamily
 from capspec.runner import SweepSpec, _nmse_run
 from capspec.scenarios import EXPERIMENT1_EXTRA_COSETS, extend_pattern, load_fixture
 from capspec.sensing import (
     CosetObservationSet,
     ScenarioConfig,
+    UserSpec,
     coset_dtft,
     dbm_to_linear,
     synthesize_observations,
@@ -302,16 +303,33 @@ class TestMonteCarloWhiteNoise:
             whitenoise_variance_report([config], runs=2, seed=0)
 
 
-    def test_paired_configs_differ_only_in_sensors_and_noise(self):
-        config = ScenarioConfig(
-            period=6, samples_per_coset=10, users=(), noise_dbm=0.0,
-            pattern=CosetPattern(6, (0, 1, 3)), sensors_per_cluster=4,
+    def test_mixed_configs_match_each_config_alone(self):
+        # pattern, sync, tau and level all vary; -inf levels share a synthesis with finite ones
+        base = ScenarioConfig(
+            period=6, samples_per_coset=10, noise_dbm=0.0, pattern=CosetPattern(6, (0, 1, 3)),
+            users=(UserSpec(band=(0.2, 0.3), power_dbm=14.0, path_loss_db=(-3.0, -6.0)),),
+            clusters=2, sensors_per_cluster=4,
         )
-        paired = [config, replace(config, sensors_per_cluster=2, noise_dbm=-math.inf)]
-        assert mc_caps(paired, runs=2, seed=0).shape == (2, 2, config.grid_size)
-        other = replace(config, pattern=CosetPattern(6, (0, 1, 4)))
-        with pytest.raises(ValueError, match="differ at most"):
-            mc_caps([config, other], runs=2, seed=0)
+        other = CosetPattern(6, (0, 1, 4))
+        configs = [
+            base,
+            replace(base, pattern=other, sensors_per_cluster=5, noise_dbm=-math.inf),
+            replace(base, sensors_per_cluster=2, noise_dbm=-math.inf),
+            replace(base, sync="synchronized", sensors_per_cluster=3, noise_dbm=3.0),
+            replace(base, pattern=other, sensors_per_cluster=3),
+            replace(base, sync="synchronized", sensors_per_cluster=5, noise_dbm=-math.inf),
+        ]
+        alone = [mc_caps([config], runs=3, seed=11)[0].tobytes() for config in configs]
+        for threads in (1, 2):
+            together = mc_caps(configs, runs=3, seed=11, threads=threads)
+            assert [caps.tobytes() for caps in together] == alone
+        correlated = replace(
+            base, bin_mode="correlated", sensors_per_group=2,
+            family=PatternFamily(6, (CosetPattern(6, (0, 1, 3)),)),
+        )
+        with pytest.raises(ValueError, match="uncorrelated-bins"):
+            mc_caps([base, correlated], runs=2, seed=0)
+
 
 def _slow_square(run):
     # later runs finish first, so results arrive out of run order

@@ -521,6 +521,30 @@ BAD_INPUTS = {
         + "\n[sweep]\nsettings = 3,0 | 3,3080\n" + DETECTOR,
         "[sweep] settings tau3_sigma3080_unsynchronized: noise_dbm",
     ),
+    # a kind needs the [sweep] axes it reads and refuses any other, and only roc reads [detector]
+    "variance-check with a sigma2_dbm axis": (
+        "variance-check",
+        "[experiment]\nkind = variance-check\nruns = 4\noutput = OUT\n" + NOISE_SCENARIO
+        + "[sweep]\ntau = 2\npatterns = 0,1,3\nsigma2_dbm = 30\n",
+        "variance-check does not read [sweep] sigma2_dbm",
+    ),
+    "roc with a patterns axis": (
+        "roc",
+        "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\nsettings = 6,0\npatterns = 0,2\n" + DETECTOR,
+        "roc does not read [sweep] patterns",
+    ),
+    "nmse-sweep with settings and a detector": (
+        "nmse-sweep",
+        "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\ntau = 3\nsigma2_dbm = 0\npatterns = 0,1,3\nsettings = 6,0\n" + DETECTOR,
+        "nmse-sweep does not read [sweep] settings",
+    ),
+    "reconstruct with a detector": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n" + SMALL_SCENARIO + DETECTOR,
+        "reconstruct does not read a [detector] section",
+    ),
     "manifest without [scenario]": (
         "reconstruct",
         "[experiment]\nkind = reconstruct\noutput = OUT\n",
@@ -976,6 +1000,19 @@ class TestReadmeReference:
         body = "[experiment]\nkind = roc    ; the kind\nruns = 3    ; Monte Carlo runs\n"
         manifest = runner.parse_manifest(write_manifest(tmp_path, body + SMALL_SCENARIO))
         assert (manifest.kind, manifest.runs) == ("roc", 3)
+
+    def test_documented_axes_are_the_axes_read(self):
+        # rows "| `kind` | `axis`, `axis` |" of the manifest format's table
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("### Manifest format", 1)[1].split("\n### ", 1)[0]
+        documented = {}
+        for line in section.splitlines():
+            cells = line.split("|")
+            if line.startswith("| `") and len(cells) == 4:
+                kind, axes = cells[1].strip(" `"), cells[2]
+                documented[kind] = tuple(axes.split("`")[1::2])
+        assert documented == runner._SWEEP_AXES
+        assert set(documented) == set(runner.RUNNERS)
 
     def test_documented_keys_are_the_keys_read(self):
         # a manifest's [scenario] is a scenario file, or its keys inline
