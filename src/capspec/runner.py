@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +50,7 @@ from .scenarios import (
     parse_patterns,
     scenario_from_parser,
 )
-from .sensing import ScenarioConfig, _check_grid_levels, dbm_to_linear
-from .sensing import coset_dtft, nap_values, synthesize_observations
+from .sensing import ScenarioConfig, _check_grid_levels, dbm_to_linear, synthesize_observations
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,8 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
     """
     config = manifest.scenario
     with np.errstate(over="ignore", invalid="ignore"):
-        sensed = synthesize_observations(config, seed=(manifest.seed, 0), nap=manifest.keep_nap)
+        stops = (config.sensors_per_set,) if manifest.keep_nap else ()
+        sensed = synthesize_observations(config, seed=(manifest.seed, 0), nap=stops)
         if config.bin_mode == "uncorrelated":
             _, cap = estimate_multicluster(sensed.sets)
         else:
@@ -290,7 +290,7 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
         cap.require_finite()
         nap = None
         if manifest.keep_nap:
-            nap = average_periodograms([Periodogram(s.nap, NAP) for s in sensed.sets])
+            nap = average_periodograms([Periodogram(s.nap[0], NAP) for s in sensed.sets])
             nap.require_finite()
     # cap.csv and nap.csv share one grid, so its theta column is formatted once
     thetas = _theta_text(cap)
@@ -313,41 +313,26 @@ def _nmse_run(
 ) -> list[float]:
     """Run ``run`` of an nmse-sweep: its NMSE per entry of ``combos``.
 
-    Per noise level and cluster, the covariance over the union of the
-    sweep's marks is summed once, with running sums at the sorted taus,
-    and each (pattern, tau) solve reads its M x M submatrix.  The NAP at
-    each tau is ``nap_values`` of the cluster's first tau spectra.  The
-    scenario's own marks come from synthesis' coset DTFT, the other marks
-    from one ``coset_dtft`` of the kept spectra.
+    One synthesis senses the union of the sweep's patterns, with the NAP
+    at the sorted taus.  Per noise level and cluster, the covariance over
+    the union is summed once, with running sums at the taus, and each
+    (pattern, tau) solve reads its M x M submatrix.
     """
-    levels = synthesize_observations(
-        config, seed=(seed, run), keep_full_rate=True, noise_levels=sweep.sigmas_dbm
-    )
     taus = sorted(sweep.taus)
-    own = config.pattern.marks
-    union = sorted({mark for pattern in sweep.patterns for mark in pattern.marks})
-    kept = [own.index(mark) for mark in union if mark in own]
-    extra = [mark for mark in union if mark not in own]
-    # the union's rows: the scenario's marks, then the others
-    order = [own[row] for row in kept] + extra
-    rows = {p: np.array([order.index(mark) for mark in p.marks]) for p in sweep.patterns}
+    union = CosetPattern(config.period, {mark for p in sweep.patterns for mark in p.marks})
+    config = replace(config, pattern=union, sensors_per_cluster=taus[-1])
+    levels = synthesize_observations(config, (seed, run), noise_levels=sweep.sigmas_dbm, nap=taus)
+    rows = {p: np.searchsorted(union.marks, p.marks) for p in sweep.patterns}
     scores = {}
     for sigma, sensed in zip(sweep.sigmas_dbm, levels):
         caps = {(pattern, tau): [] for pattern in sweep.patterns for tau in taus}
-        naps = {tau: [] for tau in taus}
         for s in sensed.sets:
-            dtft = s.dtft[:, kept]
-            if extra:
-                extra_dtft = coset_dtft(s.spectra, CosetPattern(config.period, extra))
-                dtft = np.concatenate([dtft, extra_dtft], axis=1)
-            for tau, total in zip(taus, covariance_sums(dtft, taus)):
+            for tau, total in zip(taus, covariance_sums(s.dtft, taus)):
                 for pattern, idx in rows.items():
                     stack = CovarianceStack(total[:, idx[:, None], idx] / tau, tau, pattern)
                     caps[pattern, tau].append(assemble_cap(ls_reconstruct_rbar(stack)))
-            for tau in taus:
-                naps[tau].append(nap_values(s.spectra[:tau]))
-        for tau in taus:
-            nap = np.mean(naps[tau], axis=0)
+        for i, tau in enumerate(taus):
+            nap = np.mean([s.nap[i] for s in sensed.sets], axis=0)
             for pattern in sweep.patterns:
                 scores[pattern, tau, sigma] = nmse(average_periodograms(caps[pattern, tau]), nap)
     return [scores[combo] for combo in combos]
@@ -358,18 +343,13 @@ def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
 
     Within a run, every noise level adds its noise to the same user
     signals, all tau values slice the same synthesized sensors and all
-    patterns alias the same spectra into their cosets, so comparisons
-    across the sweep are paired.
+    patterns read their cosets of one synthesis over the union of their
+    marks, so comparisons across the sweep are paired.  The patterns come
+    from ``[sweep] patterns`` alone: the scenario's own marks are not read.
     """
     sweep = manifest.sweep
-    config = replace(manifest.scenario, sensors_per_cluster=max(sweep.taus))
-    combos = [
-        (pattern, tau, sigma)
-        for pattern in sweep.patterns
-        for tau in sweep.taus
-        for sigma in sweep.sigmas_dbm
-    ]
-    one = partial(_nmse_run, config, sweep, combos, manifest.seed)
+    combos = list(product(sweep.patterns, sweep.taus, sweep.sigmas_dbm))
+    one = partial(_nmse_run, manifest.scenario, sweep, combos, manifest.seed)
     # one row per combo, its runs contiguous
     scores = np.array(dispatch_runs(one, manifest.runs, manifest.threads)).T.copy()
 
@@ -470,18 +450,18 @@ TIMED_MIN_S = 0.05
 TIMED_BATCHES = 5
 
 
-def _timed(fns) -> list[float]:
-    """Median per-call seconds of each function over TIMED_BATCHES batches,
-    doubling its calls per batch until a batch takes TIMED_MIN_S.  The
-    functions' batches alternate, so a drift in the host's speed reaches
-    every function alike, not one side of a ratio."""
+def _timed(fns) -> np.ndarray:
+    """Per-call seconds of each function in each of TIMED_BATCHES rounds
+    (functions x rounds), doubling its calls per batch until a batch takes
+    TIMED_MIN_S.  In a round the functions' batches alternate, so a drift
+    in the host's speed reaches every function of the round alike."""
     reps = [1] * len(fns)
     for i, fn in enumerate(fns):
         fn()
         while _per_call(fn, reps[i]) * reps[i] < TIMED_MIN_S:
             reps[i] *= 2
     rounds = [[_per_call(fn, count) for fn, count in zip(fns, reps)] for _ in range(TIMED_BATCHES)]
-    return [float(np.median(times)) for times in zip(*rounds)]
+    return np.array(rounds).T
 
 
 class BenchGateError(RuntimeError):
@@ -493,8 +473,9 @@ def run_bench(manifest: ExperimentManifest) -> dict:
 
     The covariance stage must scale close to linearly in tau, and the
     reconstruction stage (LS solve plus periodogram assembly) must not
-    depend on tau at all.  A failed check raises ``BenchGateError`` after
-    ``bench.json`` is written.
+    depend on tau at all.  A check reads the median over ``_timed``'s rounds
+    of the ratio within a round; a failed one raises ``BenchGateError``
+    after ``bench.json`` is written.
     """
     config = manifest.scenario
     taus = sorted(manifest.sweep.taus)
@@ -507,13 +488,13 @@ def run_bench(manifest: ExperimentManifest) -> dict:
             partial(sample_covariance, obs),
             lambda stack=stack: assemble_cap(ls_reconstruct_rbar(stack)),
         ]
-    times = iter(_timed(fns))
+    rounds = np.reshape(_timed(fns), (len(taus), 2, -1))    # tau, stage, round
+    times = iter(np.median(rounds, axis=2).ravel().tolist())
     stages = {tau: {"covariance_s": next(times), "reconstruction_s": next(times)} for tau in taus}
     checks = {}
-    for lo, hi in zip(taus, taus[1:]):
+    for lo, hi, lo_rounds, hi_rounds in zip(taus, taus[1:], rounds, rounds[1:]):
         expected = hi / lo
-        cov_ratio = stages[hi]["covariance_s"] / stages[lo]["covariance_s"]
-        rec_ratio = stages[hi]["reconstruction_s"] / stages[lo]["reconstruction_s"]
+        cov_ratio, rec_ratio = np.median(hi_rounds / lo_rounds, axis=1).tolist()
         checks[f"covariance_{lo}_to_{hi}"] = {
             "ratio": cov_ratio,
             "expected": expected,

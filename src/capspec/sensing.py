@@ -174,6 +174,11 @@ class ScenarioConfig:
     def grid_size(self) -> int:
         return self.period * self.samples_per_coset
 
+    @property
+    def sensors_per_set(self) -> int:
+        """Sensors per cluster (uncorrelated bins) or per group (correlated bins)."""
+        return self.sensors_per_group if self.bin_mode == "correlated" else self.sensors_per_cluster
+
     def bin_width_violations(self) -> tuple[UserSpec, ...]:
         """Users whose band exceeds the bin width 1/period."""
         limit = 1.0 / self.period
@@ -188,7 +193,7 @@ class CosetObservationSet:
     ``pattern.marks[m]`` at sensor t, at theta = l / grid_size.
     ``spectra``, when kept, is the sensors x grid DFT of the full-rate
     records; ``full_rate`` derives the records from it on each read.
-    ``nap``, when asked for, is ``nap_values`` of those spectra.
+    ``nap``, when asked for, is ``nap_values`` of those spectra at the stops.
     """
 
     pattern: CosetPattern
@@ -319,11 +324,21 @@ def extract_coset_observations(
     return CosetObservationSet(pattern=pattern, dtft=dtft, label=label)
 
 
-def nap_values(spectra: np.ndarray) -> np.ndarray:
+def nap_values(spectra: np.ndarray, stops=None) -> np.ndarray:
     """Nyquist averaged periodogram of spectra X (sensors x grid points, the
     DFTs of full-rate records): mean |X|^2 over sensors, divided by the
-    grid size."""
-    return np.mean(np.abs(spectra) ** 2, axis=0) / spectra.shape[1]
+    grid size.  ``stops``, ascending sensor counts, give one row per stop, a
+    running sum over the sensors in order, as a mean adds them: each row is
+    bit for bit the NAP of the first ``stop`` sensors alone."""
+    counts = [len(spectra)] if stops is None else list(stops)
+    power = np.abs(spectra[: counts[-1]]) ** 2
+    rows = np.empty((len(counts), spectra.shape[1]))
+    # each segment's sum starts from the sum so far, left in the row before it
+    for row, start, stop in zip(rows, [0] + [count - 1 for count in counts], counts):
+        np.add.reduce(power[start:stop], axis=0, out=row)
+        power[stop - 1] = row
+    rows /= np.array(counts)[:, None]
+    return (rows[0] if stops is None else rows) / spectra.shape[1]
 
 
 def _plus_scaled(
@@ -340,7 +355,7 @@ def synthesize_observations(
     seed,
     keep_full_rate: bool = False,
     noise_levels=None,
-    nap: bool = False,
+    nap=(),
 ) -> SensingRun | list[SensingRun]:
     """Simulate acquisition for ``config``: one observation set per cluster
     d of ``config.pattern`` with path-loss column d (uncorrelated bins), or
@@ -363,18 +378,22 @@ def synthesize_observations(
     part's coset DTFT, alike whether or not spectra are kept.
     ``keep_full_rate`` draws z's other cosets, keyed (seed, off-mark role,
     group), and keeps X, with W = fft(z) along the cosets, as ``spectra``.
-    ``nap`` builds the same X, bit for bit, and stores ``nap_values`` of it
-    as each set's ``nap``; without ``keep_full_rate`` X is built in scratch
-    that the next group and level reuse, so at most one group's spectra
-    exist at a time.  ``noise_levels`` (dBm, in place of
+    ``nap``, ascending sensor counts ("stops"), stores ``nap_values`` of the
+    same X at the stops as each set's ``nap``; without ``keep_full_rate`` X
+    is built in scratch that the next group and level reuse, so at most one
+    group's spectra exist at a time.  ``noise_levels`` (dBm, in place of
     ``config.noise_dbm``) returns one run per level, each adding its scaled
     noise to the same user part, bit-identical to a call at that level.
-    Levels are checked at grid scale before anything is drawn.
+    Levels, at grid scale, and stops are checked before anything is drawn.
     """
     levels = (config.noise_dbm,) if noise_levels is None else tuple(noise_levels)
     n_grid, period, l_per = config.grid_size, config.period, config.samples_per_coset
     for level in levels:
         _check_grid_levels(n_grid, "noise_dbm", level)
+    sensors, stops = config.sensors_per_set, tuple(nap)
+    steps = zip((0, *stops), stops)
+    if not all(np.issubdtype(type(b), np.integer) and a < b <= sensors for a, b in steps):
+        raise ValueError(f"nap stops must ascend strictly within [1, {sensors}], got {nap}")
     warnings: list[str] = []
     if config.bin_mode == "uncorrelated":
         offenders = config.bin_width_violations()
@@ -384,11 +403,11 @@ def synthesize_observations(
                 f"1/{config.period}; the uncorrelated-bins model is violated"
             )
         groups = [(d, config.pattern, d) for d in range(config.clusters)]
-        sensors, width = config.sensors_per_cluster, n_grid
+        width = n_grid
         own_role, shared_role = _R_SIGNAL, _R_SHARED_SIGNAL
     else:
         groups = [(z, pattern, 0) for z, pattern in enumerate(config.family.patterns)]
-        sensors, width = config.sensors_per_group, 1
+        width = 1
         own_role, shared_role = _R_SYMBOL, _R_SHARED_SYMBOL
     # each of the two CN(0, 2) blocks in a user's product carries one 1/sqrt(2)
     shapes = [
@@ -408,11 +427,11 @@ def synthesize_observations(
     # scratch: a merged variance (two float halves), a user's term, the noise
     work = np.empty((sensors, n_grid), dtype=complex)
     buffer = work.view(float).reshape(-1)
-    with_spectra = keep_full_rate or nap
+    with_spectra = keep_full_rate or bool(stops)
     z = np.empty((sensors, period, l_per), dtype=complex) if with_spectra else None
     # spectra made only for their NAP: the signal and the levels before the last
     scratch = None
-    if nap and not keep_full_rate:
+    if stops and not keep_full_rate:
         scratch = np.empty((min(len(levels), 2), sensors, n_grid), dtype=complex)
     sets = [[] for _ in levels]
     for label, pattern, column in groups:
@@ -472,7 +491,7 @@ def synthesize_observations(
             level_sets.append(CosetObservationSet(
                 pattern, dtft, label,
                 spectra=spectra if keep_full_rate else None,
-                nap=nap_values(spectra) if nap else None,
+                nap=nap_values(spectra, stops) if stops else None,
             ))
     runs = [SensingRun(sets=level_sets, warnings=list(warnings)) for level_sets in sets]
     return runs[0] if noise_levels is None else runs

@@ -625,6 +625,24 @@ class TestSweeps:
         rows = blobs[0].decode().splitlines()
         assert len(rows) == 1 + 8  # 2 patterns x 2 taus x 2 sigmas
 
+    def test_nmse_sweep_does_not_read_the_scenario_marks(self, tmp_path):
+        # the sweep senses the union of its [sweep] patterns alone
+        blobs = set()
+        for marks in ("0,1,3", "1,2,4,5"):
+            for threads in (1, 2):
+                out = tmp_path / f"{marks}-{threads}"
+                manifest = write_manifest(
+                    tmp_path,
+                    f"[experiment]\nkind = nmse-sweep\nruns = 3\noutput = {out}\n"
+                    + SMALL_SCENARIO.replace("marks = 0,1,3", f"marks = {marks}")
+                    + "\n[sweep]\ntau = 3,6\nsigma2_dbm = 0,3\npatterns = 0,1,3 | 0,1,2,3\n",
+                )
+                argv = ["nmse-sweep", "--manifest", str(manifest), "--seed", "5",
+                        "--threads", str(threads)]
+                assert main(argv) == 0
+                blobs.add((out / "nmse.csv").read_bytes())
+        assert len(blobs) == 1
+
     def test_nmse_sweep_requires_axes(self, tmp_path, capsys):
         manifest = write_manifest(
             tmp_path,
@@ -810,7 +828,7 @@ class TestBench:
             stack = sample_covariance(obs)
             fns.append(lambda stack=stack: assemble_cap(ls_reconstruct_rbar(stack)))
         time_18, time_36 = _timed(fns)
-        assert time_36 / time_18 <= 4.0
+        assert np.median(time_36 / time_18) <= 4.0
 
     def test_failed_gate_exits_1_and_keeps_bench_json(self, tmp_path, capsys, monkeypatch):
         # a constant timer makes the covariance ratio 1 where 2 is expected

@@ -204,8 +204,9 @@ class TestVariancePatternFixtures:
 
 
 class TestSweepAgainstRecords:
-    # The sweep reads the spectra that synthesis built; this reference goes
-    # the long way, through the records and the time-domain entry points.
+    # The sweep reads what synthesis built over the union of its patterns'
+    # marks; this reference goes the long way, through the kept spectra or
+    # the records and the time-domain entry points.
     # The FFT round trip moves each value by a few ulps, so scores agree to
     # a relative 1e-12 and no closer is asked.
     RTOL = 1e-12
@@ -231,8 +232,10 @@ class TestSweepAgainstRecords:
         ]
         got = _nmse_run(config, sweep, combos, 13, 1)
 
+        # the sweep senses the union of its patterns' marks
+        union = replace(config, pattern=CosetPattern(6, (0, 1, 2, 3)))
         levels = synthesize_observations(
-            config, seed=(13, 1), keep_full_rate=True, noise_levels=sweep.sigmas_dbm
+            union, seed=(13, 1), keep_full_rate=True, noise_levels=sweep.sigmas_dbm
         )
         want = {}
         for sigma, sensed in zip(sweep.sigmas_dbm, levels):
@@ -268,8 +271,9 @@ class TestSweepAgainstRecords:
         ]
         got = _nmse_run(config, sweep, combos, 21, 0)
 
+        union = replace(config, pattern=CosetPattern(6, (0, 1, 2, 3, 4)))
         levels = synthesize_observations(
-            config, seed=(21, 0), keep_full_rate=True, noise_levels=sweep.sigmas_dbm
+            union, seed=(21, 0), keep_full_rate=True, noise_levels=sweep.sigmas_dbm
         )
         want = {}
         for sigma, sensed in zip(sweep.sigmas_dbm, levels):

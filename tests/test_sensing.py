@@ -506,15 +506,22 @@ class TestOneSynthesisLoop:
         levels=st.lists(
             st.one_of(st.just(-math.inf), st.floats(-10.0, 10.0)), min_size=1, max_size=3
         ),
+        data=st.data(),
     )
-    def test_nap_is_the_baseline_of_the_kept_spectra(self, config, key, levels):
+    def test_nap_is_the_baseline_of_the_kept_spectra(self, config, key, levels, data):
+        stops = sorted(data.draw(st.sets(st.integers(1, config.sensors_per_set), min_size=1)))
         kept = synthesize_observations(config, seed=key, keep_full_rate=True, noise_levels=levels)
         lean = synthesize_observations(config, seed=key, noise_levels=levels)
-        naps = synthesize_observations(config, seed=key, nap=True, noise_levels=levels)
+        naps = synthesize_observations(config, seed=key, nap=stops, noise_levels=levels)
         for runs in zip(kept, lean, naps, strict=True):
             for with_spectra, without, got in zip(*(run.sets for run in runs), strict=True):
                 assert got.spectra is None
-                assert np.array_equal(got.nap, nap_values(with_spectra.spectra))
+                for row, stop in zip(got.nap, stops, strict=True):
+                    spectra = with_spectra.spectra[:stop]
+                    assert np.array_equal(row, nap_values(spectra))
+                    # the defining mean over sensors
+                    mean = np.mean(np.abs(spectra) ** 2, axis=0) / spectra.shape[1]
+                    assert np.array_equal(row, mean)
                 assert np.array_equal(got.dtft, without.dtft)
 
     def test_nap_holds_one_groups_spectra_at_a_time(self):
@@ -539,7 +546,7 @@ class TestOneSynthesisLoop:
             finally:
                 tracemalloc.stop()
 
-        assert peak(nap=True) < all_spectra < peak(keep_full_rate=True)
+        assert peak(nap=(sensors,)) < all_spectra < peak(keep_full_rate=True)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -586,6 +593,15 @@ class TestOneSynthesisLoop:
     def test_noise_levels_reject_nan_and_plus_inf(self, bad):
         with pytest.raises(ValueError, match="noise_dbm"):
             synthesize_observations(noise_only_config(tau=1), seed=0, noise_levels=(0.0, bad))
+
+    @pytest.mark.parametrize(
+        "stops", [(0,), (-1, 2), (4,), (1, 4), (2, 2), (3, 1), (2.0,), (True,), ("2",), (None,)]
+    )
+    def test_nap_stops_are_ascending_sensor_counts(self, stops, monkeypatch):
+        # a stop of 0 would divide by zero sensors; refused before any draw
+        monkeypatch.setattr(capspec.sensing, "_rng", lambda *_: pytest.fail("drew"))
+        with pytest.raises(ValueError, match="nap stops"):
+            synthesize_observations(noise_only_config(tau=3), seed=0, nap=stops)
 
     def test_correlated_band_between_grid_points_rejected(self):
         user = UserSpec(band=(0.01, 0.05), power_dbm=0.0, path_loss_db=(0.0,))
