@@ -2,10 +2,8 @@
 
 Provides the Nyquist-rate averaged periodogram of full-rate records
 (the NAP formula itself is ``sensing.nap_values``), the NMSE figure of
-merit, the fourth-moment covariance of the sample coset covariance for
-jointly Gaussian signals together with its propagation to per-bin
-periodogram variance, the white-noise closed forms, and drivers for
-Monte Carlo reconstruction and threshold-detection experiments.
+merit, the white-noise variance closed form, and drivers for Monte Carlo
+reconstruction, variance-check and threshold-detection experiments.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from .sensing import (
     nap_values,
     synthesize_observations,
 )
-from .structure import SystemMatrixRc, build_system_matrix
+from .structure import build_system_matrix
 
 
 def nyquist_ap(records: np.ndarray) -> Periodogram:
@@ -57,68 +55,11 @@ def nmse(estimate, reference) -> float:
     return num / denom
 
 
-def analytical_gaussian_covariance(
-    bin_covariance: np.ndarray, pattern: CosetPattern, tau: int
-) -> np.ndarray:
-    """Covariance of the entries of the averaged coset covariance.
-
-    Every sensor's per-bin spectra X have the N x N bin covariance
-    ``bin_covariance``, E[X_{t,i} X*_{t,b}] for bin indices i, b in
-    0..N-1; distinct sensors are uncorrelated, E[X_{t,i} X*_{tp,b}] = 0
-    for t != tp; and all are circular: E[X_{t,i} X_{tp,b}] is zero, so
-    the pseudo-covariance term of the fourth moment vanishes.  White
-    noise of variance sigma2 on n_grid samples has the bin covariance
-    n_grid * sigma2 * I.
-
-    Evaluates the fourth-moment expansion of these circular Gaussian
-    spectra over all bin pairs and sensor pairs: entry (M*mp + m, M*ap + a)
-    of the returned M^2 x M^2 matrix is Cov[cov_entry(m, mp), cov_entry(a, ap)].
-    Of the tau^2 sensor pairs only the tau pairs of a sensor with itself
-    contribute, each the same term, so the cost does not grow with tau.
-    """
-    n = pattern.period
-    m_cnt = pattern.size
-    marks = np.asarray(pattern.marks)
-    bins = np.arange(n)
-    w = np.exp(2j * np.pi * np.outer(marks, bins) / n)      # (M, N)
-    f1 = w @ bin_covariance @ w.conj().T
-    term = tau * np.einsum("ma,bc->mabc", f1, f1.conj())    # [m, a, mp, ap]
-    sigma = term.transpose(2, 0, 3, 1)
-    return sigma.reshape(m_cnt * m_cnt, m_cnt * m_cnt) / (n**4 * tau**2)
-
-
-def propagate_variance(
-    sigma_ry: np.ndarray, sysmat: SystemMatrixRc, samples_per_coset: int
-) -> np.ndarray:
-    """Per-bin periodogram variance implied by a covariance of the
-    vectorized coset covariance estimate.
-
-    Chains the LS solve (the system matrix's averaging operator), the
-    circulant expansion, and the de-modulation, whose diagonal reduces to
-    a quadratic form in the lag-domain covariance.  The solve is applied
-    in index form on both sides; a lag that no slot observes gets zero.
-    """
-    n, m = sysmat.pattern.period, sysmat.pattern.size
-    if sigma_ry.shape != (m * m, m * m):
-        raise ValueError(f"expected {(m * m, m * m)} covariance, got {sigma_ry.shape}")
-    # slot M*row + col is entry M*col + row of the column-major vectorization
-    vec = sysmat.slots % m * m + sysmat.slots // m
-    weighted = sigma_ry[np.ix_(vec, vec)] * np.outer(sysmat.weights, sysmat.weights)
-    observed = np.diff(sysmat.starts, append=vec.size) > 0
-    starts = sysmat.starts[observed]
-    sigma_lag = np.zeros((n, n), dtype=weighted.dtype)
-    by_row_lag = np.add.reduceat(weighted, starts, axis=0)
-    sigma_lag[np.ix_(observed, observed)] = np.add.reduceat(by_row_lag, starts, axis=1)
-    bins = np.arange(n)
-    phase = np.exp(2j * np.pi * np.outer(bins, bins) / n)   # phase[i, k]
-    n_grid = n * samples_per_coset
-    quad = np.einsum("ik,kl,il->i", phase.conj(), sigma_lag, phase)
-    return np.real(quad) * (n / n_grid) ** 2
-
-
 def whitenoise_variance_closed_form(pattern: CosetPattern, sigma2: float, tau: int) -> float:
-    """Closed-form per-bin periodogram variance under pure white Gaussian
-    noise: sigma^4/(M tau) + (sigma^4/tau) sum_k 1/gamma_k over nonzero lags.
+    """Closed-form per-bin periodogram variance of one cluster's CAP under
+    pure white Gaussian noise: sigma^4/(M tau) + (sigma^4/tau) sum_k
+    1/gamma_k over nonzero lags.  The average over C independent clusters
+    has 1/C of it.
 
     A pattern missing some modular difference has a zero gamma entry and
     an unbounded variance; that case is reported as +inf rather than an
@@ -202,25 +143,19 @@ def _mc_run(configs: tuple[ScenarioConfig, ...], seed: int, run: int) -> np.ndar
     return np.array([cap.values for cap in caps])
 
 
-def _mc_item(groups: list, runs: int, seed: int, item: int) -> np.ndarray:
-    """Item ``item`` of ``mc_caps``'s dispatch: run ``item % runs`` of
-    group ``item // runs``."""
-    return _mc_run(groups[item // runs], seed, item % runs)
-
-
 def mc_caps(
     configs: Sequence[ScenarioConfig], runs: int, seed: int, threads: int = 1
 ) -> np.ndarray:
     """Monte Carlo reconstructions: one averaged periodogram per config and run.
 
     Returns the (configs, runs, grid) array of CAP values of any
-    uncorrelated-bins configs.  Runs are independently seeded by (seed,
-    run) and dispatched to ``threads`` worker processes (see
-    ``dispatch_runs``), so results are identical for any worker count.
-    Configs that differ only in sensor count and noise level form a group,
-    and within a run a group shares one synthesis (see ``_mc_run``), so
-    comparisons within it are paired, as the nmse-sweep's taus and levels
-    are.  Every config's rows equal those of a call with it alone.  The
+    uncorrelated-bins configs.  Configs that differ only in sensor count
+    and noise level form a group, and within a run a group shares one
+    synthesis (see ``_mc_run``), so comparisons within it are paired, as
+    the nmse-sweep's taus and levels are.  Every config's rows equal those
+    of a call with it alone.  Each group makes one dispatch of its runs,
+    seeded by (seed, run), to ``threads`` worker processes (see
+    ``dispatch_runs``), so results are identical for any worker count.  The
     workers, forked on the first multi-worker call, keep the module state
     of that moment and live until the process exits.
     """
@@ -230,15 +165,11 @@ def mc_caps(
     groups = {}
     for config in configs:
         groups.setdefault(replace(config, sensors_per_cluster=1, noise_dbm=0.0), []).append(config)
-    groups = [tuple(group) for group in groups.values()]
-    # Group-major: a group's runs follow each other, as in a call with it
-    # alone.  Run-major order alternates the groups' syntheses, which cost
-    # 36% more page faults and 8% more time per table4 roc request (2 vCPUs).
-    items = dispatch_runs(partial(_mc_item, groups, runs, seed), len(groups) * runs, threads)
     rows = {}
-    for start, group in zip(range(0, len(items), runs), groups):
-        # one (runs, grid) block per config, its runs contiguous
-        rows.update(zip(group, np.stack(items[start : start + runs], axis=1)))
+    for group in groups.values():
+        # group by group: interleaving their runs cost 36% more page faults (table4 roc)
+        caps = dispatch_runs(partial(_mc_run, tuple(group), seed), runs, threads)
+        rows.update(zip(group, np.stack(caps, axis=1)))
     return np.array([rows[config] for config in configs])
 
 
@@ -268,14 +199,14 @@ class VarianceReport:
 def whitenoise_variance_report(
     configs: Sequence[ScenarioConfig], runs: int, seed: int, threads: int = 1
 ) -> list[VarianceReport]:
-    """Monte Carlo check of the white-noise variance closed form, one report
-    per config, from one ``mc_caps`` call over all the configs."""
+    """Monte Carlo check of the white-noise closed form for the average over
+    clusters, one report per config, from one ``mc_caps`` call over all of them."""
     if any(config.users for config in configs):
         raise ValueError("variance check expects a noise-only scenario")
     reports = []
     for config, caps in zip(configs, mc_caps(configs, runs, seed, threads=threads)):
         sigma2, tau = dbm_to_linear(config.noise_dbm), config.sensors_per_cluster
-        closed = whitenoise_variance_closed_form(config.pattern, sigma2, tau)
+        closed = whitenoise_variance_closed_form(config.pattern, sigma2, tau) / config.clusters
         reports.append(VarianceReport(
             analytical_variance=closed,
             analytical_nmse=closed / sigma2**2,

@@ -71,10 +71,6 @@ class PatternFamily:
     def size(self) -> int:
         return len(self.patterns)
 
-    @property
-    def marks_per_pattern(self) -> int:
-        return self.patterns[0].size
-
 
 # Nodes a ruler search may visit per cardinality before it settles for a
 # ruler not proven minimal.

@@ -151,6 +151,8 @@ class ExperimentManifest:
         if (self.detector is None) == (self.kind == "roc"):
             verb = "needs" if self.kind == "roc" else "does not read"
             raise ValueError(f"{self.kind} {verb} a [detector] section")
+        if not self.keep_nap and self.kind != "reconstruct":
+            raise ValueError(f"{self.kind} does not read [experiment] keep_nap = false")
         for tau in self.sweep.taus:
             if tau < 1:
                 raise ValueError(f"[sweep] tau entries must be positive, got {tau}")

@@ -7,7 +7,10 @@ against plain linear algebra.  The ruler test and the exhaustive ruler
 search are the plain definitions that the library's identifiability
 test and branch-and-bound search are checked against.  The per-run ROC
 synthesizes every configuration on its own, as the roc harness did
-before configurations shared a run's synthesis.
+before configurations shared a run's synthesis.  The Gaussian variance
+chain carries a bin covariance through the fourth moments of the sample
+coset covariance to per-bin CAP variance, the general form that Monte
+Carlo CAP variance and the white-noise closed form are checked against.
 """
 
 import itertools
@@ -18,6 +21,7 @@ from capspec.analysis import detection_blocks, roc_from_scores
 from capspec.estimator import estimate_multicluster
 from capspec.patterns import CosetPattern, PatternFamily
 from capspec.sensing import synthesize_observations
+from capspec.structure import SystemMatrixRc
 
 
 def build_repetition_matrix(n: int) -> np.ndarray:
@@ -92,3 +96,62 @@ def per_run_roc(config, detector, runs: int, seed: int):
         active.append(cap.values[active_blocks].mean(axis=1))
         quiet.append(cap.values[quiet_blocks].mean(axis=1))
     return roc_from_scores(np.array(active), np.array(quiet))
+
+
+def analytical_gaussian_covariance(
+    bin_covariance: np.ndarray, pattern: CosetPattern, tau: int
+) -> np.ndarray:
+    """Covariance of the entries of the averaged coset covariance.
+
+    Every sensor's per-bin spectra X have the N x N bin covariance
+    ``bin_covariance``, E[X_{t,i} X*_{t,b}] for bin indices i, b in
+    0..N-1; distinct sensors are uncorrelated, E[X_{t,i} X*_{tp,b}] = 0
+    for t != tp; and all are circular: E[X_{t,i} X_{tp,b}] is zero, so
+    the pseudo-covariance term of the fourth moment vanishes.  White
+    noise of variance sigma2 on n_grid samples has the bin covariance
+    n_grid * sigma2 * I.
+
+    Evaluates the fourth-moment expansion of these circular Gaussian
+    spectra over all bin pairs and sensor pairs: entry (M*mp + m, M*ap + a)
+    of the returned M^2 x M^2 matrix is Cov[cov_entry(m, mp), cov_entry(a, ap)].
+    Of the tau^2 sensor pairs only the tau pairs of a sensor with itself
+    contribute, each the same term, so the cost does not grow with tau.
+    """
+    n = pattern.period
+    m_cnt = pattern.size
+    marks = np.asarray(pattern.marks)
+    bins = np.arange(n)
+    w = np.exp(2j * np.pi * np.outer(marks, bins) / n)      # (M, N)
+    f1 = w @ bin_covariance @ w.conj().T
+    term = tau * np.einsum("ma,bc->mabc", f1, f1.conj())    # [m, a, mp, ap]
+    sigma = term.transpose(2, 0, 3, 1)
+    return sigma.reshape(m_cnt * m_cnt, m_cnt * m_cnt) / (n**4 * tau**2)
+
+
+def propagate_variance(
+    sigma_ry: np.ndarray, sysmat: SystemMatrixRc, samples_per_coset: int
+) -> np.ndarray:
+    """Per-bin periodogram variance implied by a covariance of the
+    vectorized coset covariance estimate.
+
+    Chains the LS solve (the system matrix's averaging operator), the
+    circulant expansion, and the de-modulation, whose diagonal reduces to
+    a quadratic form in the lag-domain covariance.  The solve is applied
+    in index form on both sides; a lag that no slot observes gets zero.
+    """
+    n, m = sysmat.pattern.period, sysmat.pattern.size
+    if sigma_ry.shape != (m * m, m * m):
+        raise ValueError(f"expected {(m * m, m * m)} covariance, got {sigma_ry.shape}")
+    # slot M*row + col is entry M*col + row of the column-major vectorization
+    vec = sysmat.slots % m * m + sysmat.slots // m
+    weighted = sigma_ry[np.ix_(vec, vec)] * np.outer(sysmat.weights, sysmat.weights)
+    observed = np.diff(sysmat.starts, append=vec.size) > 0
+    starts = sysmat.starts[observed]
+    sigma_lag = np.zeros((n, n), dtype=weighted.dtype)
+    by_row_lag = np.add.reduceat(weighted, starts, axis=0)
+    sigma_lag[np.ix_(observed, observed)] = np.add.reduceat(by_row_lag, starts, axis=1)
+    bins = np.arange(n)
+    phase = np.exp(2j * np.pi * np.outer(bins, bins) / n)   # phase[i, k]
+    n_grid = n * samples_per_coset
+    quad = np.einsum("ik,kl,il->i", phase.conj(), sigma_lag, phase)
+    return np.real(quad) * (n / n_grid) ** 2

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from capspec.analysis import (
-    analytical_gaussian_covariance,
     mc_caps,
     roc_harness,
     whitenoise_variance_closed_form,
@@ -47,7 +46,12 @@ from capspec.sensing import (
 )
 from capspec.structure import build_modulation_matrix, build_system_matrix
 from conftest import random_identifiable_pattern
-from oracles import build_selection_matrix, dense_rc, is_circular_sparse_ruler
+from oracles import (
+    analytical_gaussian_covariance,
+    build_selection_matrix,
+    dense_rc,
+    is_circular_sparse_ruler,
+)
 from test_estimator import population_stack, observations_from_vectors
 
 RULER18 = CosetPattern(18, (0, 1, 4, 7, 9))

@@ -14,13 +14,11 @@ from capspec import analysis
 from capspec.analysis import (
     DetectorSpec,
     _mc_run,
-    analytical_gaussian_covariance,
     detection_blocks,
     dispatch_runs,
     mc_caps,
     nmse,
     nyquist_ap,
-    propagate_variance,
     roc_from_scores,
     roc_harness,
     whitenoise_variance_closed_form,
@@ -44,7 +42,13 @@ from capspec.sensing import (
     synthesize_observations,
 )
 from capspec.structure import build_modulation_matrix, build_system_matrix
-from oracles import build_repetition_matrix, dense_rc, per_run_roc
+from oracles import (
+    analytical_gaussian_covariance,
+    build_repetition_matrix,
+    dense_rc,
+    per_run_roc,
+    propagate_variance,
+)
 
 
 class TestNyquistAp:
@@ -288,6 +292,18 @@ class TestMonteCarloWhiteNoise:
             pattern=pattern, sensors_per_cluster=10,
         )
         (report,) = whitenoise_variance_report([config], runs=800, seed=5)
+        assert report.relative_gap < 0.1
+        assert abs(report.empirical_nmse - report.analytical_nmse) / report.analytical_nmse < 0.1
+
+    def test_variance_report_divides_by_the_clusters(self):
+        # the CAP averages two independent clusters, so its variance is half the one-cluster form
+        pattern = CosetPattern(6, (0, 1, 3))
+        config = ScenarioConfig(
+            period=6, samples_per_coset=20, users=(), noise_dbm=0.0,
+            pattern=pattern, clusters=2, sensors_per_cluster=5,
+        )
+        (report,) = whitenoise_variance_report([config], runs=400, seed=23)
+        assert report.analytical_variance == whitenoise_variance_closed_form(pattern, 1.0, 5) / 2
         assert report.relative_gap < 0.1
         assert abs(report.empirical_nmse - report.analytical_nmse) / report.analytical_nmse < 0.1
 

@@ -540,6 +540,12 @@ BAD_INPUTS = {
         + "\n[sweep]\ntau = 3\nsigma2_dbm = 0\npatterns = 0,1,3\nsettings = 6,0\n" + DETECTOR,
         "nmse-sweep does not read [sweep] settings",
     ),
+    "nmse-sweep with keep_nap false": (
+        "nmse-sweep",
+        "[experiment]\nkind = nmse-sweep\nkeep_nap = false\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\ntau = 3\nsigma2_dbm = 0\npatterns = 0,1,3\n",
+        "nmse-sweep does not read [experiment] keep_nap",
+    ),
     "reconstruct with a detector": (
         "reconstruct",
         "[experiment]\nkind = reconstruct\noutput = OUT\n" + SMALL_SCENARIO + DETECTOR,

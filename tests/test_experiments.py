@@ -174,7 +174,7 @@ class TestScenarioFiles:
         )
         config = load_scenario(path)
         assert config.family.size == 4
-        assert config.family.marks_per_pattern == 3
+        assert config.family.patterns[0].size == 3
         sensed = synthesize_observations(config, seed=1)
         cap = estimate_correlated_bins(sensed.sets)
         assert cap.values.size == 40
