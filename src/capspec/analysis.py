@@ -83,6 +83,14 @@ def _close_pool() -> None:
         pool[2].shutdown()
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where the
+    platform cannot say (``os.sched_getaffinity`` is Linux-only)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def dispatch_runs(one, runs: int, workers: int = 1) -> list:
     """Return ``[one(run) for run in range(runs)]``, in run order.
 
@@ -97,7 +105,9 @@ def dispatch_runs(one, runs: int, workers: int = 1) -> list:
     the process exits; another worker count or a dead worker replaces them.
     """
     global _pool
-    workers = min(workers, runs, len(os.sched_getaffinity(0)))
+    workers = min(workers, runs)
+    if workers > 1:
+        workers = min(workers, usable_cpus())
     if workers <= 1:
         return [one(run) for run in range(runs)]
     # imported here, so that ``import capspec`` does not load multiprocessing

@@ -61,7 +61,7 @@ def cmd_inspect_pattern(args) -> int:
         closed = whitenoise_variance_closed_form(pattern, 1.0, 1)
         print(f"identifiable=yes  unit-noise-nmse-times-tau={closed!r}")
     else:
-        missing = ",".join(map(str, sysmat.missing_differences))
+        missing = ",".join(map(str, sysmat.missing))
         print(f"identifiable=no  missing-differences={missing}")
     return 0
 

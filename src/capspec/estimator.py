@@ -22,7 +22,7 @@ import numpy as np
 
 from .patterns import CosetPattern, PatternFamily
 from .sensing import BLAS_SPLIT_SIZE, CosetObservationSet
-from .structure import PsiMatrix, SystemMatrixRc, build_psi, build_system_matrix
+from .structure import SystemMatrix, build_psi, build_system_matrix
 
 CAP_UB = "CAP-UB"
 CAP_CB = "CAP-CB"
@@ -115,17 +115,16 @@ def sample_covariance(observations: CosetObservationSet) -> CovarianceStack:
     return CovarianceStack(matrices=matrices, count=tau, pattern=observations.pattern)
 
 
-def _solve_lags(
-    stacks: list[CovarianceStack], design: SystemMatrixRc | PsiMatrix
-) -> np.ndarray:
-    """Apply a design's averaging operator, in index form, to its stacked
-    covariances: gather every point's entries in lag order, weight them
-    in place and sum each lag's run.  Returns the (L, N) lags."""
+def _solve_lags(stacks: list[CovarianceStack], system: SystemMatrix) -> np.ndarray:
+    """Apply the averaging operator of a ``SystemMatrix``, a pattern's or
+    a family's, to its stacked covariances: gather every point's entries
+    in lag order, weight them in place and sum each lag's run.  Returns
+    the (L, N) lags."""
     l_pts = stacks[0].matrices.shape[0]
     flat = [s.matrices.reshape(l_pts, -1) for s in stacks]
-    vec = (flat[0] if len(flat) == 1 else np.concatenate(flat, axis=1))[:, design.slots]
-    vec *= design.weights
-    return np.add.reduceat(vec, design.starts, axis=1)
+    vec = (flat[0] if len(flat) == 1 else np.concatenate(flat, axis=1))[:, system.slots]
+    vec *= system.weights
+    return np.add.reduceat(vec, system.starts, axis=1)
 
 
 def ls_reconstruct_rbar(stack: CovarianceStack) -> np.ndarray:
@@ -140,7 +139,7 @@ def ls_reconstruct_rbar(stack: CovarianceStack) -> np.ndarray:
     """
     sysmat = build_system_matrix(stack.pattern)
     if not sysmat.identifiable:
-        missing = sysmat.missing_differences
+        missing = sysmat.missing
         raise IdentifiabilityError(
             f"pattern {stack.pattern} is not a circular sparse ruler: "
             f"modular differences {list(missing)} are unrealized",
@@ -220,9 +219,10 @@ def estimate_correlated_bins(group_observations: list[CosetObservationSet]) -> P
     )
     psi = build_psi(family)
     if not psi.identifiable:
-        missing = psi.uncovered
+        # gamma index N*col + row is the ordered coset pair (row, col)
+        missing = [(q % family.period, q // family.period) for q in psi.missing]
         raise IdentifiabilityError(
-            f"family does not cover coset pairs {list(missing)}; "
+            f"family does not cover coset pairs {missing}; "
             "the bin covariance is not identifiable",
             missing=missing,
         )

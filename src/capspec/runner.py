@@ -153,6 +153,8 @@ class ExperimentManifest:
             raise ValueError(f"{self.kind} {verb} a [detector] section")
         if not self.keep_nap and self.kind != "reconstruct":
             raise ValueError(f"{self.kind} does not read [experiment] keep_nap = false")
+        if self.runs != 1 and self.kind in ("reconstruct", "bench"):
+            raise ValueError(f"{self.kind} does not read [experiment] runs = {self.runs}")
         for tau in self.sweep.taus:
             if tau < 1:
                 raise ValueError(f"[sweep] tau entries must be positive, got {tau}")

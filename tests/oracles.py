@@ -21,7 +21,7 @@ from capspec.analysis import detection_blocks, roc_from_scores
 from capspec.estimator import estimate_multicluster
 from capspec.patterns import CosetPattern, PatternFamily
 from capspec.sensing import synthesize_observations
-from capspec.structure import SystemMatrixRc
+from capspec.structure import SystemMatrix
 
 
 def build_repetition_matrix(n: int) -> np.ndarray:
@@ -129,7 +129,7 @@ def analytical_gaussian_covariance(
 
 
 def propagate_variance(
-    sigma_ry: np.ndarray, sysmat: SystemMatrixRc, samples_per_coset: int
+    sigma_ry: np.ndarray, sysmat: SystemMatrix, samples_per_coset: int
 ) -> np.ndarray:
     """Per-bin periodogram variance implied by a covariance of the
     vectorized coset covariance estimate.
@@ -139,7 +139,7 @@ def propagate_variance(
     a quadratic form in the lag-domain covariance.  The solve is applied
     in index form on both sides; a lag that no slot observes gets zero.
     """
-    n, m = sysmat.pattern.period, sysmat.pattern.size
+    n, m = sysmat.design.period, sysmat.design.size
     if sigma_ry.shape != (m * m, m * m):
         raise ValueError(f"expected {(m * m, m * m)} covariance, got {sigma_ry.shape}")
     # slot M*row + col is entry M*col + row of the column-major vectorization

@@ -21,6 +21,7 @@ from capspec.analysis import (
     nyquist_ap,
     roc_from_scores,
     roc_harness,
+    usable_cpus,
     whitenoise_variance_closed_form,
     whitenoise_variance_report,
 )
@@ -396,9 +397,7 @@ def _nested_pids(run):
     return os.getpid(), pids
 
 
-two_cpus = pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2, reason="runs stay in the caller on one CPU"
-)
+two_cpus = pytest.mark.skipif(usable_cpus() < 2, reason="runs stay in the caller on one CPU")
 
 
 @pytest.mark.skipif(
@@ -446,13 +445,19 @@ class TestDispatchRuns:
     def test_worker_processes_capped(self, workers, runs):
         pids = dispatch_runs(_pid, runs, workers)
         assert len(pids) == runs
-        cap = min(workers, runs, len(os.sched_getaffinity(0)))
+        cap = min(workers, runs, usable_cpus())
         assert len(set(pids)) <= cap
         if cap > 1:
             assert os.getpid() not in pids
 
     def test_one_worker_runs_in_the_caller(self):
         assert set(dispatch_runs(_pid, 3, 1)) == {os.getpid()}
+
+    def test_runs_where_the_platform_has_no_cpu_affinity(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for workers in (1, 2):
+            assert dispatch_runs(_slow_square, 4, workers) == [run * run for run in range(4)]
 
     def test_first_error_drops_the_runs_not_started(self, tmp_path):
         with pytest.raises(ValueError, match="run 0 failed"):
@@ -462,7 +467,7 @@ class TestDispatchRuns:
 
     def test_later_calls_reuse_the_workers(self):
         first, second = dispatch_runs(_pid, 4, 2), dispatch_runs(_pid, 4, 2)
-        assert len(set(first) | set(second)) <= min(2, len(os.sched_getaffinity(0)))
+        assert len(set(first) | set(second)) <= min(2, usable_cpus())
 
     @two_cpus
     def test_a_dead_worker_fails_its_call_and_the_next_call_recovers(self):

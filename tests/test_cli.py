@@ -546,6 +546,17 @@ BAD_INPUTS = {
         + "\n[sweep]\ntau = 3\nsigma2_dbm = 0\npatterns = 0,1,3\n",
         "nmse-sweep does not read [experiment] keep_nap",
     ),
+    "reconstruct with runs": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\nruns = 50\noutput = OUT\n" + SMALL_SCENARIO,
+        "reconstruct does not read [experiment] runs = 50",
+    ),
+    # the --runs flag reaches the same refusal as the key
+    "bench with runs": (
+        "bench --runs 7",
+        "[experiment]\nkind = bench\noutput = OUT\n" + SMALL_SCENARIO + "[sweep]\ntau = 2,4\n",
+        "bench does not read [experiment] runs = 7",
+    ),
     "reconstruct with a detector": (
         "reconstruct",
         "[experiment]\nkind = reconstruct\noutput = OUT\n" + SMALL_SCENARIO + DETECTOR,
@@ -757,9 +768,7 @@ class TestSweeps:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.skipif(
-        len(os.sched_getaffinity(0)) < 2, reason="runs stay in the caller on one CPU"
-    )
+    @pytest.mark.skipif(analysis.usable_cpus() < 2, reason="runs stay in the caller on one CPU")
     def test_dead_worker_exits_3_with_one_line(self, tmp_path, capfd, monkeypatch):
         monkeypatch.setattr(runner, "_nmse_run", partial(_exit_in_worker, os.getpid()))
         out = tmp_path / "out"
@@ -857,9 +866,11 @@ class TestBench:
 # kind -> manifest body after its [experiment] section
 EVERY_KIND = {
     "reconstruct": SMALL_SCENARIO,
-    "nmse-sweep": SMALL_SCENARIO + "[sweep]\ntau = 3,6\nsigma2_dbm = 0\npatterns = 0,1,3\n",
-    "roc": SMALL_SCENARIO + "[sweep]\nsettings = 6,0 | 3,3\n" + DETECTOR,
-    "variance-check": NOISE_SCENARIO + "[sweep]\ntau = 2\npatterns = 0,1,3 | 0,1,2,3\n",
+    "nmse-sweep": "runs = 3\n" + SMALL_SCENARIO
+    + "[sweep]\ntau = 3,6\nsigma2_dbm = 0\npatterns = 0,1,3\n",
+    "roc": "runs = 3\n" + SMALL_SCENARIO + "[sweep]\nsettings = 6,0 | 3,3\n" + DETECTOR,
+    "variance-check": "runs = 3\n" + NOISE_SCENARIO
+    + "[sweep]\ntau = 2\npatterns = 0,1,3 | 0,1,2,3\n",
     "bench": SMALL_SCENARIO + "[sweep]\ntau = 2,4\n",
 }
 
@@ -873,7 +884,7 @@ class TestOutputs:
         out = tmp_path / "out"
         manifest = write_manifest(
             tmp_path,
-            f"[experiment]\nkind = {kind}\nruns = 3\noutput = {out}\n" + EVERY_KIND[kind],
+            f"[experiment]\nkind = {kind}\noutput = {out}\n" + EVERY_KIND[kind],
         )
         paths = runner.run_manifest(runner.parse_manifest(manifest))
         assert sorted(paths.values()) == sorted(out.iterdir())

@@ -37,7 +37,7 @@ class TestModularDifferenceSet:
     def test_ruler18_is_complete(self, ruler18):
         sysm = build_system_matrix(ruler18)
         assert sysm.identifiable
-        assert sysm.missing_differences == ()
+        assert sysm.missing == ()
 
     def test_single_mark(self):
         sysm = build_system_matrix(CosetPattern(1, (0,)))
@@ -47,7 +47,7 @@ class TestModularDifferenceSet:
         # all 9 ordered pairs of {0,1,2} mod 6: 3 is never realized
         sysm = build_system_matrix(CosetPattern(6, (0, 1, 2)))
         assert set(np.flatnonzero(sysm.gamma).tolist()) == {0, 1, 2, 4, 5}
-        assert sysm.missing_differences == (3,)
+        assert sysm.missing == (3,)
 
     def test_multiplicity_identities(self, rng):
         # counts sum to M^2 and the zero difference appears exactly M times
@@ -144,7 +144,7 @@ class TestPairCoverFamily:
             m = int(rng.integers(2, n + 1))
             psi = build_psi(design_pair_cover_family(n, m))
             assert psi.identifiable
-            assert psi.uncovered == ()
+            assert psi.missing == ()
 
     def test_large_family_group_count(self):
         # the wideband fixture needs 12 groups of 14 cosets out of 40
@@ -205,7 +205,8 @@ class TestPairCoverFamily:
     def test_verifier_rejects_partial_cover(self):
         psi = build_psi(PatternFamily(5, (CosetPattern(5, (0, 1, 2)),)))
         assert not psi.identifiable
-        assert (3, 4) in psi.uncovered
+        # ordered pair (3, 4) is gamma index N*col + row
+        assert 5 * 4 + 3 in psi.missing
 
     def test_verifier_by_enumeration(self, rng):
         # independent check: coverage flag equals brute-force pair enumeration

@@ -131,7 +131,7 @@ class TestIdentifiability:
 
     def test_missing_differences_reported(self):
         sysm = build_system_matrix(CosetPattern(6, (0, 1, 2)))
-        assert sysm.missing_differences == (3,)
+        assert sysm.missing == (3,)
 
 
 class TestPsi:
@@ -142,13 +142,14 @@ class TestPsi:
         )
         psi = build_psi(PatternFamily(5, patterns))
         assert psi.identifiable
-        assert np.linalg.matrix_rank(dense_psi(psi.family)) == 25
+        assert np.linalg.matrix_rank(dense_psi(psi.design)) == 25
 
     def test_single_partial_group_rank_deficient(self):
         family = PatternFamily(5, (CosetPattern(5, (0, 1, 2)),))
         psi = build_psi(family)
         assert not psi.identifiable
-        assert (3, 4) in psi.uncovered
+        # ordered pair (3, 4) is gamma index N*col + row
+        assert 5 * 4 + 3 in psi.missing
         assert np.linalg.matrix_rank(dense_psi(family)) < 25
 
     def test_pair_counts_match_dense_normal_matrix(self, rng):
@@ -166,7 +167,7 @@ class TestPsi:
             psi = build_psi(family)
             dense = dense_psi(family)
             normal = dense.T @ dense
-            assert np.array_equal(normal, np.diag(psi.pair_counts))
+            assert np.array_equal(normal, np.diag(psi.gamma))
             assert psi.identifiable == (np.linalg.matrix_rank(dense) == n * n)
             if psi.identifiable:
                 # LS solve, then mean over each modular diagonal
