@@ -97,18 +97,15 @@ def _parse_bands(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(parse_band(chunk) for chunk in text.split("|") if chunk.strip())
 
 
-def _sweep_keys(period: int) -> dict:
-    """[sweep] key -> converter; patterns are of the scenario's ``period``."""
-    return {"tau": parse_marks, "sigma2_dbm": _parse_floats, "settings": _parse_roc_settings,
-            "patterns": partial(parse_patterns, period=period)}
-
-
-# [sweep] key -> its SweepSpec field
-_SWEEP_FIELDS = {"tau": "taus", "sigma2_dbm": "sigmas_dbm", "patterns": "patterns",
-                 "settings": "roc_settings"}
-# kind -> the [sweep] axes it reads; it needs each of them, and refuses any other
-_SWEEP_AXES = {"reconstruct": (), "nmse-sweep": ("tau", "sigma2_dbm", "patterns"),
-               "roc": ("settings",), "variance-check": ("tau", "patterns"), "bench": ("tau",)}
+# [sweep] key -> (its SweepSpec field, its converter given the scenario's period,
+# the identity under which two of its entries are one entry listed twice)
+_SWEEP_KEYS = {
+    "tau": ("taus", lambda text, period: parse_marks(text), int),
+    "sigma2_dbm": ("sigmas_dbm", lambda text, period: _parse_floats(text), float),
+    "patterns": ("patterns", parse_patterns, lambda pattern: _marks_text(pattern.marks)),
+    "settings": ("roc_settings", lambda text, period: _parse_roc_settings(text),
+                 lambda setting: setting.label),
+}
 _DETECTOR_KEYS = {"active_bands": _parse_bands, "quiet_bands": _parse_bands, "avg_width": int,
                   "points_per_band": int, "quiet_points": int}
 
@@ -143,18 +140,19 @@ class ExperimentManifest:
             raise ValueError(f"threads must be positive, got {self.threads}")
         if self.kind != "reconstruct" and self.scenario.bin_mode != "uncorrelated":
             raise ValueError(f"{self.kind} runs on uncorrelated-bins scenarios")
-        for axis, name in _SWEEP_FIELDS.items():
-            reads = axis in _SWEEP_AXES[self.kind]
-            if reads != bool(getattr(self.sweep, name)):
-                verb = "needs" if reads else "does not read"
-                raise ValueError(f"{self.kind} {verb} [sweep] {axis}")
-        if (self.detector is None) == (self.kind == "roc"):
-            verb = "needs" if self.kind == "roc" else "does not read"
-            raise ValueError(f"{self.kind} {verb} a [detector] section")
-        if not self.keep_nap and self.kind != "reconstruct":
-            raise ValueError(f"{self.kind} does not read [experiment] keep_nap = false")
-        if self.runs != 1 and self.kind in ("reconstruct", "bench"):
-            raise ValueError(f"{self.kind} does not read [experiment] runs = {self.runs}")
+        # setting -> (whether it differs from its default, its name in a refusal), in the
+        # order they are checked; an [experiment] key has a default, so no kind needs it
+        given = {axis: (bool(getattr(self.sweep, attr)), f"[sweep] {axis}")
+                 for axis, (attr, _, _) in _SWEEP_KEYS.items()}
+        given["detector"] = (self.detector is not None, "a [detector] section")
+        given["keep_nap"] = (not self.keep_nap, "[experiment] keep_nap = false")
+        given["runs"] = (self.runs != 1, f"[experiment] runs = {self.runs}")
+        reads = RUNNERS[self.kind][1]
+        for setting, (differs, name) in given.items():
+            if differs and setting not in reads:
+                raise ValueError(f"{self.kind} does not read {name}")
+            if not differs and setting in reads and setting not in _EXPERIMENT_KEYS:
+                raise ValueError(f"{self.kind} needs {name}")
         for tau in self.sweep.taus:
             if tau < 1:
                 raise ValueError(f"[sweep] tau entries must be positive, got {tau}")
@@ -167,14 +165,9 @@ class ExperimentManifest:
             except ValueError as exc:
                 raise ValueError(f"[sweep] settings {setting.label}: {exc}") from None
         # a repeated entry would name two results alike
-        for axis, entries in (
-            ("tau", self.sweep.taus),
-            ("sigma2_dbm", self.sweep.sigmas_dbm),
-            ("patterns", [_marks_text(p.marks) for p in self.sweep.patterns]),
-            ("settings", [s.label for s in self.sweep.roc_settings]),
-        ):
+        for axis, (attr, _, identity) in _SWEEP_KEYS.items():
             seen = set()
-            for entry in entries:
+            for entry in map(identity, getattr(self.sweep, attr)):
                 if entry in seen:
                     raise ValueError(f"[sweep] {axis} lists {entry} twice")
                 seen.add(entry)
@@ -218,8 +211,10 @@ def parse_manifest(path, kind: str | None = None) -> ExperimentManifest:
     else:
         parts["scenario"] = scenario_from_parser(parser)
     if "sweep" in parser:
-        values = _read_section(parser["sweep"], _sweep_keys(parts["scenario"].period), SweepSpec)
-        parts["sweep"] = SweepSpec(**{_SWEEP_FIELDS[k]: v for k, v in values.items()})
+        period = parts["scenario"].period
+        table = {key: partial(parse, period=period) for key, (_, parse, _) in _SWEEP_KEYS.items()}
+        values = _read_section(parser["sweep"], table, SweepSpec)
+        parts["sweep"] = SweepSpec(**{_SWEEP_KEYS[k][0]: v for k, v in values.items()})
     if "detector" in parser:
         parts["detector"] = DetectorSpec(
             **_read_section(parser["detector"], _DETECTOR_KEYS, DetectorSpec)
@@ -521,15 +516,17 @@ def run_bench(manifest: ExperimentManifest) -> dict:
     return paths
 
 
+# kind -> (its run, the settings it reads among the [sweep] axes, [detector],
+# keep_nap and runs); ``validate`` derives every "needs" and "does not read" from it
 RUNNERS = {
-    "reconstruct": run_reconstruct,
-    "nmse-sweep": run_nmse_sweep,
-    "roc": run_roc,
-    "variance-check": run_variance_check,
-    "bench": run_bench,
+    "reconstruct": (run_reconstruct, {"keep_nap"}),
+    "nmse-sweep": (run_nmse_sweep, {"tau", "sigma2_dbm", "patterns", "runs"}),
+    "roc": (run_roc, {"settings", "detector", "runs"}),
+    "variance-check": (run_variance_check, {"tau", "patterns", "runs"}),
+    "bench": (run_bench, {"tau"}),
 }
 
 
 def run_manifest(manifest: ExperimentManifest) -> dict:
     manifest.validate()
-    return RUNNERS[manifest.kind](manifest)
+    return RUNNERS[manifest.kind][0](manifest)

@@ -64,11 +64,12 @@ def load_fixture(name: str) -> ScenarioConfig:
 
 
 def parse_marks(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+    """Comma-separated entries; a blank one is skipped, one with a space inside refused."""
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
 def parse_band(text: str) -> tuple[float, float]:

@@ -7,7 +7,9 @@ against plain linear algebra.  The ruler test and the exhaustive ruler
 search are the plain definitions that the library's identifiability
 test and branch-and-bound search are checked against.  The per-run ROC
 synthesizes every configuration on its own, as the roc harness did
-before configurations shared a run's synthesis.  The Gaussian variance
+before configurations shared a run's synthesis.  The expected power per
+grid point is the mean that a group's NAP and an unbiased CAP are checked
+against.  The Gaussian variance
 chain carries a bin covariance through the fourth moments of the sample
 coset covariance to per-bin CAP variance, the general form that Monte
 Carlo CAP variance and the white-noise closed form are checked against.
@@ -20,7 +22,12 @@ import numpy as np
 from capspec.analysis import detection_blocks, roc_from_scores
 from capspec.estimator import estimate_multicluster
 from capspec.patterns import CosetPattern, PatternFamily
-from capspec.sensing import synthesize_observations
+from capspec.sensing import (
+    band_grid_indices,
+    bandpass_response,
+    dbm_to_linear,
+    synthesize_observations,
+)
 from capspec.structure import SystemMatrix
 
 
@@ -84,6 +91,23 @@ def exhaustive_minimal_ruler(n: int) -> CosetPattern:
             if is_circular_sparse_ruler(pattern):
                 return pattern
     raise AssertionError("unreachable: the full mark set is always complete")
+
+
+def expected_power(config, group: int) -> np.ndarray:
+    """E|X_i|^2 / n at each grid point i of ``config``'s group ``group``:
+    sigma2 + sum_k PL_k rho_k |shape_k(i)|^2, with the path loss of column
+    ``group`` (uncorrelated bins) or 0 (correlated bins), as synthesis
+    reads them."""
+    n_grid, uncorrelated = config.grid_size, config.bin_mode == "uncorrelated"
+    want = np.full(n_grid, dbm_to_linear(config.noise_dbm))
+    for user in config.users:
+        power = dbm_to_linear(user.path_loss_db[group if uncorrelated else 0])
+        power *= dbm_to_linear(user.power_dbm)
+        if uncorrelated:
+            want += power * np.abs(bandpass_response(user.band, n_grid)) ** 2
+        else:
+            want[band_grid_indices(user.band, n_grid)] += power
+    return want
 
 
 def per_run_roc(config, detector, runs: int, seed: int):

@@ -1,4 +1,5 @@
 import configparser
+import itertools
 import json
 import math
 import os
@@ -297,6 +298,26 @@ BAD_INPUTS = {
         "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
         + "\n[sweep]\ntau = 4,x\nsigma2_dbm = 0\npatterns = 0,1,3\n",
         "[sweep] tau",
+    ),
+    # commas alone separate a list's entries, so two values with a space between
+    # them are one entry that does not parse, not one number
+    "tau entries separated by a space": (
+        "nmse-sweep",
+        "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\ntau = 2 3\nsigma2_dbm = 0\npatterns = 0,1,3\n",
+        "[sweep] tau",
+    ),
+    "sigma2_dbm entries separated by a space": (
+        "nmse-sweep",
+        "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\ntau = 3\nsigma2_dbm = 1 0\npatterns = 0,1,3\n",
+        "[sweep] sigma2_dbm",
+    ),
+    "path_loss_db entries separated by a space": (
+        "reconstruct",
+        "[experiment]\nkind = reconstruct\noutput = OUT\n"
+        + SMALL_SCENARIO.replace("path_loss_db = -3", "path_loss_db = -1 0"),
+        "[user.1] path_loss_db",
     ),
     "avg_width zero": (
         "roc",
@@ -618,6 +639,95 @@ class TestBadInput:
         with pytest.raises(ValueError):
             _write_outputs(manifest, files, {"nmse_vs_nap": float("nan")})
         assert not manifest.output.exists()
+
+
+# The settings each kind reads, and the order in which a manifest's settings are
+# checked: a kind refuses a setting it does not read that differs from its default,
+# and needs each [sweep] axis and [detector] that it reads, but never runs or keep_nap.
+SETTING_ORDER = ("tau", "sigma2_dbm", "patterns", "settings", "detector", "keep_nap", "runs")
+READ_BY_KIND = {
+    "reconstruct": {"keep_nap"},
+    "nmse-sweep": {"tau", "sigma2_dbm", "patterns", "runs"},
+    "roc": {"settings", "detector", "runs"},
+    "variance-check": {"tau", "patterns", "runs"},
+    "bench": {"tau"},
+}
+# setting -> (its section, its value when given), then setting -> its name in a refusal
+SETTING_VALUES = {
+    "tau": ("sweep", "2,4"), "sigma2_dbm": ("sweep", "0"), "patterns": ("sweep", "0,1,3"),
+    "settings": ("sweep", "6,0"), "keep_nap": ("experiment", "false"), "runs": ("experiment", "3"),
+}
+REFUSAL_NAMES = {
+    **{axis: f"[sweep] {axis}" for axis in ("tau", "sigma2_dbm", "patterns", "settings")},
+    "detector": "a [detector] section",
+    "keep_nap": "[experiment] keep_nap = false",
+    "runs": "[experiment] runs = 3",
+}
+DETECTOR_KEYS = dict(line.split(" = ") for line in DETECTOR.splitlines()[1:])
+
+
+def settings_manifest(kind, changed=()):
+    """Manifest text of ``kind``'s valid base, then each of ``changed`` changed in turn:
+    an axis or [detector] the kind reads is removed, runs and keep_nap take a value
+    other than their default, and any other setting is added."""
+    sections = {"experiment": {"kind": kind, "output": "OUT"}, "sweep": {}, "detector": {}}
+
+    def give(setting, value=None):
+        if setting == "detector":
+            sections["detector"] = dict(DETECTOR_KEYS)
+        else:
+            section, changed_value = SETTING_VALUES[setting]
+            sections[section][setting] = value or changed_value
+
+    for setting in READ_BY_KIND[kind] - {"keep_nap"}:
+        give(setting, "4" if setting == "runs" else None)
+    for setting in changed:
+        if setting in ("keep_nap", "runs") or setting not in READ_BY_KIND[kind]:
+            give(setting)
+        elif setting == "detector":
+            sections["detector"] = {}
+        else:
+            del sections["sweep"][setting]
+    return SMALL_SCENARIO + "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items() if keys
+    )
+
+
+def first_refusal(kind, changed):
+    for setting in SETTING_ORDER:
+        if setting in changed and setting not in READ_BY_KIND[kind]:
+            return f"{kind} does not read {REFUSAL_NAMES[setting]}"
+        if setting in changed and setting not in ("keep_nap", "runs"):
+            return f"{kind} needs {REFUSAL_NAMES[setting]}"
+    return None
+
+
+class TestSettingsReadByKind:
+    @staticmethod
+    def refusal(tmp_path, text):
+        manifest = runner.parse_manifest(write_manifest(tmp_path, text))
+        try:
+            manifest.validate()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("kind", sorted(READ_BY_KIND))
+    def test_each_setting_and_each_ordered_pair_of_them(self, tmp_path, kind):
+        # a pair is written in its order, so a refusal must not follow the text's order
+        cases = [(s,) for s in SETTING_ORDER] + list(itertools.permutations(SETTING_ORDER, 2))
+        assert self.refusal(tmp_path, settings_manifest(kind)) is None
+        wrong = {}
+        for changed in cases:
+            got = self.refusal(tmp_path, settings_manifest(kind, changed))
+            if got != first_refusal(kind, changed):
+                wrong[changed] = got
+        assert not wrong
+
+    def test_a_level_and_its_negative_zero_are_one_level(self, tmp_path):
+        text = settings_manifest("nmse-sweep").replace("sigma2_dbm = 0", "sigma2_dbm = 0, -0")
+        assert self.refusal(tmp_path, text) == "[sweep] sigma2_dbm lists -0.0 twice"
 
 
 class TestSweeps:
@@ -1024,6 +1134,20 @@ def readme_ini_block(heading):
     return {name: set(parser[name]) for name in parser.sections()}
 
 
+# a tiny scenario, another value for each key that an axis may replace, and
+# kind -> the rest of its manifest (variance-check runs on noise alone)
+REPLACED_SCENARIO = {"period": "6", "samples_per_coset": "10", "marks": "0,1,3",
+                     "noise_dbm": "0", "sensors_per_cluster": "6", "sync": "unsynchronized"}
+OTHER_VALUES = {"marks": "0,1,2,4", "sensors_per_cluster": "5", "noise_dbm": "3",
+                "sync": "synchronized"}
+ONE_USER = "[user.1]\nband = 0.2,0.3\npower_dbm = 14\npath_loss_db = -3\n"
+REPLACING_KINDS = {
+    "nmse-sweep": ONE_USER + "[sweep]\ntau = 3\nsigma2_dbm = 0,3\npatterns = 0,1,3 | 0,1,2,3\n",
+    "roc": ONE_USER + "[sweep]\nsettings = 6,0 | 3,3,synchronized\n" + DETECTOR,
+    "variance-check": "[sweep]\ntau = 2\npatterns = 0,1,3 | 0,1,2,3\n",
+}
+
+
 class TestReadmeReference:
     def test_library_quick_start_runs(self, capsys):
         exec(readme_block("## Library quick start", "python"), {})
@@ -1037,24 +1161,54 @@ class TestReadmeReference:
         assert (manifest.kind, manifest.runs) == ("roc", 3)
 
     def test_documented_axes_are_the_axes_read(self):
-        # rows "| `kind` | `axis`, `axis` |" of the manifest format's table
+        # rows "| `kind` | `axis`, `axis` | `setting`, `[detector]` |" of the manifest format's table
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = text.split("### Manifest format", 1)[1].split("\n### ", 1)[0]
         documented = {}
         for line in section.splitlines():
             cells = line.split("|")
-            if line.startswith("| `") and len(cells) == 4:
-                kind, axes = cells[1].strip(" `"), cells[2]
-                documented[kind] = tuple(axes.split("`")[1::2])
-        assert documented == runner._SWEEP_AXES
+            if line.startswith("| `") and len(cells) == 5:
+                axes, others = ({name.strip("[]") for name in cell.split("`")[1::2]}
+                                for cell in cells[2:4])
+                documented[cells[1].strip(" `")] = (axes, others)
         assert set(documented) == set(runner.RUNNERS)
+        for kind, (_, reads) in runner.RUNNERS.items():
+            assert documented[kind] == (reads & set(runner._SWEEP_KEYS),
+                                        reads - set(runner._SWEEP_KEYS)), kind
+
+    def test_replaced_scenario_keys_leave_every_output_alone(self, tmp_path):
+        # the sentences "`kind` replaces `key`, ... with ..." of the manifest format
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = text.split("The axes of the Monte Carlo kinds replace", 1)[1]
+        replaced = {}
+        for sentence in paragraph.split("\n\n", 1)[0].replace("\n", " ").split(". "):
+            names = sentence.split(" with ", 1)[0].split("`")[1::2]
+            if " replaces " in sentence:
+                replaced[names[0]] = names[1:]
+        assert set(replaced) == set(REPLACING_KINDS)
+
+        def outputs(kind, key=None):
+            out = tmp_path / f"{kind}-{key}"
+            scenario = REPLACED_SCENARIO | ({key: OTHER_VALUES[key]} if key else {})
+            body = (f"[experiment]\nkind = {kind}\nruns = 3\noutput = {out}\n[scenario]\n"
+                    + "".join(f"{k} = {v}\n" for k, v in scenario.items())
+                    + REPLACING_KINDS[kind])
+            runner.run_manifest(runner.parse_manifest(write_manifest(tmp_path, body)))
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        for kind, keys in replaced.items():
+            base = outputs(kind)
+            for key in keys:
+                assert outputs(kind, key) == base, (kind, key)
+        # the noise power is read by variance-check, so its outputs move with it
+        assert outputs("variance-check", "noise_dbm") != outputs("variance-check")
 
     def test_documented_keys_are_the_keys_read(self):
         # a manifest's [scenario] is a scenario file, or its keys inline
         assert readme_ini_block("### Manifest format") == {
             "experiment": set(runner._EXPERIMENT_KEYS),
             "scenario": {"file"},
-            "sweep": set(runner._sweep_keys(1)),
+            "sweep": set(runner._SWEEP_KEYS),
             "detector": set(runner._DETECTOR_KEYS),
         }
         assert readme_ini_block("### Scenario files") == {

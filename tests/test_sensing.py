@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import capspec
 from capspec.analysis import nyquist_ap
-from capspec.patterns import CosetPattern, PatternFamily
+from capspec.estimator import estimate_correlated_bins, estimate_multicluster
+from capspec.patterns import CosetPattern, PatternFamily, design_pair_cover_family
 from capspec.scenarios import load_fixture
 from capspec.sensing import (
     _R_FADING,
@@ -41,7 +42,7 @@ from capspec.sensing import (
     synthesize_observations,
 )
 from capspec.structure import build_modulation_matrix
-from oracles import build_selection_matrix
+from oracles import build_selection_matrix, expected_power
 
 GRID = 3060
 
@@ -184,6 +185,18 @@ def noise_only_config(tau=100, noise_dbm=3.0):
     )
 
 
+def multiband_config(sync, bin_mode, **layout):
+    """Two users at -1 dBm noise on a 6 x 20 grid, one band wrapping around 1."""
+    users = (
+        UserSpec(band=(0.2, 0.35), power_dbm=6.0, path_loss_db=(-2.0, -5.0)),
+        UserSpec(band=(0.9, 0.05), power_dbm=3.0, path_loss_db=(-4.0, 1.0)),
+    )
+    return ScenarioConfig(
+        period=6, samples_per_coset=20, users=users, noise_dbm=-1.0,
+        sync=sync, bin_mode=bin_mode, **layout,
+    )
+
+
 class TestSynthesize:
     def test_noise_only_variance(self):
         run = synthesize_observations(noise_only_config(), seed=1, keep_full_rate=True)
@@ -279,35 +292,54 @@ class TestSynthesize:
         # correlated-bins run draws one symbol per user for every point and
         # sensor, so its per-run averages are skewed like an exponential, and
         # so is their t statistic: the aggregate bound is 4 standard errors.
-        users = (
-            UserSpec(band=(0.2, 0.35), power_dbm=6.0, path_loss_db=(-2.0, -5.0)),
-            UserSpec(band=(0.9, 0.05), power_dbm=3.0, path_loss_db=(-4.0, 1.0)),
-        )
         if bin_mode == "uncorrelated":
             layout = dict(pattern=CosetPattern(6, (0, 1, 3)), clusters=2, sensors_per_cluster=8)
         else:
             patterns = (CosetPattern(6, (0, 1, 3)), CosetPattern(6, (1, 2, 4)))
             layout = dict(family=PatternFamily(6, patterns), sensors_per_group=8)
-        config = ScenarioConfig(
-            period=6, samples_per_coset=20, users=users, noise_dbm=-1.0,
-            sync=sync, bin_mode=bin_mode, **layout,
-        )
-        n_grid, runs = config.grid_size, 300
+        config = multiband_config(sync, bin_mode, **layout)
+        runs = 300
         naps = np.array([
             [nyquist_ap(s.full_rate).values for s in
              synthesize_observations(config, seed=(31, r), keep_full_rate=True).sets]
             for r in range(runs)
         ])                                                   # (runs, groups, grid)
         for g in range(naps.shape[1]):
-            want = np.full(n_grid, dbm_to_linear(config.noise_dbm))
-            for user in users:
-                power = dbm_to_linear(user.path_loss_db[g if bin_mode == "uncorrelated" else 0])
-                power *= dbm_to_linear(user.power_dbm)
-                if bin_mode == "uncorrelated":
-                    want += power * np.abs(bandpass_response(user.band, n_grid)) ** 2
-                else:
-                    want[band_grid_indices(user.band, n_grid)] += power
+            want = expected_power(config, g)
             per_point = naps[:, g]
+            z = (per_point.mean(axis=0) - want) / (per_point.std(axis=0, ddof=1) / np.sqrt(runs))
+            assert np.max(np.abs(z)) < 5.0, (g, np.max(np.abs(z)))
+            level = per_point.mean(axis=1)                   # one average per run
+            agg_z = (level.mean() - want.mean()) / (level.std(ddof=1) / np.sqrt(runs))
+            assert abs(agg_z) < 4.0, (g, agg_z)
+
+    @pytest.mark.parametrize("sync", SYNC_MODES)
+    @pytest.mark.parametrize("bin_mode", BIN_MODES)
+    def test_mean_cap_matches_closed_form(self, bin_mode, sync):
+        # The mean of the CAP is the NAP's mean above: CAP-UB's LS solve is
+        # unbiased on uncorrelated bins, checked per cluster, and CAP-CB's on
+        # a family that covers every coset pair, whatever the bins' coherence.
+        # The standard errors and bounds are the NAP test's, for its reasons:
+        # 5 standard errors per point, and 4 on the per-run averages, whose
+        # synchronized correlated-bins skew reaches the CAP alike.  Seed 33,
+        # 400 runs and the bounds were fixed before the first run.
+        if bin_mode == "uncorrelated":
+            layout = dict(pattern=CosetPattern(6, (0, 1, 3)), clusters=2, sensors_per_cluster=8)
+        else:
+            layout = dict(family=design_pair_cover_family(6, 3), sensors_per_group=8)
+        config = multiband_config(sync, bin_mode, **layout)
+        runs = 400
+        caps = []
+        for r in range(runs):
+            sets = synthesize_observations(config, seed=(33, r)).sets
+            if bin_mode == "uncorrelated":
+                caps.append([cap.values for cap in estimate_multicluster(sets)[0]])
+            else:
+                caps.append([estimate_correlated_bins(sets).values])
+        caps = np.array(caps)                 # (runs, clusters, grid), or one CAP-CB per run
+        for g in range(caps.shape[1]):
+            want = expected_power(config, g)
+            per_point = caps[:, g]
             z = (per_point.mean(axis=0) - want) / (per_point.std(axis=0, ddof=1) / np.sqrt(runs))
             assert np.max(np.abs(z)) < 5.0, (g, np.max(np.abs(z)))
             level = per_point.mean(axis=1)                   # one average per run
