@@ -193,11 +193,6 @@ class VarianceReport:
     empirical_nmse: float
 
     @property
-    def thetas(self) -> np.ndarray:
-        n_grid = self.empirical_by_theta.size
-        return np.arange(n_grid) / n_grid
-
-    @property
     def empirical_variance(self) -> float:
         return float(np.mean(self.empirical_by_theta))
 

@@ -59,11 +59,6 @@ class Periodogram:
     max_imag_ratio: float = 0.0
 
     @property
-    def thetas(self) -> np.ndarray:
-        n_grid = self.values.size
-        return np.arange(n_grid) / n_grid
-
-    @property
     def negative_count(self) -> int:
         return int(np.sum(self.values < 0.0))
 
@@ -79,31 +74,32 @@ class Periodogram:
         """Write ``theta,value,estimator,run_id`` rows, as ``cap.csv`` is written."""
         from .runner import _periodogram_csv, _theta_text    # runner imports this module
 
-        _periodogram_csv(self, _theta_text(self))(path)
+        _periodogram_csv(self, _theta_text(self.values.size))(path)
 
 
-def covariance_sums(dtft: np.ndarray, stops) -> list[np.ndarray]:
-    """Sums over sensors of the outer products of the coset DTFT vectors.
+def covariance_means(dtft: np.ndarray, stops) -> list[np.ndarray]:
+    """Means over sensors of the outer products of the coset DTFT vectors.
 
     ``dtft`` is (sensors, M, L); for each of the ascending sensor counts
-    ``stops`` the C-order (L, M, M) sum over the first ``stop`` sensors is
+    ``stops`` the C-order (L, M, M) mean over the first ``stop`` sensors is
     returned.  Each sensor enters once: the DTFT is transposed to one
     M x sensors matrix per point, and each chunk of sensors adds its
-    batched product to a running sum; a chunk holds as many sensors as
-    keep a product below ``BLAS_SPLIT_SIZE``.
+    batched product to a running sum, which each stop divides by its
+    count; a chunk holds as many sensors as keep a product below
+    ``BLAS_SPLIT_SIZE``.
     """
     m = dtft.shape[1]
     chunk = max(1, (BLAS_SPLIT_SIZE - 1) // (m * m))
     y = np.ascontiguousarray(dtft[: stops[-1]].transpose(2, 1, 0))
     total = np.zeros((y.shape[0], m, m), dtype=complex)
-    sums, start = [], 0
+    means, start = [], 0
     for stop in stops:
         for lo in range(start, stop, chunk):
             part = y[:, :, lo : min(lo + chunk, stop)]
             total += part @ part.conj().swapaxes(1, 2)
-        sums.append(total.copy())
+        means.append(total / stop)
         start = stop
-    return sums
+    return means
 
 
 def sample_covariance(observations: CosetObservationSet) -> CovarianceStack:
@@ -111,7 +107,7 @@ def sample_covariance(observations: CosetObservationSet) -> CovarianceStack:
     tau = observations.dtft.shape[0]
     if tau == 0:
         raise ValueError(f"cluster/group {observations.label} is empty")
-    matrices = covariance_sums(observations.dtft, [tau])[0] / tau
+    matrices = covariance_means(observations.dtft, [tau])[0]
     return CovarianceStack(matrices=matrices, count=tau, pattern=observations.pattern)
 
 

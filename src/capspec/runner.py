@@ -32,7 +32,7 @@ from .estimator import (
     CovarianceStack,
     Periodogram,
     average_periodograms,
-    covariance_sums,
+    covariance_means,
     estimate_correlated_bins,
     estimate_multicluster,
     ls_reconstruct_rbar,
@@ -239,9 +239,10 @@ def _csv_rows(path: Path, header: str, rows) -> None:
         f.write("\n".join([header, *(line % row for row in rows), ""]))
 
 
-def _theta_text(periodogram) -> list[str]:
-    """The theta column of a periodogram's rows, each value as its repr."""
-    return list(map(repr, periodogram.thetas.tolist()))
+def _theta_text(n_grid: int) -> list[str]:
+    """The theta column of every per-point CSV: k / n_grid for each of the
+    ``n_grid`` grid points, each value as its repr."""
+    return list(map(repr, (np.arange(n_grid) / n_grid).tolist()))
 
 
 def _periodogram_csv(periodogram, thetas: list[str]) -> partial:
@@ -256,9 +257,11 @@ def _write_outputs(
 ) -> dict:
     """Create the output directory and write ``files`` (file name -> writer
     taking the path) and, unless None, ``summary`` as ``summary.json`` under
-    the shared kind/seed header.  Returns file stem -> path."""
+    the header every kind shares: its kind, its seed and its scenario's
+    warnings.  Returns file stem -> path."""
     if summary is not None:
-        summary = {"kind": manifest.kind, "seed": manifest.seed, **summary}
+        summary = {"kind": manifest.kind, "seed": manifest.seed,
+                   "warnings": manifest.scenario.warnings, **summary}
         # a summary that cannot be written (a NaN, say) fails here, before the directory exists
         _json_text(summary)
         files = {**files, "summary.json": partial(_write_json, payload=summary)}
@@ -292,14 +295,13 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
             nap = average_periodograms([Periodogram(s.nap[0], NAP) for s in sensed.sets])
             nap.require_finite()
     # cap.csv and nap.csv share one grid, so its theta column is formatted once
-    thetas = _theta_text(cap)
+    thetas = _theta_text(cap.values.size)
     files = {"cap.csv": _periodogram_csv(cap, thetas)}
     summary = {
         "estimator": cap.estimator,
         "grid_points": int(cap.values.size),
         "negative_values": cap.negative_count,
         "max_imag_ratio": cap.max_imag_ratio,
-        "warnings": sensed.warnings,
     }
     if nap is not None:
         files["nap.csv"] = _periodogram_csv(nap, thetas)
@@ -314,7 +316,7 @@ def _nmse_run(
 
     One synthesis senses the union of the sweep's patterns, with the NAP
     at the sorted taus.  Per noise level and cluster, the covariance over
-    the union is summed once, with running sums at the taus, and each
+    the union is summed once, with its means at the taus, and each
     (pattern, tau) solve reads its M x M submatrix.
     """
     taus = sorted(sweep.taus)
@@ -326,9 +328,9 @@ def _nmse_run(
     for sigma, sensed in zip(sweep.sigmas_dbm, levels):
         caps = {(pattern, tau): [] for pattern in sweep.patterns for tau in taus}
         for s in sensed.sets:
-            for tau, total in zip(taus, covariance_sums(s.dtft, taus)):
+            for tau, mean in zip(taus, covariance_means(s.dtft, taus)):
                 for pattern, idx in rows.items():
-                    stack = CovarianceStack(total[:, idx[:, None], idx] / tau, tau, pattern)
+                    stack = CovarianceStack(mean[:, idx[:, None], idx], tau, pattern)
                     caps[pattern, tau].append(assemble_cap(ls_reconstruct_rbar(stack)))
         for i, tau in enumerate(taus):
             nap = np.mean([s.nap[i] for s in sensed.sets], axis=0)
@@ -405,11 +407,10 @@ def run_variance_check(manifest: ExperimentManifest) -> dict:
     )
     files = {}
     rows = []
+    thetas = _theta_text(config.grid_size)
     for (pattern, tau), report in zip(combos, reports):
-        detail = [
-            (theta, report.analytical_variance, emp)
-            for theta, emp in zip(report.thetas.tolist(), report.empirical_by_theta.tolist())
-        ]
+        detail = list(zip(thetas, repeat(report.analytical_variance),
+                          report.empirical_by_theta.tolist()))
         name = "-".join(map(str, pattern.marks))
         files[f"variance_theta_{name}_tau{tau}.csv"] = partial(
             _csv_rows, header="theta,analytical,empirical", rows=detail

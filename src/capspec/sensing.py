@@ -18,7 +18,7 @@ once to their averaged periodogram, so only one group's spectra are held.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,10 +179,15 @@ class ScenarioConfig:
         """Sensors per cluster (uncorrelated bins) or per group (correlated bins)."""
         return self.sensors_per_group if self.bin_mode == "correlated" else self.sensors_per_cluster
 
-    def bin_width_violations(self) -> tuple[UserSpec, ...]:
-        """Users whose band exceeds the bin width 1/period."""
-        limit = 1.0 / self.period
-        return tuple(u for u in self.users if u.width > limit + 1e-12)
+    @property
+    def warnings(self) -> list[str]:
+        """What a run on this scenario reports of its model: on uncorrelated
+        bins, user bands wider than the bin width 1/period."""
+        wide = [u for u in self.users if u.width > 1.0 / self.period + 1e-12]
+        if self.bin_mode != "uncorrelated" or not wide:
+            return []
+        return [f"{len(wide)} user band(s) exceed the bin width 1/{self.period}; "
+                "the uncorrelated-bins model is violated"]
 
 
 @dataclass
@@ -211,7 +216,6 @@ class CosetObservationSet:
 @dataclass
 class SensingRun:
     sets: list[CosetObservationSet]
-    warnings: list[str] = field(default_factory=list)
 
 
 def _rng(key, *path: int) -> np.random.Generator:
@@ -394,14 +398,7 @@ def synthesize_observations(
     steps = zip((0, *stops), stops)
     if not all(np.issubdtype(type(b), np.integer) and a < b <= sensors for a, b in steps):
         raise ValueError(f"nap stops must ascend strictly within [1, {sensors}], got {nap}")
-    warnings: list[str] = []
     if config.bin_mode == "uncorrelated":
-        offenders = config.bin_width_violations()
-        if offenders:
-            warnings.append(
-                f"{len(offenders)} user band(s) exceed the bin width "
-                f"1/{config.period}; the uncorrelated-bins model is violated"
-            )
         groups = [(d, config.pattern, d) for d in range(config.clusters)]
         width = n_grid
         own_role, shared_role = _R_SIGNAL, _R_SHARED_SIGNAL
@@ -493,5 +490,5 @@ def synthesize_observations(
                 spectra=spectra if keep_full_rate else None,
                 nap=nap_values(spectra, stops) if stops else None,
             ))
-    runs = [SensingRun(sets=level_sets, warnings=list(warnings)) for level_sets in sets]
+    runs = [SensingRun(sets=level_sets) for level_sets in sets]
     return runs[0] if noise_levels is None else runs

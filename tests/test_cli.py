@@ -1001,6 +1001,24 @@ class TestOutputs:
         assert all(path.stem == name for name, path in paths.items())
 
 
+    @pytest.mark.parametrize("kind", ["reconstruct", "nmse-sweep", "roc", "variance-check"])
+    def test_summary_lists_the_scenario_warnings(self, tmp_path, kind):
+        # SMALL_SCENARIO on 24 points with a user band 0.3 wide, past the bin width 1/6;
+        # variance-check runs on noise alone, so it has nothing to warn of
+        wide = SMALL_SCENARIO.replace("samples_per_coset = 20", "samples_per_coset = 4")
+        wide = wide.replace("band = 0.2,0.3", "band = 0.1,0.4")
+        detector = "[detector]\nactive_bands = 0.1,0.4\nquiet_bands = 0.6,0.9\navg_width = 2\n"
+        body = EVERY_KIND[kind].replace(SMALL_SCENARIO, wide).replace(DETECTOR, detector)
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, f"[experiment]\nkind = {kind}\noutput = {out}\n"
+                                  + body)
+        assert main([kind, "--manifest", str(manifest), "--seed", "3"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["warnings"] == ([] if kind == "variance-check" else [
+            "1 user band(s) exceed the bin width 1/6; the uncorrelated-bins model is violated"
+        ])
+
+
 RULERS = ((4, (0, 1, 2)), (6, (0, 1, 3)), (7, (0, 1, 3)), (8, (0, 1, 2, 4)))
 
 
@@ -1101,7 +1119,8 @@ class TestRocPairing:
             ))
             want[path.name] = path.read_bytes()
         want["summary.json"] = runner._json_text(
-            {"kind": "roc", "seed": manifest.seed, "runs": manifest.runs, "auc": aucs}
+            {"kind": "roc", "seed": manifest.seed, "warnings": [], "runs": manifest.runs,
+             "auc": aucs}
         ).encode()
         assert {p.name: p.read_bytes() for p in manifest.output.iterdir()} == want
 

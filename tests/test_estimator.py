@@ -7,6 +7,7 @@ from capspec.estimator import (
     CovarianceStack,
     IdentifiabilityError,
     assemble_cap,
+    covariance_means,
     estimate_correlated_bins,
     estimate_multicluster,
     ls_reconstruct_rbar,
@@ -15,6 +16,7 @@ from capspec.estimator import (
 )
 from capspec.patterns import CosetPattern, design_pair_cover_family
 from capspec.sensing import (
+    BLAS_SPLIT_SIZE,
     CosetObservationSet,
     ScenarioConfig,
     synthesize_observations,
@@ -69,6 +71,39 @@ class TestSampleCovariance:
         m = stack.matrices
         assert np.max(np.abs(m - m.conj().transpose(0, 2, 1))) < 1e-12
         assert np.min(np.linalg.eigvalsh(m)) > -1e-10
+
+
+def check_covariance_means(dtft, stops):
+    """Each stop's mean against the einsum mean of y y^H over its first
+    ``stop`` sensors; a call at the last stop alone against ``sample_covariance``."""
+    means = covariance_means(dtft, stops)
+    assert len(means) == len(stops)
+    for stop, got in zip(stops, means):
+        want = np.einsum("tml,tnl->lmn", dtft[:stop], dtft[:stop].conj()) / stop
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    pattern = CosetPattern(dtft.shape[1], tuple(range(dtft.shape[1])))
+    alone = covariance_means(dtft, stops[-1:])[0]
+    stack = sample_covariance(CosetObservationSet(pattern, dtft[: stops[-1]]))
+    assert np.array_equal(alone, stack.matrices)
+
+
+class TestCovarianceMeans:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 5),
+        l_pts=st.integers(1, 4),
+        stops=st.sets(st.integers(1, 12), min_size=1, max_size=4).map(sorted),
+    )
+    def test_each_stop_is_the_mean_of_its_prefix(self, seed, m, l_pts, stops):
+        rng = np.random.default_rng(seed)
+        check_covariance_means(crandn(rng, stops[-1] + 2, m, l_pts), stops)
+
+    def test_stops_past_one_blas_chunk(self, rng):
+        # a chunk holds 2621 sensors at M = 5, so the sensors from 7 on take two
+        chunk = (BLAS_SPLIT_SIZE - 1) // 25
+        check_covariance_means(crandn(rng, chunk + 40, 5, 2), [7, chunk + 31])
 
 
 class TestLsReconstruction:
