@@ -126,6 +126,8 @@ def dispatch_runs(one, runs: int, workers: int = 1) -> list:
         raise
 
 
+# a worker process does not run under its caller's errstate
+@np.errstate(over="ignore", invalid="ignore")
 def _mc_run(configs: tuple[ScenarioConfig, ...], seed: int, run: int) -> np.ndarray:
     """Run ``run`` of one group of ``mc_caps`` configs: each config's
     averaged CAP, one row per config, refused if not finite.
@@ -138,19 +140,17 @@ def _mc_run(configs: tuple[ScenarioConfig, ...], seed: int, run: int) -> np.ndar
     """
     levels = list(dict.fromkeys(config.noise_dbm for config in configs))
     widest = max(configs, key=lambda config: config.sensors_per_cluster)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sensed = synthesize_observations(widest, seed=(seed, run), noise_levels=levels)
-        caps = []
-        for config in configs:
-            tau = config.sensors_per_cluster
-            _, averaged = estimate_multicluster([
-                CosetObservationSet(s.pattern, s.dtft[:tau], s.label)
-                for s in sensed[levels.index(config.noise_dbm)].sets
-            ])
-            caps.append(averaged)
-    for cap in caps:
-        cap.require_finite()
-    return np.array([cap.values for cap in caps])
+    sensed = synthesize_observations(widest, seed=(seed, run), noise_levels=levels)
+    caps = []
+    for config in configs:
+        tau = config.sensors_per_cluster
+        _, averaged = estimate_multicluster([
+            CosetObservationSet(s.pattern, s.dtft[:tau], s.label)
+            for s in sensed[levels.index(config.noise_dbm)].sets
+        ])
+        averaged.require_finite()
+        caps.append(averaged.values)
+    return np.array(caps)
 
 
 def mc_caps(
@@ -248,6 +248,8 @@ class DetectorSpec:
             if points is not None and points < 1:
                 raise ValueError(f"{key} must be positive, got {points}")
         for key in ("active_bands", "quiet_bands"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} lists no band")
             for band in getattr(self, key):
                 _check_band(key, band)
         for active in self.active_bands:

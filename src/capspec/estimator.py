@@ -2,16 +2,15 @@
 
 Both estimators, CAP-UB and CAP-CB, share one core.  Per in-bin
 frequency point, per-sensor outer products of the coset DTFT vectors
-are averaged into sample covariances; the design's averaging operator
-(see ``structure``) maps them, stacked, to the N circulant lags, the
-closed-form LS solution; and a length-N transform of the lags gives
-the periodogram in O(N log N).  The sample covariance, the one step
-whose cost grows with the sensor count, is a batched BLAS product, one
-M x M matrix per point, taken over chunks of sensors small enough that
-OpenBLAS runs each product on the calling thread: a helper thread would
-compete with the other worker processes for the cores.  The operator
-is applied in its index form, by a gather, an in-place scale and
-``np.add.reduceat``, with no BLAS call at all.
+are averaged into sample covariances; ``SystemMatrix.solve``, the
+design's averaging operator (see ``structure``), maps them, stacked, to
+the N circulant lags, the closed-form LS solution; and a length-N
+transform of the lags gives the periodogram in O(N log N).  The sample
+covariance, the one step whose cost grows with the sensor count, is a
+batched BLAS product, one M x M matrix per point, taken over chunks of
+sensors small enough that OpenBLAS runs each product on the calling
+thread: a helper thread would compete with the other worker processes
+for the cores.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from .patterns import CosetPattern, PatternFamily
 from .sensing import BLAS_SPLIT_SIZE, CosetObservationSet
-from .structure import SystemMatrix, build_psi, build_system_matrix
+from .structure import build_psi, build_system_matrix
 
 CAP_UB = "CAP-UB"
 CAP_CB = "CAP-CB"
@@ -111,18 +110,6 @@ def sample_covariance(observations: CosetObservationSet) -> CovarianceStack:
     return CovarianceStack(matrices=matrices, count=tau, pattern=observations.pattern)
 
 
-def _solve_lags(stacks: list[CovarianceStack], system: SystemMatrix) -> np.ndarray:
-    """Apply the averaging operator of a ``SystemMatrix``, a pattern's or
-    a family's, to its stacked covariances: gather every point's entries
-    in lag order, weight them in place and sum each lag's run.  Returns
-    the (L, N) lags."""
-    l_pts = stacks[0].matrices.shape[0]
-    flat = [s.matrices.reshape(l_pts, -1) for s in stacks]
-    vec = (flat[0] if len(flat) == 1 else np.concatenate(flat, axis=1))[:, system.slots]
-    vec *= system.weights
-    return np.add.reduceat(vec, system.starts, axis=1)
-
-
 def ls_reconstruct_rbar(stack: CovarianceStack) -> np.ndarray:
     """Solve the per-point LS problem for the circulant lag vector.
 
@@ -141,7 +128,7 @@ def ls_reconstruct_rbar(stack: CovarianceStack) -> np.ndarray:
             f"modular differences {list(missing)} are unrealized",
             missing=missing,
         )
-    return _solve_lags([stack], sysmat)
+    return sysmat.solve([stack.matrices])
 
 
 def assemble_cap(lags: np.ndarray) -> Periodogram:
@@ -168,11 +155,6 @@ def assemble_cap(lags: np.ndarray) -> Periodogram:
     )
 
 
-def reconstruct_cap(observations: CosetObservationSet) -> Periodogram:
-    """Full single-cluster pipeline: covariance, LS lags, periodogram."""
-    return assemble_cap(ls_reconstruct_rbar(sample_covariance(observations)))
-
-
 def estimate_multicluster(
     observation_sets: list[CosetObservationSet],
 ) -> tuple[list[Periodogram], Periodogram]:
@@ -182,7 +164,7 @@ def estimate_multicluster(
     for obs in observation_sets:
         if obs.pattern != observation_sets[0].pattern:
             raise ValueError("clusters use different patterns")
-    caps = [reconstruct_cap(obs) for obs in observation_sets]
+    caps = [assemble_cap(ls_reconstruct_rbar(sample_covariance(obs))) for obs in observation_sets]
     return caps, average_periodograms(caps)
 
 
@@ -225,4 +207,4 @@ def estimate_correlated_bins(group_observations: list[CosetObservationSet]) -> P
     stacks = [sample_covariance(obs) for obs in group_observations]
     if len({s.matrices.shape[0] for s in stacks}) != 1:
         raise ValueError("groups disagree on grid size")
-    return replace(assemble_cap(_solve_lags(stacks, psi)), estimator=CAP_CB)
+    return replace(assemble_cap(psi.solve([s.matrices for s in stacks])), estimator=CAP_CB)

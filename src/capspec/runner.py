@@ -282,18 +282,17 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
     refused before anything is written.
     """
     config = manifest.scenario
-    with np.errstate(over="ignore", invalid="ignore"):
-        stops = (config.sensors_per_set,) if manifest.keep_nap else ()
-        sensed = synthesize_observations(config, seed=(manifest.seed, 0), nap=stops)
-        if config.bin_mode == "uncorrelated":
-            _, cap = estimate_multicluster(sensed.sets)
-        else:
-            cap = estimate_correlated_bins(sensed.sets)
-        cap.require_finite()
-        nap = None
-        if manifest.keep_nap:
-            nap = average_periodograms([Periodogram(s.nap[0], NAP) for s in sensed.sets])
-            nap.require_finite()
+    stops = (config.sensors_per_set,) if manifest.keep_nap else ()
+    sensed = synthesize_observations(config, seed=(manifest.seed, 0), nap=stops)
+    if config.bin_mode == "uncorrelated":
+        _, cap = estimate_multicluster(sensed.sets)
+    else:
+        cap = estimate_correlated_bins(sensed.sets)
+    cap.require_finite()
+    nap = None
+    if manifest.keep_nap:
+        nap = average_periodograms([Periodogram(s.nap[0], NAP) for s in sensed.sets])
+        nap.require_finite()
     # cap.csv and nap.csv share one grid, so its theta column is formatted once
     thetas = _theta_text(cap.values.size)
     files = {"cap.csv": _periodogram_csv(cap, thetas)}
@@ -309,6 +308,8 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
     return _write_outputs(manifest, files, summary)
 
 
+# a worker process does not run under its caller's errstate
+@np.errstate(over="ignore", invalid="ignore")
 def _nmse_run(
     config: ScenarioConfig, sweep: SweepSpec, combos: list, seed: int, run: int
 ) -> list[float]:
@@ -530,4 +531,6 @@ RUNNERS = {
 
 def run_manifest(manifest: ExperimentManifest) -> dict:
     manifest.validate()
-    return RUNNERS[manifest.kind][0](manifest)
+    # no overflow warning: each kind refuses a value that is not finite before it writes
+    with np.errstate(over="ignore", invalid="ignore"):
+        return RUNNERS[manifest.kind][0](manifest)

@@ -14,10 +14,11 @@ covariance entries that observe it.
 every covariance slot, counted in memory order over the stacked M x M
 matrices, sorted by the lag it observes (``slots``), with its weight
 (``weights``) and the start of each lag's run of slots (``starts``).
-A solve is then a gather, an in-place scale and one ``np.add.reduceat``:
-no matrix product, so no BLAS call.  The BLAS products of a Monte Carlo
-run, the sample covariance and the coset map C B, are taken in chunks
-below the size at which OpenBLAS would split them over a helper thread.
+``SystemMatrix.solve``, the one place that reads them, is then a gather,
+an in-place scale and one ``np.add.reduceat``: no matrix product, so no
+BLAS call.  The BLAS products of a Monte Carlo run, the sample
+covariance and the coset map C B, are taken in chunks below the size at
+which OpenBLAS would split them over a helper thread.
 Synthesis aliases bins into cosets with C B, taken as the rows of B at
 the marks.  B is the one model matrix built densely; C, T, Rc and Psi
 exist here in index form only.
@@ -58,6 +59,15 @@ class SystemMatrix:
     def missing(self) -> tuple[int, ...]:
         """The indices of ``gamma`` that nothing observes."""
         return tuple(int(k) for k in np.flatnonzero(self.gamma == 0))
+
+    def solve(self, matrices) -> np.ndarray:
+        """The (L, N) LS lags of each group's (L, M, M) covariances, given
+        in design order: every point's entries gathered in lag order,
+        weighted in place and summed over each lag's run."""
+        flat = [m.reshape(m.shape[0], -1) for m in matrices]
+        vec = (flat[0] if len(flat) == 1 else np.concatenate(flat, axis=1))[:, self.slots]
+        vec *= self.weights
+        return np.add.reduceat(vec, self.starts, axis=1)
 
 
 def build_modulation_matrix(n: int) -> np.ndarray:

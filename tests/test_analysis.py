@@ -27,8 +27,9 @@ from capspec.analysis import (
 )
 from capspec.estimator import (
     IdentifiabilityError,
+    assemble_cap,
     estimate_correlated_bins,
-    reconstruct_cap,
+    ls_reconstruct_rbar,
     sample_covariance,
 )
 from capspec.patterns import CosetPattern, PatternFamily
@@ -226,7 +227,8 @@ class TestPropagateVariance:
                 rng.standard_normal((tau, l_per)) + 1j * rng.standard_normal((tau, l_per))
             )
             dtft = coset_dtft(spectra.reshape(tau, -1), pattern)
-            cap = reconstruct_cap(CosetObservationSet(pattern=pattern, dtft=dtft))
+            obs = CosetObservationSet(pattern=pattern, dtft=dtft)
+            cap = assemble_cap(ls_reconstruct_rbar(sample_covariance(obs)))
             caps[run] = cap.values.reshape(n, l_per)
         samples = caps.transpose(1, 0, 2).reshape(n, -1)        # bin -> runs * L values
         centered = samples - samples.mean(axis=1, keepdims=True)

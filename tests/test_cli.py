@@ -404,6 +404,13 @@ BAD_INPUTS = {
         + SMALL_SCENARIO.replace("power_dbm = 14", "power_dbm = 1600"),
         "not finite",
     ),
+    # the same overflow in an nmse-sweep, whose NMSE refuses the sums
+    "sigma2_dbm overflowing the covariance": (
+        "nmse-sweep",
+        "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
+        + "\n[sweep]\ntau = 3\nsigma2_dbm = 3060\npatterns = 0,1,3\n",
+        "not finite",
+    ),
     # the same overflow on the Monte Carlo path of a roc run
     "roc setting overflowing the covariance": (
         "roc",
@@ -425,6 +432,16 @@ BAD_INPUTS = {
         + DETECTOR.replace("active_bands = 0.2,0.3", "active_bands = 0.9,1.3"),
         "active_bands",
     ),
+    **{
+        f"empty {key}": (
+            "roc",
+            "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
+            + "\n[sweep]\nsettings = 6,0\n"
+            + DETECTOR.replace(f"{key} = {bands}", f"{key} = |"),
+            f"{key} lists no band",
+        )
+        for key, bands in (("active_bands", "0.2,0.3"), ("quiet_bands", "0.6,0.9"))
+    },
     "repeated roc setting": (
         "roc",
         "[experiment]\nkind = roc\noutput = OUT\n" + SMALL_SCENARIO
@@ -878,6 +895,24 @@ class TestSweeps:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_worker_overflow_exits_2_with_one_line(self, tmp_path, capfd):
+        # each worker process computes under its own errstate: no numpy warning reaches stderr
+        out = tmp_path / "out"
+        manifest = write_manifest(
+            tmp_path,
+            f"[experiment]\nkind = nmse-sweep\nruns = 4\noutput = {out}\n"
+            + SMALL_SCENARIO
+            + "\n[sweep]\ntau = 3\nsigma2_dbm = 3060\npatterns = 0,1,3\n",
+        )
+        code = main(
+            ["nmse-sweep", "--manifest", str(manifest), "--seed", "1", "--threads", "2"]
+        )
+        err = capfd.readouterr().err
+        assert code == 2
+        assert err.startswith("error: config:") and err.count("\n") == 1, err
+        assert "not finite" in err and "Warning" not in err
+        assert not out.exists()
+
     @pytest.mark.skipif(analysis.usable_cpus() < 2, reason="runs stay in the caller on one CPU")
     def test_dead_worker_exits_3_with_one_line(self, tmp_path, capfd, monkeypatch):
         monkeypatch.setattr(runner, "_nmse_run", partial(_exit_in_worker, os.getpid()))
@@ -954,6 +989,21 @@ class TestBench:
             fns.append(lambda stack=stack: assemble_cap(ls_reconstruct_rbar(stack)))
         time_18, time_36 = _timed(fns)
         assert np.median(time_36 / time_18) <= 4.0
+
+    def test_overflowing_noise_prints_no_warning(self, tmp_path, capfd):
+        # the covariances overflow; the timings, all bench reads, stay finite
+        manifest = write_manifest(
+            tmp_path,
+            f"[experiment]\nkind = bench\noutput = {tmp_path/'b'}\n"
+            + SMALL_SCENARIO.replace("noise_dbm = 0", "noise_dbm = 3060")
+            + "\n[sweep]\ntau = 3,6\n",
+        )
+        assert main(["bench", "--manifest", str(manifest)]) in (0, 1)
+        err = capfd.readouterr().err
+        assert err.count("\n") <= 1 and "Warning" not in err and "Traceback" not in err, err
+        payload = json.loads((tmp_path / "b" / "bench.json").read_text())
+        times = [t for stage in payload["stages"].values() for t in stage.values()]
+        assert len(times) == 4 and all(map(math.isfinite, times))
 
     def test_failed_gate_exits_1_and_keeps_bench_json(self, tmp_path, capsys, monkeypatch):
         # a constant timer makes the covariance ratio 1 where 2 is expected

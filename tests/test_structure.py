@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from capspec.estimator import CovarianceStack, _solve_lags
 from capspec.patterns import (
     CosetPattern,
     PatternFamily,
@@ -28,10 +27,9 @@ def dense_operator(design, patterns):
     gets a zero column; the solve itself runs only on observed lags."""
     m, groups = patterns[0].size, len(patterns)
     units = np.eye(groups * m * m).reshape(-1, groups, m, m).transpose(1, 0, 3, 2)
-    stacks = [CovarianceStack(unit, 1, pattern) for unit, pattern in zip(units, patterns)]
     observed = np.diff(design.starts, append=design.slots.size) > 0
     operator = np.zeros((units.shape[1], observed.size))
-    operator[:, observed] = _solve_lags(stacks, replace(design, starts=design.starts[observed]))
+    operator[:, observed] = replace(design, starts=design.starts[observed]).solve(units)
     return operator
 
 
