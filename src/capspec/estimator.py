@@ -71,9 +71,9 @@ class Periodogram:
 
     def write_csv(self, path) -> None:
         """Write ``theta,value,estimator,run_id`` rows, as ``cap.csv`` is written."""
-        from .runner import _periodogram_csv, _theta_text    # runner imports this module
+        from .runner import _periodogram_csv    # runner imports this module
 
-        _periodogram_csv(self, _theta_text(self.values.size))(path)
+        _periodogram_csv(self)(path)
 
 
 def covariance_means(dtft: np.ndarray, stops) -> list[np.ndarray]:

@@ -19,7 +19,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product, repeat
 from pathlib import Path
 
@@ -239,15 +239,18 @@ def _csv_rows(path: Path, header: str, rows) -> None:
         f.write("\n".join([header, *(line % row for row in rows), ""]))
 
 
-def _theta_text(n_grid: int) -> list[str]:
+@lru_cache(maxsize=8)
+def _theta_text(n_grid: int) -> tuple[str, ...]:
     """The theta column of every per-point CSV: k / n_grid for each of the
-    ``n_grid`` grid points, each value as its repr."""
-    return list(map(repr, (np.arange(n_grid) / n_grid).tolist()))
+    ``n_grid`` grid points, each value as its repr; formatted once per grid
+    size, and a tuple, so no caller can change it."""
+    return tuple(map(repr, (np.arange(n_grid) / n_grid).tolist()))
 
 
-def _periodogram_csv(periodogram, thetas: list[str]) -> partial:
+def _periodogram_csv(periodogram) -> partial:
     """Writer of a periodogram's ``theta,value,estimator,run_id`` rows, with
-    ``thetas``, the ``_theta_text`` of its grid, as the theta column."""
+    the ``_theta_text`` of its grid as the theta column."""
+    thetas = _theta_text(periodogram.values.size)
     rows = list(zip(thetas, periodogram.values.tolist(), repeat(periodogram.estimator), repeat(0)))
     return partial(_csv_rows, header="theta,value,estimator,run_id", rows=rows)
 
@@ -293,9 +296,7 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
     if manifest.keep_nap:
         nap = average_periodograms([Periodogram(s.nap[0], NAP) for s in sensed.sets])
         nap.require_finite()
-    # cap.csv and nap.csv share one grid, so its theta column is formatted once
-    thetas = _theta_text(cap.values.size)
-    files = {"cap.csv": _periodogram_csv(cap, thetas)}
+    files = {"cap.csv": _periodogram_csv(cap)}
     summary = {
         "estimator": cap.estimator,
         "grid_points": int(cap.values.size),
@@ -303,7 +304,7 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
         "max_imag_ratio": cap.max_imag_ratio,
     }
     if nap is not None:
-        files["nap.csv"] = _periodogram_csv(nap, thetas)
+        files["nap.csv"] = _periodogram_csv(nap)
         summary["nmse_vs_nap"] = nmse(cap, nap) if np.any(nap.values) else None
     return _write_outputs(manifest, files, summary)
 

@@ -9,10 +9,10 @@ alone and its first tau sensors do not depend on its sensor count.
 Synthesis makes only what the coset DTFTs read, the noise at the marks
 and K user rows times per-sensor values, except for the one full-grid
 draw that unsynchronized users on uncorrelated bins share per group.
-Spectra are built on request: kept, one sensors x grid array per group
-and level, with records derived from them; or, for the Nyquist baseline
-alone, built in scratch reused across groups and levels and reduced at
-once to their averaged periodogram, so only one group's spectra are held.
+Each group is built a block of consecutive sensors at a time, so only
+outputs grow with the sensor count.  Spectra are built on request: kept,
+one sensors x grid array per group and level, records derived from them;
+or, for the Nyquist baseline alone, in block scratch reduced to their NAP.
 """
 
 from __future__ import annotations
@@ -296,16 +296,22 @@ def _user_shape(spec: UserSpec, n_grid: int, bin_mode: str) -> np.ndarray:
 # with the other worker processes for the cores
 BLAS_SPLIT_SIZE = 65536
 
+# Bytes of one block's sensors x grid rows (one sensor at least).  On table2's
+# nmse-sweep synthesis (100 x 3060, 2 vCPUs) 256 KiB to 1 MiB took 56 ms of CPU
+# per call, 128 KiB 61 ms and one block per group 60 ms; 512 KiB read lowest,
+# and it keeps less scratch resident than 1 MiB.
+BLOCK_BYTES = 1 << 19
 
-def coset_dtft(spectra: np.ndarray, pattern: CosetPattern) -> np.ndarray:
+
+def coset_dtft(spectra: np.ndarray, pattern: CosetPattern, out=None) -> np.ndarray:
     """Coset DTFT values of sensors x grid spectra X, as in
-    ``CosetObservationSet.dtft``: C B times X's bin vector at each point,
-    with C B taken as the rows of B at the marks.  Each product takes
-    as many points as keep it below ``BLAS_SPLIT_SIZE``."""
+    ``CosetObservationSet.dtft``, made in ``out`` if given: C B times X's
+    bin vector at each point, with C B taken as the rows of B at the marks.
+    Each product takes as many points as keep it below ``BLAS_SPLIT_SIZE``."""
     coset_map = build_modulation_matrix(pattern.period)[list(pattern.marks)]
     sensors, n_grid = spectra.shape
     bins = spectra.reshape(sensors, pattern.period, n_grid // pattern.period)
-    out = np.empty((sensors, pattern.size, bins.shape[2]), dtype=complex)
+    out = np.empty((sensors, pattern.size, bins.shape[2]), dtype=complex) if out is None else out
     step = max(1, (BLAS_SPLIT_SIZE - 1) // coset_map.size)
     for lo in range(0, bins.shape[2], step):
         np.matmul(coset_map, bins[..., lo : lo + step], out=out[..., lo : lo + step])
@@ -328,28 +334,40 @@ def extract_coset_observations(
     return CosetObservationSet(pattern=pattern, dtft=dtft, label=label)
 
 
-def nap_values(spectra: np.ndarray, stops=None) -> np.ndarray:
+def nap_values(spectra: np.ndarray, stops=None, sums=None, first: int = 0):
     """Nyquist averaged periodogram of spectra X (sensors x grid points, the
     DFTs of full-rate records): mean |X|^2 over sensors, divided by the
     grid size.  ``stops``, ascending sensor counts, give one row per stop, a
     running sum over the sensors in order, as a mean adds them: each row is
-    bit for bit the NAP of the first ``stop`` sensors alone."""
+    bit for bit the NAP of the first ``stop`` sensors alone.
+
+    Blocks of consecutive sensors below the last stop add up the same:
+    ``spectra`` holds sensors ``first``, ``first + 1``, ..., and ``sums``,
+    one row per stop, carries the sums from block to block; a block that
+    does not reach the last stop returns None."""
     counts = [len(spectra)] if stops is None else list(stops)
-    power = np.abs(spectra[: counts[-1]]) ** 2
-    rows = np.empty((len(counts), spectra.shape[1]))
-    # each segment's sum starts from the sum so far, left in the row before it
-    for row, start, stop in zip(rows, [0] + [count - 1 for count in counts], counts):
-        np.add.reduce(power[start:stop], axis=0, out=row)
-        power[stop - 1] = row
+    rows = np.empty((len(counts), spectra.shape[1])) if sums is None else sums
+    power = np.abs(spectra[: counts[-1] - first]) ** 2
+    # a row's sum continues the sum so far: the row before it when this
+    # block starts the row, else its own part from the blocks before
+    for j, (start, stop) in enumerate(zip([0, *counts], counts)):
+        lo = max(start, first)
+        segment = power[lo - first : max(stop - first, 0)]
+        if len(segment):
+            if lo:
+                segment[0] += rows[j - (lo == start)]
+            np.add.reduce(segment, axis=0, out=rows[j])
+    if first + len(spectra) < counts[-1]:
+        return None
     rows /= np.array(counts)[:, None]
     return (rows[0] if stops is None else rows) / spectra.shape[1]
 
 
 def _plus_scaled(
-    part: np.ndarray, noise: np.ndarray, scale: float, last: bool, out=None
+    part: np.ndarray, noise: np.ndarray, scale: float, last: bool, out: np.ndarray
 ) -> np.ndarray:
     """part + noise * scale, made in ``part`` and ``noise`` for the last
-    level, else in ``out`` (a new array if None)."""
+    level, else in ``out``."""
     scaled = np.multiply(noise, scale, out=noise if last else out)
     return np.add(part, scaled, out=part if last else scaled)
 
@@ -383,9 +401,13 @@ def synthesize_observations(
     ``keep_full_rate`` draws z's other cosets, keyed (seed, off-mark role,
     group), and keeps X, with W = fft(z) along the cosets, as ``spectra``.
     ``nap``, ascending sensor counts ("stops"), stores ``nap_values`` of the
-    same X at the stops as each set's ``nap``; without ``keep_full_rate`` X
-    is built in scratch that the next group and level reuse, so at most one
-    group's spectra exist at a time.  ``noise_levels`` (dBm, in place of
+    same X at the stops as each set's ``nap``.  Each group is built in
+    blocks of consecutive sensors, ``BLOCK_BYTES`` of sensors x grid rows,
+    in scratch made once per call: each generator draws its next rows and
+    the NAP's sums carry over, so no output depends on the block size.
+    Only outputs grow with the sensors: ``dtft``, sensors x M x L x 16 B per
+    group and level, and kept spectra, sensors x grid x 16 B.
+    ``noise_levels`` (dBm, in place of
     ``config.noise_dbm``) returns one run per level, each adding its scaled
     noise to the same user part, bit-identical to a call at that level.
     Levels, at grid scale, and stops are checked before anything is drawn.
@@ -421,15 +443,22 @@ def synthesize_observations(
         rows = [shape if shared is None else shared[k] * shape for k, shape in enumerate(shapes)]
         rows = np.array(rows, dtype=complex).reshape(len(shapes), n_grid)
     scales = [_cn_scale(l_per * dbm_to_linear(level)) for level in levels]
-    # scratch: a merged variance (two float halves), a user's term, the noise
-    work = np.empty((sensors, n_grid), dtype=complex)
-    buffer = work.view(float).reshape(-1)
     with_spectra = keep_full_rate or bool(stops)
-    z = np.empty((sensors, period, l_per), dtype=complex) if with_spectra else None
-    # spectra made only for their NAP: the signal and the levels before the last
-    scratch = None
-    if stops and not keep_full_rate:
-        scratch = np.empty((min(len(levels), 2), sensors, n_grid), dtype=complex)
+    # block scratch: a merged variance (two float halves), a user's term and the noise
+    # draws; the noise cosets z; unless kept, the signal and an earlier level's spectra
+    block = max(1, min(sensors, BLOCK_BYTES // (16 * n_grid)))
+    work = np.empty((block, n_grid), dtype=complex)
+    buffer = work.view(float).reshape(-1)
+    z_rows = np.empty((block, period, l_per), dtype=complex) if with_spectra else None
+    if not keep_full_rate:
+        signal_rows, level_rows = np.empty((2, block, n_grid), dtype=complex)
+    sums = np.empty((len(levels), len(stops), n_grid))
+    # the outputs, one array per kind for every level and group: the allocator keeps so
+    # large a block for the next call (an nmse-sweep run on table2 faulted in 3363
+    # pages with one array per group and level, none with these)
+    outputs = (len(levels), len(groups), sensors)
+    dtfts = np.empty((*outputs, groups[0][1].size, l_per), dtype=complex)
+    kept = np.empty((*outputs, n_grid), dtype=complex) if keep_full_rate else None
     sets = [[] for _ in levels]
     for label, pattern, column in groups:
         gains = [
@@ -438,19 +467,7 @@ def synthesize_observations(
             for k, user in enumerate(config.users)
         ]
         if merged:
-            # sum_k G_k D_k shape_k given the gains is CN(0, sum_k |G_k shape_k|^2)
-            variance, term = buffer.reshape(2, sensors, n_grid)
-            np.multiply(np.abs(gains[0]) ** 2, powers[0], out=variance)
-            for gain, power in zip(gains[1:], powers[1:]):
-                np.multiply(np.abs(gain) ** 2, power, out=term)
-                variance += term
-            np.sqrt(variance, out=variance)
-            signal = _standard_block(
-                _rng(seed, own_role, label), sensors, n_grid,
-                None if scratch is None else scratch[0].view(float).reshape(-1),
-            )
-            signal *= variance
-            signal_dtft = coset_dtft(signal, pattern)
+            signal_rng = _rng(seed, own_role, label)
         else:
             # sum_k c_k rows[k]: c_k = G_k D_k, one symbol per sensor, or G_k
             if shared is None:
@@ -458,37 +475,56 @@ def synthesize_observations(
                     gain * _standard_block(_rng(seed, own_role, label, k), sensors, 1)
                     for k, gain in enumerate(gains)
                 ]
-            signal_dtft = np.zeros((sensors, pattern.size, l_per), dtype=complex)
-            for coeff, row_dtft in zip(gains, coset_dtft(rows, pattern)):
-                signal_dtft += coeff[:, :, None] * row_dtft
-            if with_spectra:
-                signal = np.empty_like(work) if scratch is None else scratch[0]
-                signal.fill(0)
-                for coeff, row in zip(gains, rows):
-                    signal += np.multiply(coeff, row, out=work)
+            row_dtfts = coset_dtft(rows, pattern)
         marks = list(pattern.marks)
-        noise = _standard_block(_rng(seed, _R_NOISE, label), sensors, len(marks) * l_per, buffer)
-        noise = noise.reshape(sensors, len(marks), l_per)
-        if with_spectra:
-            off = [c for c in range(period) if c not in pattern.marks]
-            z[:, marks] = noise
-            z[:, off] = _standard_block(
-                _rng(seed, _R_OFF_MARK_NOISE, label), sensors, len(off) * l_per,
-                buffer[2 * noise.size :],
-            ).reshape(sensors, len(off), l_per)
-            # W = fft(z) along the cosets, one length-N transform per point
-            noise_spectra = np.fft.fft(z, axis=1, out=z).reshape(sensors, n_grid)
-        for i, (scale, level_sets) in enumerate(zip(scales, sets)):
-            last = i == len(scales) - 1
-            dtft = _plus_scaled(signal_dtft, noise, scale, last)
-            spectra = None
+        off = [c for c in range(period) if c not in pattern.marks]
+        noise_rng = _rng(seed, _R_NOISE, label)
+        off_rng = _rng(seed, _R_OFF_MARK_NOISE, label) if with_spectra else None
+        naps = [None for _ in levels]
+        # one block of consecutive sensors at a time; each generator draws its next rows
+        for lo in range(0, sensors, block):
+            part, count = slice(lo, lo + block), min(block, sensors - lo)
+            signal_dtft = dtfts[-1, label, part]
+            signal = kept[-1, label, part] if keep_full_rate else signal_rows[:count]
+            if merged:
+                # sum_k G_k D_k shape_k given the gains is CN(0, sum_k |G_k shape_k|^2)
+                variance, term = buffer[: 2 * signal.size].reshape(2, count, n_grid)
+                np.multiply(np.abs(gains[0][part]) ** 2, powers[0], out=variance)
+                for gain, power in zip(gains[1:], powers[1:]):
+                    np.multiply(np.abs(gain[part]) ** 2, power, out=term)
+                    variance += term
+                np.sqrt(variance, out=variance)
+                _standard_block(signal_rng, count, n_grid, signal.view(float).reshape(-1))
+                signal *= variance
+                coset_dtft(signal, pattern, out=signal_dtft)
+            else:
+                signal_dtft.fill(0)
+                for coeff, row_dtft in zip(gains, row_dtfts):
+                    signal_dtft += coeff[part, :, None] * row_dtft
+                if with_spectra:
+                    signal.fill(0)
+                    for coeff, row in zip(gains, rows):
+                        signal += np.multiply(coeff[part], row, out=work[:count])
+            noise = _standard_block(noise_rng, count, len(marks) * l_per, buffer)
+            noise = noise.reshape(count, len(marks), l_per)
             if with_spectra:
-                out = None if scratch is None else scratch[-1]
-                spectra = _plus_scaled(signal, noise_spectra, scale, last, out)
-            level_sets.append(CosetObservationSet(
-                pattern, dtft, label,
-                spectra=spectra if keep_full_rate else None,
-                nap=nap_values(spectra, stops) if stops else None,
-            ))
+                z = z_rows[:count]
+                z[:, marks] = noise
+                z[:, off] = _standard_block(
+                    off_rng, count, len(off) * l_per, buffer[2 * noise.size :]
+                ).reshape(count, len(off), l_per)
+                # W = fft(z) along the cosets, one length-N transform per point
+                noise_spectra = np.fft.fft(z, axis=1, out=z).reshape(count, n_grid)
+            for i, scale in enumerate(scales):
+                last = i == len(scales) - 1
+                _plus_scaled(signal_dtft, noise, scale, last, dtfts[i, label, part])
+                if with_spectra:
+                    out = kept[i, label, part] if keep_full_rate else level_rows[:count]
+                    spectra = _plus_scaled(signal, noise_spectra, scale, last, out)
+                    if stops and lo < stops[-1]:
+                        naps[i] = nap_values(spectra, stops, sums[i], lo)
+        kept_rows = kept[:, label] if keep_full_rate else [None for _ in levels]
+        for level_sets, dtft, spectra, nap_rows in zip(sets, dtfts[:, label], kept_rows, naps):
+            level_sets.append(CosetObservationSet(pattern, dtft, label, spectra, nap_rows))
     runs = [SensingRun(sets=level_sets) for level_sets in sets]
     return runs[0] if noise_levels is None else runs

@@ -4,7 +4,9 @@ The manifests of ``tests/golden/`` run at seed 11 through ``cli.main``,
 at 1 and at 2 workers, and every output file, with the stdout of two
 design commands, must hash to the SHA-256 recorded in
 ``tests/golden/digests.json``.  So a changed random stream, or a value
-that moves in its last bit, fails tier-1 and names the file.
+that moves in its last bit, fails tier-1 and names the file.  The runs
+at 1 worker are repeated with synthesis in blocks of one sensor, which
+must give the same digests.
 
 Last bits can move with the numpy version or the BLAS, so the digest
 file records the platform it was made on.  Matching digests pass on any
@@ -30,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from capspec import sensing
 from capspec.cli import main
 from capspec.runner import parse_manifest
 from capspec.scenarios import fixture_path, multiband_detector
@@ -88,21 +91,34 @@ def test_roc_manifest_uses_the_multiband_detector(tmp_path):
     assert parse_manifest(roc).detector == multiband_detector()
 
 
-def test_outputs_match_the_recorded_digests(tmp_path):
+def assert_recorded_digests(workdir: Path, threads: int, where: str = "") -> None:
+    """Every golden output, run in ``workdir`` at ``threads`` workers,
+    hashes to its recorded digest."""
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
     here = running_platform()
+    digests = golden_digests(workdir, threads)
+    moved = sorted(
+        name for name in recorded["digests"].keys() | digests.keys()
+        if recorded["digests"].get(name) != digests.get(name)
+    )
+    note = ""
+    if here != recorded["platform"]:
+        note = f"; recorded on {recorded['platform']}, running on {here}"
+    assert not moved, f"at {threads} workers{where} these outputs moved: {moved}{note}"
+
+
+def test_outputs_match_the_recorded_digests(tmp_path):
     for threads in (1, 2):
         workdir = tmp_path / f"threads{threads}"
         workdir.mkdir()
-        digests = golden_digests(workdir, threads)
-        moved = sorted(
-            name for name in recorded["digests"].keys() | digests.keys()
-            if recorded["digests"].get(name) != digests.get(name)
-        )
-        note = ""
-        if here != recorded["platform"]:
-            note = f"; recorded on {recorded['platform']}, running on {here}"
-        assert not moved, f"at {threads} workers these outputs moved: {moved}{note}"
+        assert_recorded_digests(workdir, threads)
+
+
+def test_one_sensor_blocks_give_the_recorded_digests(tmp_path, monkeypatch):
+    # synthesis one sensor row per block, in this process only: warm
+    # workers keep the module state of the moment they forked
+    monkeypatch.setattr(sensing, "BLOCK_BYTES", 1)
+    assert_recorded_digests(tmp_path, threads=1, where=" in one-sensor blocks")
 
 
 if __name__ == "__main__":

@@ -581,6 +581,70 @@ class TestOneSynthesisLoop:
 
         assert peak(nap=(sensors,)) < all_spectra < peak(keep_full_rate=True)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        config=small_scenarios(),
+        key=st.tuples(st.integers(0, 99), st.integers(0, 9)),
+        levels=st.lists(
+            st.one_of(st.just(-math.inf), st.floats(-10.0, 10.0)), min_size=1, max_size=3
+        ),
+        keep=st.booleans(),
+        data=st.data(),
+    )
+    def test_outputs_do_not_depend_on_the_block_size(self, config, key, levels, keep, data):
+        sensors = data.draw(st.integers(3, 7))
+        layout = "sensors_per_cluster" if config.bin_mode == "uncorrelated" else "sensors_per_group"
+        config = replace(config, **{layout: sensors})
+        # blocks of `split` sensors: the first ends inside the segment of the stop `top`
+        split = data.draw(st.integers(2, sensors - 1))
+        top = data.draw(st.integers(split + 1, sensors))
+        stops = ()
+        if data.draw(st.booleans()):
+            stops = tuple(sorted(data.draw(st.sets(st.integers(1, top - 1))) - {split} | {top}))
+        row = 16 * config.grid_size
+        outputs = []
+        # one sensor per block, `split` sensors, one block per group
+        for block_bytes in (1, split * row, sensors * row):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(capspec.sensing, "BLOCK_BYTES", block_bytes)
+                runs = synthesize_observations(
+                    config, seed=key, keep_full_rate=keep, noise_levels=levels, nap=stops
+                )
+            outputs.append([(s.dtft, s.spectra, s.nap) for run in runs for s in run.sets])
+        for other in outputs[1:]:
+            for got, want in zip(other, outputs[0], strict=True):
+                for a, b in zip(got, want, strict=True):
+                    assert (a is None) == (b is None)
+                    assert a is None or np.array_equal(a, b)
+
+    def test_working_memory_does_not_grow_with_the_sensor_count(self):
+        # numpy reports its buffers to tracemalloc, so the peaks are exact;
+        # beyond its outputs, synthesis holds a few blocks of scratch
+        period, per_coset = 20, 40
+        user = UserSpec(band=(0.1, 0.3), power_dbm=10.0, path_loss_db=(0.0,))
+
+        def working_bytes(sensors):
+            config = ScenarioConfig(
+                period=period, samples_per_coset=per_coset, noise_dbm=0.0, users=(user,),
+                pattern=CosetPattern(period, (0, 1, 3)), sensors_per_cluster=sensors,
+            )
+            tracemalloc.start()
+            try:
+                runs = synthesize_observations(
+                    config, seed=(5, 0), noise_levels=(0.0, 3.0), nap=(sensors // 2, sensors)
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - sum(s.dtft.nbytes + s.nap.nbytes for run in runs for s in run.sets)
+
+        # four blocks of sensors x grid rows, then sixteen, after a call that
+        # fills what a first call fills once, such as numpy's FFT plan cache
+        sensors = 4 * capspec.sensing.BLOCK_BYTES // (16 * period * per_coset)
+        working_bytes(sensors)
+        for count in (sensors, 4 * sensors):
+            assert working_bytes(count) < 8 * capspec.sensing.BLOCK_BYTES, count
+
     @settings(max_examples=60, deadline=None)
     @given(
         config=small_scenarios(),
