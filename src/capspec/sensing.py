@@ -453,9 +453,8 @@ def synthesize_observations(
     if not keep_full_rate:
         signal_rows, level_rows = np.empty((2, block, n_grid), dtype=complex)
     sums = np.empty((len(levels), len(stops), n_grid))
-    # the outputs, one array per kind for every level and group: the allocator keeps so
-    # large a block for the next call (an nmse-sweep run on table2 faulted in 3363
-    # pages with one array per group and level, none with these)
+    # the outputs, one array per kind for all levels and groups: the allocator keeps so large a
+    # block for the next call (a table2 nmse-sweep run faults in no page; 3363 with one per group)
     outputs = (len(levels), len(groups), sensors)
     dtfts = np.empty((*outputs, groups[0][1].size, l_per), dtype=complex)
     kept = np.empty((*outputs, n_grid), dtype=complex) if keep_full_rate else None
