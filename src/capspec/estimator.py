@@ -76,38 +76,24 @@ class Periodogram:
         _periodogram_csv(self)(path)
 
 
-def covariance_means(dtft: np.ndarray, stops) -> list[np.ndarray]:
-    """Means over sensors of the outer products of the coset DTFT vectors.
-
-    ``dtft`` is (sensors, M, L); for each of the ascending sensor counts
-    ``stops`` the C-order (L, M, M) mean over the first ``stop`` sensors is
-    returned.  Each sensor enters once: the DTFT is transposed to one
-    M x sensors matrix per point, and each chunk of sensors adds its
-    batched product to a running sum, which each stop divides by its
-    count; a chunk holds as many sensors as keep a product below
-    ``BLAS_SPLIT_SIZE``.
-    """
-    m = dtft.shape[1]
-    chunk = max(1, (BLAS_SPLIT_SIZE - 1) // (m * m))
-    y = np.ascontiguousarray(dtft[: stops[-1]].transpose(2, 1, 0))
-    total = np.zeros((y.shape[0], m, m), dtype=complex)
-    means, start = [], 0
-    for stop in stops:
-        for lo in range(start, stop, chunk):
-            part = y[:, :, lo : min(lo + chunk, stop)]
-            total += part @ part.conj().swapaxes(1, 2)
-        means.append(total / stop)
-        start = stop
-    return means
-
-
 def sample_covariance(observations: CosetObservationSet) -> CovarianceStack:
-    """Average the per-sensor outer products of the coset DTFT vectors."""
-    tau = observations.dtft.shape[0]
+    """Mean over all of the set's sensors of the outer products of their
+    coset DTFT vectors: the C-order (L, M, M) ``matrices``.
+
+    The DTFT is transposed to one M x sensors matrix per point, and each
+    chunk of sensors adds its batched product to the sum; a chunk holds
+    as many sensors as keep a product below ``BLAS_SPLIT_SIZE``.
+    """
+    tau, m = observations.dtft.shape[:2]
     if tau == 0:
         raise ValueError(f"cluster/group {observations.label} is empty")
-    matrices = covariance_means(observations.dtft, [tau])[0]
-    return CovarianceStack(matrices=matrices, count=tau, pattern=observations.pattern)
+    chunk = max(1, (BLAS_SPLIT_SIZE - 1) // (m * m))
+    y = np.ascontiguousarray(observations.dtft.transpose(2, 1, 0))
+    total = np.zeros((y.shape[0], m, m), dtype=complex)
+    for lo in range(0, tau, chunk):
+        part = y[:, :, lo : lo + chunk]
+        total += part @ part.conj().swapaxes(1, 2)
+    return CovarianceStack(matrices=total / tau, count=tau, pattern=observations.pattern)
 
 
 def ls_reconstruct_rbar(stack: CovarianceStack) -> np.ndarray:

@@ -32,7 +32,6 @@ from .estimator import (
     CovarianceStack,
     Periodogram,
     average_periodograms,
-    covariance_means,
     estimate_correlated_bins,
     estimate_multicluster,
     ls_reconstruct_rbar,
@@ -317,9 +316,11 @@ def _nmse_run(
     """Run ``run`` of an nmse-sweep: its NMSE per entry of ``combos``.
 
     One synthesis senses the union of the sweep's patterns, with the NAP
-    at the sorted taus.  Per noise level and cluster, the covariance over
-    the union is summed once, with its means at the taus, and each
-    (pattern, tau) solve reads its M x M submatrix.
+    at the sorted taus.  Per noise level, tau and cluster, the covariance
+    over the union comes from that tau's first sensors alone, as
+    ``sample_covariance`` gives it, and each pattern's solve reads its
+    M x M submatrix; so a row does not depend on the other taus and
+    levels in the sweep.
     """
     taus = sorted(sweep.taus)
     union = CosetPattern(config.period, {mark for p in sweep.patterns for mark in p.marks})
@@ -328,16 +329,13 @@ def _nmse_run(
     rows = {p: np.searchsorted(union.marks, p.marks) for p in sweep.patterns}
     scores = {}
     for sigma, sensed in zip(sweep.sigmas_dbm, levels):
-        caps = {(pattern, tau): [] for pattern in sweep.patterns for tau in taus}
-        for s in sensed.sets:
-            for tau, mean in zip(taus, covariance_means(s.dtft, taus)):
-                for pattern, idx in rows.items():
-                    stack = CovarianceStack(mean[:, idx[:, None], idx], tau, pattern)
-                    caps[pattern, tau].append(assemble_cap(ls_reconstruct_rbar(stack)))
         for i, tau in enumerate(taus):
+            means = [sample_covariance(replace(s, dtft=s.dtft[:tau])).matrices for s in sensed.sets]
             nap = np.mean([s.nap[i] for s in sensed.sets], axis=0)
-            for pattern in sweep.patterns:
-                scores[pattern, tau, sigma] = nmse(average_periodograms(caps[pattern, tau]), nap)
+            for pattern, idx in rows.items():
+                stacks = [CovarianceStack(c[:, idx[:, None], idx], tau, pattern) for c in means]
+                caps = [assemble_cap(ls_reconstruct_rbar(stack)) for stack in stacks]
+                scores[pattern, tau, sigma] = nmse(average_periodograms(caps), nap)
     return [scores[combo] for combo in combos]
 
 

@@ -13,6 +13,8 @@ import pytest
 from capspec import analysis
 from capspec.analysis import (
     DetectorSpec,
+    RocCurve,
+    VarianceReport,
     _mc_run,
     detection_blocks,
     dispatch_runs,
@@ -310,6 +312,25 @@ class TestMonteCarloWhiteNoise:
         assert report.relative_gap < 0.1
         assert abs(report.empirical_nmse - report.analytical_nmse) / report.analytical_nmse < 0.1
 
+    def test_empirical_nmse_does_not_depend_on_the_noise_level(self):
+        # at sigma2 = 100 every CAP value is 100 times that at sigma2 = 1, up to
+        # rounding, so the error over sigma^4 stays
+        config = ScenarioConfig(
+            period=6, samples_per_coset=10, users=(), noise_dbm=0.0,
+            pattern=CosetPattern(6, (0, 1, 3)), sensors_per_cluster=4,
+        )
+        (unit,) = whitenoise_variance_report([config], runs=20, seed=3)
+        (loud,) = whitenoise_variance_report([replace(config, noise_dbm=20.0)], runs=20, seed=3)
+        assert loud.empirical_nmse == pytest.approx(unit.empirical_nmse, rel=1e-9)
+        assert loud.analytical_nmse == pytest.approx(unit.analytical_nmse, rel=1e-12)
+
+    def test_relative_gap_counts_a_shortfall_as_an_excess(self):
+        def report(empirical):
+            return VarianceReport(analytical_variance=2.0, analytical_nmse=2.0,
+                                  empirical_by_theta=np.full(4, empirical), empirical_nmse=0.0)
+        assert report(1.0).relative_gap == 0.5
+        assert report(3.0).relative_gap == 0.5
+
     def test_report_rejects_user_scenarios(self, ruler18):
         from capspec.sensing import UserSpec
 
@@ -348,6 +369,23 @@ class TestMonteCarloWhiteNoise:
         )
         with pytest.raises(ValueError, match="uncorrelated-bins"):
             mc_caps([base, correlated], runs=2, seed=0)
+
+    def test_sweep_rows_match_each_tau_alone(self):
+        # each (pattern, tau, level) NMSE of an nmse-sweep run is the one its tau gives alone
+        table2 = load_fixture("table2.ini")
+        patterns = (table2.pattern, extend_pattern(table2.pattern, EXPERIMENT1_EXTRA_COSETS, 3))
+
+        def scores(taus, run):
+            sweep = SweepSpec(taus=taus, sigmas_dbm=(7.0, 10.0), patterns=patterns)
+            combos = [(p, tau, sigma) for p in sweep.patterns for tau in sweep.taus
+                      for sigma in sweep.sigmas_dbm]
+            return dict(zip(combos, _nmse_run(table2, sweep, combos, 7, run)))
+
+        for run in range(2):
+            both = scores((20, 100), run)
+            for tau in (20, 100):
+                alone = scores((tau,), run)
+                assert {combo: both[combo] for combo in alone} == alone, (run, tau)
 
 
 def _slow_square(run):
@@ -570,6 +608,12 @@ class TestDetection:
         with pytest.raises(ValueError):
             DetectorSpec(active_bands=((0.3, 0.4),), quiet_bands=((0.95, 0.35),))
 
+    def test_bands_that_only_touch_are_accepted(self):
+        DetectorSpec(active_bands=((0.1, 0.2),), quiet_bands=((0.2, 0.3), (0.0, 0.1)))
+        # a band that wraps around 1 touches its neighbours at both ends
+        DetectorSpec(active_bands=((0.9, 0.1),), quiet_bands=((0.1, 0.2), (0.5, 0.9)))
+        DetectorSpec(active_bands=((0.3, 0.4),), quiet_bands=((0.4, 0.3),))
+
     def test_roc_is_monotone_with_endpoints(self, rng):
         curve = roc_from_scores(rng.random(500) + 0.3, rng.random(500))
         assert np.all(np.diff(curve.pd) <= 0)
@@ -590,6 +634,17 @@ class TestDetection:
         assert np.array_equal(curve.thresholds, np.concatenate(([-np.inf], thresholds)))
         assert np.array_equal(curve.pd, np.concatenate(([1.0], pd)))
         assert np.array_equal(curve.pfa, np.concatenate(([1.0], pfa)))
+
+    def test_auc_takes_tied_points_in_curve_order(self):
+        # groups of 17, 33 and 65 tied pfa values, long enough that numpy's
+        # default sort reorders them; in curve order the trapezoid runs
+        # (0, 0) -> (0.25, 0.35), down to (0.25, 0.1) -> (0.5, 0.65), down to
+        # (0.5, 0.4) -> (0.75, 0.95), down to (0.75, 0.7) -> (1, 1)
+        groups = ((0.75, 0.95, 0.7, 17), (0.5, 0.65, 0.4, 33), (0.25, 0.35, 0.1, 65))
+        pfa = np.concatenate([[1.0], *(np.full(k, p) for p, _, _, k in groups), [0.0]])
+        pd = np.concatenate([[1.0], *(np.linspace(hi, lo, k) for _, hi, lo, k in groups), [0.0]])
+        curve = RocCurve(thresholds=np.arange(pfa.size, dtype=float), pfa=pfa, pd=pd)
+        assert curve.auc == pytest.approx(0.125 * (0.35 + 0.75 + 1.35 + 1.7), abs=1e-12)
 
     def test_noise_only_auc_is_chance(self):
         pattern = CosetPattern(6, (0, 1, 3))

@@ -102,7 +102,13 @@ class TestReconstruct:
         assert cap[0] == "theta,value,estimator,run_id"
         assert len(cap) == 1 + 120
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert "nmse_vs_nap" in summary and summary["nmse_vs_nap"] >= 0
+        # the CAP's error against the NAP, as written, relative to the NAP
+        cap_values, nap_values = (
+            [float(row.split(",")[1]) for row in text.splitlines()[1:]]
+            for text in ((tmp_path / "out" / name).read_text() for name in ("cap.csv", "nap.csv"))
+        )
+        assert summary["nmse_vs_nap"] == analysis.nmse(cap_values, nap_values)
+        assert summary["nmse_vs_nap"] != analysis.nmse(nap_values, cap_values)
 
     def test_fixture_scenario_row_count(self, tmp_path):
         manifest = write_manifest(

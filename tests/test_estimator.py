@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from capspec.estimator import (
     CovarianceStack,
     IdentifiabilityError,
+    Periodogram,
     assemble_cap,
-    covariance_means,
+    average_periodograms,
     estimate_correlated_bins,
     estimate_multicluster,
     ls_reconstruct_rbar,
@@ -72,19 +73,16 @@ class TestSampleCovariance:
         assert np.min(np.linalg.eigvalsh(m)) > -1e-10
 
 
-def check_covariance_means(dtft, stops):
-    """Each stop's mean against the einsum mean of y y^H over its first
-    ``stop`` sensors; a call at the last stop alone against ``sample_covariance``."""
-    means = covariance_means(dtft, stops)
-    assert len(means) == len(stops)
-    for stop, got in zip(stops, means):
-        want = np.einsum("tml,tnl->lmn", dtft[:stop], dtft[:stop].conj()) / stop
-        assert got.shape == want.shape and got.flags.c_contiguous
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+def check_prefix_means(dtft, stops):
+    """``sample_covariance`` of each first ``stop`` sensors against the
+    einsum mean of y y^H over them."""
     pattern = CosetPattern(dtft.shape[1], tuple(range(dtft.shape[1])))
-    alone = covariance_means(dtft, stops[-1:])[0]
-    stack = sample_covariance(CosetObservationSet(pattern, dtft[: stops[-1]]))
-    assert np.array_equal(alone, stack.matrices)
+    for stop in stops:
+        stack = sample_covariance(CosetObservationSet(pattern, dtft[:stop]))
+        want = np.einsum("tml,tnl->lmn", dtft[:stop], dtft[:stop].conj()) / stop
+        assert stack.count == stop
+        assert stack.matrices.shape == want.shape and stack.matrices.flags.c_contiguous
+        assert np.max(np.abs(stack.matrices - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestCovarianceMeans:
@@ -97,12 +95,12 @@ class TestCovarianceMeans:
     )
     def test_each_stop_is_the_mean_of_its_prefix(self, seed, m, l_pts, stops):
         rng = np.random.default_rng(seed)
-        check_covariance_means(crandn(rng, stops[-1] + 2, m, l_pts), stops)
+        check_prefix_means(crandn(rng, stops[-1] + 2, m, l_pts), stops)
 
     def test_stops_past_one_blas_chunk(self, rng):
-        # a chunk holds 2621 sensors at M = 5, so the sensors from 7 on take two
+        # a chunk holds 2621 sensors at M = 5, so the last stop's sensors take two
         chunk = (BLAS_SPLIT_SIZE - 1) // 25
-        check_covariance_means(crandn(rng, chunk + 40, 5, 2), [7, chunk + 31])
+        check_prefix_means(crandn(rng, chunk + 40, 5, 2), [7, chunk + 31])
 
 
 class TestLsReconstruction:
@@ -212,6 +210,23 @@ class TestAssembleCap:
         n = 18
         for k in range(n):
             assert np.max(np.abs(rbar[:, k] - rbar[:, (n - k) % n].conj())) < 1e-12
+
+
+class TestHealthSignals:
+    def test_zeros_are_not_negative(self):
+        cap = Periodogram(np.array([-1.0, 0.0, -0.0, 2.0, -1e-300, 0.0]), "CAP-UB")
+        assert cap.negative_count == 2
+
+    def test_lags_without_conjugate_symmetry_leave_an_imaginary_residue(self):
+        # one point, N = 2: the transform of (0, i) is (i, -i), all imaginary
+        cap = assemble_cap(np.array([[0.0, 1j]]))
+        assert cap.max_imag_ratio == 1.0 and np.array_equal(cap.values, [0.0, 0.0])
+        # lag 2 the conjugate of lag 1: the transform is real
+        assert assemble_cap(np.array([[2.0, 1j, -1j]])).max_imag_ratio < 1e-15
+
+    def test_average_keeps_the_worst_imaginary_residue(self):
+        parts = [Periodogram(np.ones(3), "CAP-UB", max_imag_ratio=r) for r in (1e-9, 0.25, 1e-3)]
+        assert average_periodograms(parts).max_imag_ratio == 0.25
 
 
 class TestMulticluster:

@@ -251,8 +251,8 @@ class TestSweepAgainstRecords:
         np.testing.assert_allclose(got, [want[c] for c in combos], rtol=self.RTOL, atol=0)
 
     def test_shared_sweep_matches_the_per_combination_path(self):
-        # the sweep sums one covariance over the union of its marks per
-        # level and cluster; the reference solves every (pattern, tau) on
+        # the sweep takes one covariance over the union of its marks per
+        # level, tau and cluster; the reference solves every (pattern, tau) on
         # its own slice, as one estimate_multicluster call.  Neither pattern
         # holds the other, the scenario's own is one of them, and the taus
         # are listed unsorted.
