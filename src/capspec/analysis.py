@@ -133,20 +133,22 @@ def _mc_run(configs: tuple[ScenarioConfig, ...], seed: int, run: int) -> np.ndar
     averaged CAP, one row per config, refused if not finite.
 
     One synthesis serves the group: at its largest tau, with its distinct
-    noise levels as ``noise_levels``.  A config reads its level's sets cut
-    to its first tau sensors, which are bit for bit those of its own
-    synthesis, since a group's first tau sensors do not depend on its
+    (sync mode, noise level) pairs as ``syncs`` and ``noise_levels``, so
+    its modes share the fading and noise draws.  A config reads its pair's
+    sets cut to its first tau sensors, which are bit for bit those of its
+    own synthesis, since a group's first tau sensors do not depend on its
     sensor count.
     """
-    levels = list(dict.fromkeys(config.noise_dbm for config in configs))
+    pairs = list(dict.fromkeys((config.sync, config.noise_dbm) for config in configs))
     widest = max(configs, key=lambda config: config.sensors_per_cluster)
-    sensed = synthesize_observations(widest, seed=(seed, run), noise_levels=levels)
+    syncs, levels = zip(*pairs)
+    sensed = synthesize_observations(widest, seed=(seed, run), noise_levels=levels, syncs=syncs)
     caps = []
     for config in configs:
         tau = config.sensors_per_cluster
         _, averaged = estimate_multicluster([
             CosetObservationSet(s.pattern, s.dtft[:tau], s.label)
-            for s in sensed[levels.index(config.noise_dbm)].sets
+            for s in sensed[pairs.index((config.sync, config.noise_dbm))].sets
         ])
         averaged.require_finite()
         caps.append(averaged.values)
@@ -159,10 +161,11 @@ def mc_caps(
     """Monte Carlo reconstructions: one averaged periodogram per config and run.
 
     Returns the (configs, runs, grid) array of CAP values of any
-    uncorrelated-bins configs.  Configs that differ only in sensor count
-    and noise level form a group, and within a run a group shares one
-    synthesis (see ``_mc_run``), so comparisons within it are paired, as
-    the nmse-sweep's taus and levels are.  Every config's rows equal those
+    uncorrelated-bins configs.  Configs that differ only in sensor count,
+    noise level and sync mode form a group, and within a run a group shares
+    one synthesis (see ``_mc_run``), so comparisons within it are paired, as
+    the nmse-sweep's taus and levels and the roc's settings are: its modes
+    share the fading and noise draws.  Every config's rows equal those
     of a call with it alone.  Each group makes one dispatch of its runs,
     seeded by (seed, run), to ``threads`` worker processes (see
     ``dispatch_runs``), so results are identical for any worker count.  The
@@ -174,7 +177,8 @@ def mc_caps(
         raise ValueError("Monte Carlo CAP-UB runs need uncorrelated-bins configs")
     groups = {}
     for config in configs:
-        groups.setdefault(replace(config, sensors_per_cluster=1, noise_dbm=0.0), []).append(config)
+        key = replace(config, sensors_per_cluster=1, noise_dbm=0.0, sync="synchronized")
+        groups.setdefault(key, []).append(config)
     rows = {}
     for group in groups.values():
         # group by group: interleaving their runs cost 36% more page faults (table4 roc)
@@ -303,7 +307,9 @@ class RocCurve:
 
     @property
     def auc(self) -> float:
-        order = np.argsort(self.pfa, kind="stable")
+        """Area under the step curve (tied pfa in ascending pd): the
+        Mann-Whitney statistic, ties counted one half."""
+        order = np.lexsort((self.pd, self.pfa))
         return float(np.trapezoid(self.pd[order], self.pfa[order]))
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -276,18 +277,21 @@ def band_grid_indices(band: tuple[float, float], n_grid: int) -> np.ndarray:
     return np.concatenate([k[(theta >= lo) & (theta < hi)] for lo, hi in _unwrapped(band)])
 
 
+@lru_cache(maxsize=64)
 def _user_shape(spec: UserSpec, n_grid: int, bin_mode: str) -> np.ndarray:
     """A user's spectrum per CN(0, 1) draw: sqrt(n_grid * density) times
     ``bandpass_response`` (uncorrelated bins), or on ``band_grid_indices``
-    and zero elsewhere (correlated bins)."""
+    and zero elsewhere (correlated bins); read-only, built once per process."""
     level = math.sqrt(n_grid * dbm_to_linear(spec.power_dbm))
     if bin_mode == "uncorrelated":
-        return level * bandpass_response(spec.band, n_grid)
-    idx = band_grid_indices(spec.band, n_grid)
-    if idx.size == 0:
-        raise ValueError(f"band {spec.band} covers no grid point at {n_grid} points")
-    shape = np.zeros(n_grid, dtype=complex)
-    shape[idx] = level
+        shape = level * bandpass_response(spec.band, n_grid)
+    else:
+        idx = band_grid_indices(spec.band, n_grid)
+        if idx.size == 0:
+            raise ValueError(f"band {spec.band} covers no grid point at {n_grid} points")
+        shape = np.zeros(n_grid, dtype=complex)
+        shape[idx] = level
+    shape.setflags(write=False)
     return shape
 
 
@@ -378,6 +382,7 @@ def synthesize_observations(
     keep_full_rate: bool = False,
     noise_levels=None,
     nap=(),
+    syncs=None,
 ) -> SensingRun | list[SensingRun]:
     """Simulate acquisition for ``config``: one observation set per cluster
     d of ``config.pattern`` with path-loss column d (uncorrelated bins), or
@@ -407,12 +412,16 @@ def synthesize_observations(
     the NAP's sums carry over, so no output depends on the block size.
     Only outputs grow with the sensors: ``dtft``, sensors x M x L x 16 B per
     group and level, and kept spectra, sensors x grid x 16 B.
-    ``noise_levels`` (dBm, in place of
-    ``config.noise_dbm``) returns one run per level, each adding its scaled
-    noise to the same user part, bit-identical to a call at that level.
-    Levels, at grid scale, and stops are checked before anything is drawn.
+    ``noise_levels`` (dBm) and ``syncs`` (one mode per level), in place of
+    ``config.noise_dbm`` and ``config.sync``, give one run per level: fading
+    and noise are drawn once, each mode's user part once, and each run adds
+    its scaled noise to its mode's part, bit-identical to a call at its level
+    and mode.  Levels, at grid scale, modes and stops are checked before anything is drawn.
     """
     levels = (config.noise_dbm,) if noise_levels is None else tuple(noise_levels)
+    modes = (config.sync,) * len(levels) if syncs is None else tuple(syncs)
+    if len(modes) != len(levels) or not set(modes) <= set(SYNC_MODES):
+        raise ValueError(f"syncs must give one of {SYNC_MODES} per noise level, got {syncs}")
     n_grid, period, l_per = config.grid_size, config.period, config.samples_per_coset
     for level in levels:
         _check_grid_levels(n_grid, "noise_dbm", level)
@@ -432,28 +441,31 @@ def synthesize_observations(
     shapes = [
         _cn_scale(1.0) * _user_shape(user, n_grid, config.bin_mode) for user in config.users
     ]
-    shared = None
-    if config.sync == "synchronized":
-        shared = [_standard_block(_rng(seed, shared_role, k), 1, width) for k in range(len(shapes))]
+    distinct = list(dict.fromkeys(reversed(modes)))[::-1]    # the last run's mode last
     # unsynchronized users on uncorrelated bins: one draw for all of a group's users
-    merged = bool(shapes) and shared is None and config.bin_mode == "uncorrelated"
-    if merged:
-        powers = [np.abs(shape) ** 2 for shape in shapes]
-    else:
-        rows = [shape if shared is None else shared[k] * shape for k, shape in enumerate(shapes)]
-        rows = np.array(rows, dtype=complex).reshape(len(shapes), n_grid)
+    merged = bool(shapes) and config.bin_mode == "uncorrelated" and "unsynchronized" in modes
+    powers = [np.abs(shape) ** 2 for shape in shapes]
+    rows = {    # each other mode's user rows r_k, times one shared row if synchronized
+        mode: np.array([
+            _standard_block(_rng(seed, shared_role, k), 1, width) * shape
+            if mode == "synchronized" else shape for k, shape in enumerate(shapes)
+        ], dtype=complex).reshape(len(shapes), n_grid)
+        for mode in distinct if mode == "synchronized" or not merged
+    }
     scales = [_cn_scale(l_per * dbm_to_linear(level)) for level in levels]
     with_spectra = keep_full_rate or bool(stops)
-    # block scratch: a merged variance (two float halves), a user's term and the noise
-    # draws; the noise cosets z; unless kept, the signal and an earlier level's spectra
+    # block scratch: a merged variance (two float halves), a user's term and the noise draws;
+    # the noise cosets z; each mode's user DTFT and signal, but the last mode's DTFT and kept
+    # signal, which go to the last run's outputs; unless kept, a run's spectra
     block = max(1, min(sensors, BLOCK_BYTES // (16 * n_grid)))
     work = np.empty((block, n_grid), dtype=complex)
     buffer = work.view(float).reshape(-1)
     z_rows = np.empty((block, period, l_per), dtype=complex) if with_spectra else None
-    if not keep_full_rate:
-        signal_rows, level_rows = np.empty((2, block, n_grid), dtype=complex)
+    part_dtfts = np.empty((len(distinct) - 1, block, groups[0][1].size, l_per), dtype=complex)
+    signal_rows = np.empty(
+        (len(distinct) + with_spectra - 2 * keep_full_rate, block, n_grid), dtype=complex)
     sums = np.empty((len(levels), len(stops), n_grid))
-    # the outputs, one array per kind for all levels and groups: the allocator keeps so large a
+    # the outputs, one array per kind for all runs and groups: the allocator keeps so large a
     # block for the next call (a table2 nmse-sweep run faults in no page; 3363 with one per group)
     outputs = (len(levels), len(groups), sensors)
     dtfts = np.empty((*outputs, groups[0][1].size, l_per), dtype=complex)
@@ -465,16 +477,14 @@ def synthesize_observations(
             * _cn_scale(dbm_to_linear(user.path_loss_db[column]))
             for k, user in enumerate(config.users)
         ]
-        if merged:
-            signal_rng = _rng(seed, own_role, label)
-        else:
-            # sum_k c_k rows[k]: c_k = G_k D_k, one symbol per sensor, or G_k
-            if shared is None:
-                gains = [
-                    gain * _standard_block(_rng(seed, own_role, label, k), sensors, 1)
-                    for k, gain in enumerate(gains)
-                ]
-            row_dtfts = coset_dtft(rows, pattern)
+        signal_rng = _rng(seed, own_role, label) if merged else None
+        # sum_k c_k rows[k]: c_k = G_k D_k, one symbol per sensor, or G_k when synchronized
+        coeffs = {mode: [
+            gain if mode == "synchronized"
+            else gain * _standard_block(_rng(seed, own_role, label, k), sensors, 1)
+            for k, gain in enumerate(gains)
+        ] for mode in rows}
+        row_dtfts = {mode: coset_dtft(mode_rows, pattern) for mode, mode_rows in rows.items()}
         marks = list(pattern.marks)
         off = [c for c in range(period) if c not in pattern.marks]
         noise_rng = _rng(seed, _R_NOISE, label)
@@ -483,27 +493,31 @@ def synthesize_observations(
         # one block of consecutive sensors at a time; each generator draws its next rows
         for lo in range(0, sensors, block):
             part, count = slice(lo, lo + block), min(block, sensors - lo)
-            signal_dtft = dtfts[-1, label, part]
-            signal = kept[-1, label, part] if keep_full_rate else signal_rows[:count]
-            if merged:
-                # sum_k G_k D_k shape_k given the gains is CN(0, sum_k |G_k shape_k|^2)
-                variance, term = buffer[: 2 * signal.size].reshape(2, count, n_grid)
-                np.multiply(np.abs(gains[0][part]) ** 2, powers[0], out=variance)
-                for gain, power in zip(gains[1:], powers[1:]):
-                    np.multiply(np.abs(gain[part]) ** 2, power, out=term)
-                    variance += term
-                np.sqrt(variance, out=variance)
-                _standard_block(signal_rng, count, n_grid, signal.view(float).reshape(-1))
-                signal *= variance
-                coset_dtft(signal, pattern, out=signal_dtft)
-            else:
-                signal_dtft.fill(0)
-                for coeff, row_dtft in zip(gains, row_dtfts):
-                    signal_dtft += coeff[part, :, None] * row_dtft
-                if with_spectra:
-                    signal.fill(0)
-                    for coeff, row in zip(gains, rows):
-                        signal += np.multiply(coeff[part], row, out=work[:count])
+            parts = {}
+            for j, mode in enumerate(distinct):
+                last_mode = mode == modes[-1]
+                signal_dtft = dtfts[-1, label, part] if last_mode else part_dtfts[j, :count]
+                signal = kept[-1, label, part] if keep_full_rate and last_mode else signal_rows[j, :count]
+                if mode not in rows:
+                    # sum_k G_k D_k shape_k given the gains is CN(0, sum_k |G_k shape_k|^2)
+                    variance, term = buffer[: 2 * signal.size].reshape(2, count, n_grid)
+                    np.multiply(np.abs(gains[0][part]) ** 2, powers[0], out=variance)
+                    for gain, power in zip(gains[1:], powers[1:]):
+                        np.multiply(np.abs(gain[part]) ** 2, power, out=term)
+                        variance += term
+                    np.sqrt(variance, out=variance)
+                    _standard_block(signal_rng, count, n_grid, signal.view(float).reshape(-1))
+                    signal *= variance
+                    coset_dtft(signal, pattern, out=signal_dtft)
+                else:
+                    signal_dtft.fill(0)
+                    for coeff, row_dtft in zip(coeffs[mode], row_dtfts[mode]):
+                        signal_dtft += coeff[part, :, None] * row_dtft
+                    if with_spectra:
+                        signal.fill(0)
+                        for coeff, row in zip(coeffs[mode], rows[mode]):
+                            signal += np.multiply(coeff[part], row, out=work[:count])
+                parts[mode] = signal_dtft, signal
             noise = _standard_block(noise_rng, count, len(marks) * l_per, buffer)
             noise = noise.reshape(count, len(marks), l_per)
             if with_spectra:
@@ -516,14 +530,15 @@ def synthesize_observations(
                 noise_spectra = np.fft.fft(z, axis=1, out=z).reshape(count, n_grid)
             for i, scale in enumerate(scales):
                 last = i == len(scales) - 1
+                signal_dtft, signal = parts[modes[i]]
                 _plus_scaled(signal_dtft, noise, scale, last, dtfts[i, label, part])
                 if with_spectra:
-                    out = kept[i, label, part] if keep_full_rate else level_rows[:count]
+                    out = kept[i, label, part] if keep_full_rate else signal_rows[-1, :count]
                     spectra = _plus_scaled(signal, noise_spectra, scale, last, out)
                     if stops and lo < stops[-1]:
                         naps[i] = nap_values(spectra, stops, sums[i], lo)
         kept_rows = kept[:, label] if keep_full_rate else [None for _ in levels]
-        for level_sets, dtft, spectra, nap_rows in zip(sets, dtfts[:, label], kept_rows, naps):
-            level_sets.append(CosetObservationSet(pattern, dtft, label, spectra, nap_rows))
-    runs = [SensingRun(sets=level_sets) for level_sets in sets]
-    return runs[0] if noise_levels is None else runs
+        for run_sets, dtft, spectra, nap_rows in zip(sets, dtfts[:, label], kept_rows, naps):
+            run_sets.append(CosetObservationSet(pattern, dtft, label, spectra, nap_rows))
+    runs = [SensingRun(sets=run_sets) for run_sets in sets]
+    return runs[0] if noise_levels is None and syncs is None else runs

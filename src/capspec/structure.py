@@ -27,6 +27,7 @@ exist here in index form only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,6 +71,7 @@ class SystemMatrix:
         return np.add.reduceat(vec, self.starts, axis=1)
 
 
+@lru_cache(maxsize=16)
 def build_modulation_matrix(n: int) -> np.ndarray:
     """Read-only N x N matrix B with entries exp(j 2 pi n i / N) / N."""
     if n < 1:
@@ -93,6 +95,7 @@ def _system_matrix(design, gamma: np.ndarray, lags: np.ndarray, weights: np.ndar
     return SystemMatrix(design=design, **index)
 
 
+@lru_cache(maxsize=64)
 def build_system_matrix(pattern: CosetPattern) -> SystemMatrix:
     """Rc = (C kron C) T: memory position M*row + col observes lag
     (marks[row] - marks[col]) mod N, with weight 1/gamma of that lag."""
@@ -103,6 +106,7 @@ def build_system_matrix(pattern: CosetPattern) -> SystemMatrix:
     return _system_matrix(pattern, gamma, lags, 1.0 / gamma[lags])
 
 
+@lru_cache(maxsize=16)
 def build_psi(family: PatternFamily) -> SystemMatrix:
     """Psi of a pattern family.  Slot (m, mp) of group z, at memory
     position z*M^2 + M*m + mp, observes entry (marks[m], marks[mp]) of

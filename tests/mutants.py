@@ -28,6 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 ANALYSIS = "src/capspec/analysis.py"
 ESTIMATOR = "src/capspec/estimator.py"
 RUNNER = "src/capspec/runner.py"
+SENSING = "src/capspec/sensing.py"
+STRUCTURE = "src/capspec/structure.py"
 
 MUTANTS = {
     "roc ties counted on the left": (
@@ -45,7 +47,9 @@ MUTANTS = {
     "empirical nmse over sigma^2": (
         ANALYSIS, "((caps - sigma2) ** 2) / sigma2**2)", "((caps - sigma2) ** 2) / sigma2)"),
     "auc in an unstable order": (
-        ANALYSIS, 'np.argsort(self.pfa, kind="stable")', "np.argsort(self.pfa)"),
+        ANALYSIS, "np.lexsort((self.pd, self.pfa))", "np.argsort(self.pfa)"),
+    "auc with tied pfa in falling pd": (
+        ANALYSIS, "np.lexsort((self.pd, self.pfa))", "np.lexsort((-self.pd, self.pfa))"),
     "nmse_vs_nap arguments swapped": (RUNNER, "nmse(cap, nap)", "nmse(nap, cap)"),
     "zeros counted negative": (ESTIMATOR, "self.values < 0.0", "self.values <= 0.0"),
     "touching bands refused": (
@@ -54,6 +58,21 @@ MUTANTS = {
         ESTIMATOR,
         "max_imag_ratio=max(p.max_imag_ratio for p in parts)",
         "max_imag_ratio=parts[0].max_imag_ratio"),
+    # the paper's own quantities
+    "psi weights index gamma by lag": (
+        STRUCTURE, "1.0 / (n * gamma[vec_index])", "1.0 / (n * gamma[lags])"),
+    "cap over N in place of L": (
+        ESTIMATOR, "np.fft.fft(lags, axis=1) / l_pts", "np.fft.fft(lags, axis=1) / lags.shape[1]"),
+    "closed form not divided by the clusters": (
+        ANALYSIS,
+        "closed = whitenoise_variance_closed_form(config.pattern, sigma2, tau) / config.clusters",
+        "closed = whitenoise_variance_closed_form(config.pattern, sigma2, tau)"),
+    "wrapped band without its second interval": (
+        SENSING, "((lo, 1.0), (0.0, hi))", "((lo, 1.0),)"),
+    "coset_dtft phase conjugated": (
+        STRUCTURE,
+        "matrix = np.exp(2j * np.pi * rows * cols / n) / n",
+        "matrix = np.exp(-2j * np.pi * rows * cols / n) / n"),
 }
 
 SKIP = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")

@@ -35,8 +35,13 @@ from capspec.estimator import (
     sample_covariance,
 )
 from capspec.patterns import CosetPattern, PatternFamily
-from capspec.runner import SweepSpec, _nmse_run
-from capspec.scenarios import EXPERIMENT1_EXTRA_COSETS, extend_pattern, load_fixture
+from capspec.runner import ExperimentManifest, RocSetting, SweepSpec, _nmse_run, run_manifest
+from capspec.scenarios import (
+    EXPERIMENT1_EXTRA_COSETS,
+    extend_pattern,
+    load_fixture,
+    multiband_detector,
+)
 from capspec.sensing import (
     CosetObservationSet,
     ScenarioConfig,
@@ -370,6 +375,42 @@ class TestMonteCarloWhiteNoise:
         with pytest.raises(ValueError, match="uncorrelated-bins"):
             mc_caps([base, correlated], runs=2, seed=0)
 
+    def test_a_group_spans_sync_modes(self):
+        # the synchronized config is the widest, and only the synchronized mode has a -inf level
+        base = ScenarioConfig(
+            period=6, samples_per_coset=10, noise_dbm=0.0, pattern=CosetPattern(6, (0, 1, 3)),
+            users=(UserSpec(band=(0.2, 0.3), power_dbm=14.0, path_loss_db=(-3.0, -6.0)),
+                   UserSpec(band=(0.9, 0.05), power_dbm=10.0, path_loss_db=(-1.0, -2.0))),
+            clusters=2, sensors_per_cluster=3,
+        )
+        configs = [
+            base,
+            replace(base, sync="synchronized", sensors_per_cluster=5, noise_dbm=-math.inf),
+            replace(base, sensors_per_cluster=4, noise_dbm=3.0),
+            replace(base, sync="synchronized", sensors_per_cluster=2, noise_dbm=3.0),
+        ]
+        alone = [mc_caps([config], runs=3, seed=17)[0].tobytes() for config in configs]
+        for threads in (1, 2):
+            together = mc_caps(configs, runs=3, seed=17, threads=threads)
+            assert [caps.tobytes() for caps in together] == alone, threads
+
+    def test_roc_settings_share_one_synthesis_per_run(self, tmp_path, monkeypatch):
+        # criterion 9's settings: both sync modes, two taus and two levels, one group
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["syncs"])
+            return synthesize_observations(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "synthesize_observations", counted)
+        settings = (RocSetting(30, 11.0), RocSetting(17, 14.0),
+                    RocSetting(17, 14.0, "synchronized"))
+        run_manifest(ExperimentManifest(
+            kind="roc", scenario=load_fixture("table4.ini"), output=tmp_path, runs=2,
+            sweep=SweepSpec(roc_settings=settings), detector=multiband_detector(),
+        ))
+        assert calls == [("unsynchronized", "unsynchronized", "synchronized")] * 2
+
     def test_sweep_rows_match_each_tau_alone(self):
         # each (pattern, tau, level) NMSE of an nmse-sweep run is the one its tau gives alone
         table2 = load_fixture("table2.ini")
@@ -635,16 +676,27 @@ class TestDetection:
         assert np.array_equal(curve.pd, np.concatenate(([1.0], pd)))
         assert np.array_equal(curve.pfa, np.concatenate(([1.0], pfa)))
 
-    def test_auc_takes_tied_points_in_curve_order(self):
-        # groups of 17, 33 and 65 tied pfa values, long enough that numpy's
-        # default sort reorders them; in curve order the trapezoid runs
-        # (0, 0) -> (0.25, 0.35), down to (0.25, 0.1) -> (0.5, 0.65), down to
-        # (0.5, 0.4) -> (0.75, 0.95), down to (0.75, 0.7) -> (1, 1)
-        groups = ((0.75, 0.95, 0.7, 17), (0.5, 0.65, 0.4, 33), (0.25, 0.35, 0.1, 65))
-        pfa = np.concatenate([[1.0], *(np.full(k, p) for p, _, _, k in groups), [0.0]])
-        pd = np.concatenate([[1.0], *(np.linspace(hi, lo, k) for _, hi, lo, k in groups), [0.0]])
-        curve = RocCurve(thresholds=np.arange(pfa.size, dtype=float), pfa=pfa, pd=pd)
-        assert curve.auc == pytest.approx(0.125 * (0.35 + 0.75 + 1.35 + 1.7), abs=1e-12)
+    def test_auc_is_the_step_curve_area_on_tied_pfa(self, rng):
+        # every active score beats the quiet one, though two points tie at pfa 0
+        assert roc_from_scores(np.array([0.5, 0.6]), np.array([0.1])).auc == 1.0
+        # in curve order: up (0, 0) -> (0, 0.3), over to (0.5, 0.6), up to
+        # (0.5, 0.9), over to (1, 1); a tie taken in falling pd would read 0.625
+        curve = RocCurve(thresholds=np.arange(5.0), pfa=np.array([1.0, 0.5, 0.5, 0.0, 0.0]),
+                         pd=np.array([1.0, 0.9, 0.6, 0.3, 0.0]))
+        assert curve.auc == pytest.approx(0.25 * (0.3 + 0.6) + 0.25 * (0.9 + 1.0), abs=1e-15)
+        # on tie-heavy scores: whole-number quiet scores, active ones on a
+        # 0.01 grid, between two whole numbers in groups of tied pfa long enough
+        # that an unstable sort reorders them, and some whole, tied with quiet ones;
+        # the Mann-Whitney statistic, ties counted one half
+        active = np.round(rng.random((60, 9)) * 1200) / 100 + 2
+        active[:, :4] = np.round(active[:, :4])
+        quiet = np.round(rng.random((70, 7)) * 12)
+        a, q = active.ravel()[:, None], quiet.ravel()[None, :]
+        mann_whitney = np.mean(a > q) + 0.5 * np.mean(a == q)
+        curve = roc_from_scores(active, quiet)
+        assert np.max(np.unique(curve.pfa, return_counts=True)[1]) > 16
+        assert np.mean(a == q) > 0.01
+        assert curve.auc == pytest.approx(mann_whitney, abs=1e-12)
 
     def test_noise_only_auc_is_chance(self):
         pattern = CosetPattern(6, (0, 1, 3))

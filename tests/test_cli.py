@@ -1180,20 +1180,21 @@ class TestRocPairing:
         ).encode()
         assert {p.name: p.read_bytes() for p in manifest.output.iterdir()} == want
 
-    def test_one_synthesis_per_sync_mode_and_run(self, tmp_path, monkeypatch):
+    def test_one_synthesis_per_run_serves_both_sync_modes(self, tmp_path, monkeypatch):
         calls = []
 
         def counted(config, seed, **kwargs):
-            calls.append((config.sync, config.sensors_per_cluster, tuple(kwargs["noise_levels"])))
+            runs = tuple(zip(kwargs["syncs"], kwargs["noise_levels"], strict=True))
+            calls.append((config.sensors_per_cluster, runs))
             return synthesize_observations(config, seed, **kwargs)
 
         monkeypatch.setattr(analysis, "synthesize_observations", counted)
         manifest = self.manifest(tmp_path / "roc")
         runner.run_manifest(manifest)
-        assert calls == (
-            [("unsynchronized", 6, (0.0, -math.inf))] * manifest.runs
-            + [("synchronized", 5, (3.0, -math.inf))] * manifest.runs
-        )
+        # at the largest tau, one run per distinct (sync, level) pair
+        runs = (("unsynchronized", 0.0), ("unsynchronized", -math.inf),
+                ("synchronized", 3.0), ("synchronized", -math.inf))
+        assert calls == [(6, runs)] * manifest.runs
 
 
 def readme_block(heading, language):

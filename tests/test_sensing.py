@@ -667,6 +667,52 @@ class TestOneSynthesisLoop:
                 assert np.array_equal(got.full_rate, want.full_rate), level
                 assert np.array_equal(got.dtft, want.dtft), level
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        config=small_scenarios(),
+        key=st.tuples(st.integers(0, 99), st.integers(0, 9)),
+        pairs=st.lists(
+            st.tuples(
+                st.sampled_from(SYNC_MODES),
+                st.one_of(st.just(-math.inf), st.floats(-10.0, 10.0)),
+            ),
+            min_size=1, max_size=4,
+        ),
+        keep=st.booleans(),
+        data=st.data(),
+    )
+    def test_each_sync_mode_and_level_matches_its_own_call(self, config, key, pairs, keep, data):
+        # the modes share the fading and noise draws, and each keeps its own user part
+        stops = sorted(data.draw(st.sets(st.integers(1, config.sensors_per_set))))
+        syncs, levels = zip(*pairs)
+        runs = synthesize_observations(
+            config, seed=key, keep_full_rate=keep, noise_levels=levels, syncs=syncs, nap=stops
+        )
+        assert len(runs) == len(pairs)
+        for (sync, level), run in zip(pairs, runs):
+            alone = synthesize_observations(
+                replace(config, sync=sync, noise_dbm=level), seed=key, keep_full_rate=keep,
+                nap=stops,
+            )
+            for got, want in zip(run.sets, alone.sets, strict=True):
+                assert np.array_equal(got.dtft, want.dtft), (sync, level)
+                for a, b in ((got.spectra, want.spectra), (got.nap, want.nap)):
+                    assert (a is None) == (b is None)
+                    assert a is None or np.array_equal(a, b), (sync, level)
+
+    def test_one_sync_mode_alone_is_a_one_run_list(self):
+        config = noise_only_config(tau=2)
+        (run,) = synthesize_observations(config, seed=3, syncs=("synchronized",))
+        assert np.array_equal(run.sets[0].dtft, synthesize_observations(config, seed=3).sets[0].dtft)
+
+    @pytest.mark.parametrize(
+        "syncs", [(), ("synchronized", "synchronized"), ("sync",), ("unsynchronized", None)]
+    )
+    def test_syncs_give_one_known_mode_per_level(self, syncs, monkeypatch):
+        monkeypatch.setattr(capspec.sensing, "_rng", lambda *_: pytest.fail("drew"))
+        with pytest.raises(ValueError, match="syncs"):
+            synthesize_observations(noise_only_config(tau=1), seed=0, noise_levels=(0.0,), syncs=syncs)
+
     @settings(max_examples=60, deadline=None)
     @given(
         config=small_scenarios(),

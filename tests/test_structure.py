@@ -8,6 +8,7 @@ from capspec.patterns import (
     PatternFamily,
     design_pair_cover_family,
 )
+from capspec.sensing import UserSpec, _user_shape
 from capspec.structure import build_modulation_matrix, build_psi, build_system_matrix
 from conftest import random_pattern
 from oracles import (
@@ -183,3 +184,36 @@ class TestPsi:
         c = build_selection_matrix(ruler18)
         assert c.shape == (5, 18)
         assert np.array_equal(c @ np.arange(18), np.array(ruler18.marks))
+
+
+class TestDesignConstants:
+    """Each per-design constant is built once per process and is read-only."""
+
+    @staticmethod
+    def _builds():
+        def family():
+            return PatternFamily(5, (CosetPattern(5, (0, 1, 2)), CosetPattern(5, (0, 2, 3))))
+
+        user = UserSpec(band=(0.9, 0.1), power_dbm=3.0, path_loss_db=(-1.0,))
+        return [
+            (build_modulation_matrix, lambda: (7,)),
+            (build_system_matrix, lambda: (CosetPattern(6, (0, 1, 3)),)),
+            (build_psi, lambda: (family(),)),
+            (_user_shape, lambda: (replace(user), 60, "uncorrelated")),
+            (_user_shape, lambda: (replace(user), 60, "correlated")),
+        ]
+
+    def test_equal_arguments_return_the_same_object(self):
+        for build, arguments in self._builds():
+            # equal arguments, built apart
+            assert build(*arguments()) is build(*arguments()), build.__name__
+
+    def test_a_write_raises(self):
+        for build, arguments in self._builds():
+            built = build(*arguments())
+            arrays = [built] if isinstance(built, np.ndarray) else [
+                built.gamma, built.slots, built.starts, built.weights
+            ]
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = array.flat[0]
