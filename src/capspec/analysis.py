@@ -133,16 +133,15 @@ def _mc_run(configs: tuple[ScenarioConfig, ...], seed: int, run: int) -> np.ndar
     averaged CAP, one row per config, refused if not finite.
 
     One synthesis serves the group: at its largest tau, with its distinct
-    (sync mode, noise level) pairs as ``syncs`` and ``noise_levels``, so
-    its modes share the fading and noise draws.  A config reads its pair's
-    sets cut to its first tau sensors, which are bit for bit those of its
-    own synthesis, since a group's first tau sensors do not depend on its
+    (sync mode, noise level) pairs as its ``runs``, so its modes share the
+    fading and noise draws.  A config reads its pair's run, its sets cut to
+    its first tau sensors, which are bit for bit those of its own
+    synthesis, since a group's first tau sensors do not depend on its
     sensor count.
     """
     pairs = list(dict.fromkeys((config.sync, config.noise_dbm) for config in configs))
     widest = max(configs, key=lambda config: config.sensors_per_cluster)
-    syncs, levels = zip(*pairs)
-    sensed = synthesize_observations(widest, seed=(seed, run), noise_levels=levels, syncs=syncs)
+    sensed = synthesize_observations(widest, seed=(seed, run), runs=pairs)
     caps = []
     for config in configs:
         tau = config.sensors_per_cluster
@@ -163,7 +162,8 @@ def mc_caps(
     Returns the (configs, runs, grid) array of CAP values of any
     uncorrelated-bins configs.  Configs that differ only in sensor count,
     noise level and sync mode form a group, and within a run a group shares
-    one synthesis (see ``_mc_run``), so comparisons within it are paired, as
+    one synthesis (see ``_mc_run``), one of its runs per distinct (sync
+    mode, noise level) pair, so comparisons within it are paired, as
     the nmse-sweep's taus and levels and the roc's settings are: its modes
     share the fading and noise draws.  Every config's rows equal those
     of a call with it alone.  Each group makes one dispatch of its runs,

@@ -315,8 +315,9 @@ def _nmse_run(
 ) -> list[float]:
     """Run ``run`` of an nmse-sweep: its NMSE per entry of ``combos``.
 
-    One synthesis senses the union of the sweep's patterns, with the NAP
-    at the sorted taus.  Per noise level, tau and cluster, the covariance
+    One synthesis senses the union of the sweep's patterns, with one run
+    per noise level at the scenario's sync mode and the NAP at the sorted
+    taus.  Per noise level, tau and cluster, the covariance
     over the union comes from that tau's first sensors alone, as
     ``sample_covariance`` gives it, and each pattern's solve reads its
     M x M submatrix; so a row does not depend on the other taus and
@@ -325,7 +326,8 @@ def _nmse_run(
     taus = sorted(sweep.taus)
     union = CosetPattern(config.period, {mark for p in sweep.patterns for mark in p.marks})
     config = replace(config, pattern=union, sensors_per_cluster=taus[-1])
-    levels = synthesize_observations(config, (seed, run), noise_levels=sweep.sigmas_dbm, nap=taus)
+    runs = [(config.sync, level) for level in sweep.sigmas_dbm]
+    levels = synthesize_observations(config, (seed, run), runs=runs, nap=taus)
     rows = {p: np.searchsorted(union.marks, p.marks) for p in sweep.patterns}
     scores = {}
     for sigma, sensed in zip(sweep.sigmas_dbm, levels):

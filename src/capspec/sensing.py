@@ -367,22 +367,12 @@ def nap_values(spectra: np.ndarray, stops=None, sums=None, first: int = 0):
     return (rows[0] if stops is None else rows) / spectra.shape[1]
 
 
-def _plus_scaled(
-    part: np.ndarray, noise: np.ndarray, scale: float, last: bool, out: np.ndarray
-) -> np.ndarray:
-    """part + noise * scale, made in ``part`` and ``noise`` for the last
-    level, else in ``out``."""
-    scaled = np.multiply(noise, scale, out=noise if last else out)
-    return np.add(part, scaled, out=part if last else scaled)
-
-
 def synthesize_observations(
     config: ScenarioConfig,
     seed,
     keep_full_rate: bool = False,
-    noise_levels=None,
+    runs=None,
     nap=(),
-    syncs=None,
 ) -> SensingRun | list[SensingRun]:
     """Simulate acquisition for ``config``: one observation set per cluster
     d of ``config.pattern`` with path-loss column d (uncorrelated bins), or
@@ -411,19 +401,22 @@ def synthesize_observations(
     in scratch made once per call: each generator draws its next rows and
     the NAP's sums carry over, so no output depends on the block size.
     Only outputs grow with the sensors: ``dtft``, sensors x M x L x 16 B per
-    group and level, and kept spectra, sensors x grid x 16 B.
-    ``noise_levels`` (dBm) and ``syncs`` (one mode per level), in place of
-    ``config.noise_dbm`` and ``config.sync``, give one run per level: fading
-    and noise are drawn once, each mode's user part once, and each run adds
-    its scaled noise to its mode's part, bit-identical to a call at its level
-    and mode.  Levels, at grid scale, modes and stops are checked before anything is drawn.
+    group and run, and kept spectra, sensors x grid x 16 B.
+    ``runs``, (sync mode, noise dBm) pairs in place of (``config.sync``,
+    ``config.noise_dbm``), gives a list of one run per pair, bit-identical
+    to a call at its mode and level: fading and noise are drawn once and
+    each distinct mode's user part once, into block scratch, and each run
+    writes its scaled noise plus its mode's part into its own outputs,
+    which no other run uses as scratch; spectra not kept go to scratch.
+    Modes, levels, at grid scale, and stops are checked before anything is
+    drawn, and an empty ``runs`` is refused.
     """
-    levels = (config.noise_dbm,) if noise_levels is None else tuple(noise_levels)
-    modes = (config.sync,) * len(levels) if syncs is None else tuple(syncs)
-    if len(modes) != len(levels) or not set(modes) <= set(SYNC_MODES):
-        raise ValueError(f"syncs must give one of {SYNC_MODES} per noise level, got {syncs}")
+    pairs = [(config.sync, config.noise_dbm)] if runs is None else list(runs)
+    if not pairs or not {mode for mode, _ in pairs} <= set(SYNC_MODES):
+        raise ValueError(f"runs must be one or more (sync, noise_dbm) pairs with sync in "
+                         f"{SYNC_MODES}, got {runs}")
     n_grid, period, l_per = config.grid_size, config.period, config.samples_per_coset
-    for level in levels:
+    for _, level in pairs:
         _check_grid_levels(n_grid, "noise_dbm", level)
     sensors, stops = config.sensors_per_set, tuple(nap)
     steps = zip((0, *stops), stops)
@@ -441,7 +434,8 @@ def synthesize_observations(
     shapes = [
         _cn_scale(1.0) * _user_shape(user, n_grid, config.bin_mode) for user in config.users
     ]
-    distinct = list(dict.fromkeys(reversed(modes)))[::-1]    # the last run's mode last
+    modes = [mode for mode, _ in pairs]
+    distinct = list(dict.fromkeys(modes))
     # unsynchronized users on uncorrelated bins: one draw for all of a group's users
     merged = bool(shapes) and config.bin_mode == "uncorrelated" and "unsynchronized" in modes
     powers = [np.abs(shape) ** 2 for shape in shapes]
@@ -452,25 +446,25 @@ def synthesize_observations(
         ], dtype=complex).reshape(len(shapes), n_grid)
         for mode in distinct if mode == "synchronized" or not merged
     }
-    scales = [_cn_scale(l_per * dbm_to_linear(level)) for level in levels]
+    # each run's user part, and the factor of its noise
+    own_parts = [distinct.index(mode) for mode in modes]
+    scales = [_cn_scale(l_per * dbm_to_linear(level)) for _, level in pairs]
     with_spectra = keep_full_rate or bool(stops)
-    # block scratch: a merged variance (two float halves), a user's term and the noise draws;
-    # the noise cosets z; each mode's user DTFT and signal, but the last mode's DTFT and kept
-    # signal, which go to the last run's outputs; unless kept, a run's spectra
+    # block scratch: a merged variance (two float halves), a user's term, the noise draws and,
+    # unless kept, a run's spectra; the noise cosets z; each mode's user DTFT and signal
     block = max(1, min(sensors, BLOCK_BYTES // (16 * n_grid)))
     work = np.empty((block, n_grid), dtype=complex)
     buffer = work.view(float).reshape(-1)
     z_rows = np.empty((block, period, l_per), dtype=complex) if with_spectra else None
-    part_dtfts = np.empty((len(distinct) - 1, block, groups[0][1].size, l_per), dtype=complex)
-    signal_rows = np.empty(
-        (len(distinct) + with_spectra - 2 * keep_full_rate, block, n_grid), dtype=complex)
-    sums = np.empty((len(levels), len(stops), n_grid))
+    part_dtfts = np.empty((len(distinct), block, groups[0][1].size, l_per), dtype=complex)
+    signal_rows = np.empty((len(distinct), block, n_grid), dtype=complex)
+    sums = np.empty((len(pairs), len(stops), n_grid))
     # the outputs, one array per kind for all runs and groups: the allocator keeps so large a
     # block for the next call (a table2 nmse-sweep run faults in no page; 3363 with one per group)
-    outputs = (len(levels), len(groups), sensors)
+    outputs = (len(pairs), len(groups), sensors)
     dtfts = np.empty((*outputs, groups[0][1].size, l_per), dtype=complex)
     kept = np.empty((*outputs, n_grid), dtype=complex) if keep_full_rate else None
-    sets = [[] for _ in levels]
+    sets = [[] for _ in pairs]
     for label, pattern, column in groups:
         gains = [
             _standard_block(_rng(seed, _R_FADING, label, k), sensors, 1)
@@ -489,15 +483,12 @@ def synthesize_observations(
         off = [c for c in range(period) if c not in pattern.marks]
         noise_rng = _rng(seed, _R_NOISE, label)
         off_rng = _rng(seed, _R_OFF_MARK_NOISE, label) if with_spectra else None
-        naps = [None for _ in levels]
+        naps = [None for _ in pairs]
         # one block of consecutive sensors at a time; each generator draws its next rows
         for lo in range(0, sensors, block):
             part, count = slice(lo, lo + block), min(block, sensors - lo)
-            parts = {}
             for j, mode in enumerate(distinct):
-                last_mode = mode == modes[-1]
-                signal_dtft = dtfts[-1, label, part] if last_mode else part_dtfts[j, :count]
-                signal = kept[-1, label, part] if keep_full_rate and last_mode else signal_rows[j, :count]
+                signal_dtft, signal = part_dtfts[j, :count], signal_rows[j, :count]
                 if mode not in rows:
                     # sum_k G_k D_k shape_k given the gains is CN(0, sum_k |G_k shape_k|^2)
                     variance, term = buffer[: 2 * signal.size].reshape(2, count, n_grid)
@@ -517,9 +508,12 @@ def synthesize_observations(
                         signal.fill(0)
                         for coeff, row in zip(coeffs[mode], rows[mode]):
                             signal += np.multiply(coeff[part], row, out=work[:count])
-                parts[mode] = signal_dtft, signal
             noise = _standard_block(noise_rng, count, len(marks) * l_per, buffer)
             noise = noise.reshape(count, len(marks), l_per)
+            # each run: its scaled noise plus its mode's part, in its own outputs
+            for i, (j, scale) in enumerate(zip(own_parts, scales)):
+                own = np.multiply(noise, scale, out=dtfts[i, label, part])
+                own += part_dtfts[j, :count]
             if with_spectra:
                 z = z_rows[:count]
                 z[:, marks] = noise
@@ -528,17 +522,14 @@ def synthesize_observations(
                 ).reshape(count, len(off), l_per)
                 # W = fft(z) along the cosets, one length-N transform per point
                 noise_spectra = np.fft.fft(z, axis=1, out=z).reshape(count, n_grid)
-            for i, scale in enumerate(scales):
-                last = i == len(scales) - 1
-                signal_dtft, signal = parts[modes[i]]
-                _plus_scaled(signal_dtft, noise, scale, last, dtfts[i, label, part])
-                if with_spectra:
-                    out = kept[i, label, part] if keep_full_rate else signal_rows[-1, :count]
-                    spectra = _plus_scaled(signal, noise_spectra, scale, last, out)
+                # each run's spectra alike; unless kept, in work, as the noise draws are spent
+                for i, (j, scale) in enumerate(zip(own_parts, scales)):
+                    spectra = kept[i, label, part] if keep_full_rate else work[:count]
+                    np.multiply(noise_spectra, scale, out=spectra)
+                    spectra += signal_rows[j, :count]
                     if stops and lo < stops[-1]:
                         naps[i] = nap_values(spectra, stops, sums[i], lo)
-        kept_rows = kept[:, label] if keep_full_rate else [None for _ in levels]
+        kept_rows = kept[:, label] if keep_full_rate else [None for _ in pairs]
         for run_sets, dtft, spectra, nap_rows in zip(sets, dtfts[:, label], kept_rows, naps):
             run_sets.append(CosetObservationSet(pattern, dtft, label, spectra, nap_rows))
-    runs = [SensingRun(sets=run_sets) for run_sets in sets]
-    return runs[0] if noise_levels is None and syncs is None else runs
+    return SensingRun(sets[0]) if runs is None else [SensingRun(run_sets) for run_sets in sets]

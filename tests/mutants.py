@@ -69,6 +69,12 @@ MUTANTS = {
         "closed = whitenoise_variance_closed_form(config.pattern, sigma2, tau)"),
     "wrapped band without its second interval": (
         SENSING, "((lo, 1.0), (0.0, hi))", "((lo, 1.0),)"),
+    # a synthesis' runs: each adds its own scaled noise to its own mode's part
+    "every run reads the first mode's part": (
+        SENSING, "[distinct.index(mode) for mode in modes]", "[0 for mode in modes]"),
+    "every run scales its noise by the first level's factor": (
+        SENSING, "dbm_to_linear(level)) for _, level in pairs]",
+        "dbm_to_linear(level)) for _, level in pairs[:1] * len(pairs)]"),
     "coset_dtft phase conjugated": (
         STRUCTURE,
         "matrix = np.exp(2j * np.pi * rows * cols / n) / n",

@@ -399,7 +399,7 @@ class TestMonteCarloWhiteNoise:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(kwargs["syncs"])
+            calls.append(tuple(mode for mode, _ in kwargs["runs"]))
             return synthesize_observations(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "synthesize_observations", counted)

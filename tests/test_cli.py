@@ -1184,8 +1184,7 @@ class TestRocPairing:
         calls = []
 
         def counted(config, seed, **kwargs):
-            runs = tuple(zip(kwargs["syncs"], kwargs["noise_levels"], strict=True))
-            calls.append((config.sensors_per_cluster, runs))
+            calls.append((config.sensors_per_cluster, tuple(kwargs["runs"])))
             return synthesize_observations(config, seed, **kwargs)
 
         monkeypatch.setattr(analysis, "synthesize_observations", counted)

@@ -235,7 +235,8 @@ class TestSweepAgainstRecords:
         # the sweep senses the union of its patterns' marks
         union = replace(config, pattern=CosetPattern(6, (0, 1, 2, 3)))
         levels = synthesize_observations(
-            union, seed=(13, 1), keep_full_rate=True, noise_levels=sweep.sigmas_dbm
+            union, seed=(13, 1), keep_full_rate=True,
+            runs=[(union.sync, sigma) for sigma in sweep.sigmas_dbm],
         )
         want = {}
         for sigma, sensed in zip(sweep.sigmas_dbm, levels):
@@ -273,7 +274,8 @@ class TestSweepAgainstRecords:
 
         union = replace(config, pattern=CosetPattern(6, (0, 1, 2, 3, 4)))
         levels = synthesize_observations(
-            union, seed=(21, 0), keep_full_rate=True, noise_levels=sweep.sigmas_dbm
+            union, seed=(21, 0), keep_full_rate=True,
+            runs=[(union.sync, sigma) for sigma in sweep.sigmas_dbm],
         )
         want = {}
         for sigma, sensed in zip(sweep.sigmas_dbm, levels):

@@ -525,8 +525,9 @@ class TestOneSynthesisLoop:
         ),
     )
     def test_dtft_does_not_depend_on_keep_full_rate(self, config, key, levels):
-        kept = synthesize_observations(config, seed=key, keep_full_rate=True, noise_levels=levels)
-        lean = synthesize_observations(config, seed=key, noise_levels=levels)
+        runs = [(config.sync, level) for level in levels]
+        kept = synthesize_observations(config, seed=key, keep_full_rate=True, runs=runs)
+        lean = synthesize_observations(config, seed=key, runs=runs)
         for with_spectra, without in zip(kept, lean, strict=True):
             for got, want in zip(with_spectra.sets, without.sets, strict=True):
                 assert want.spectra is None
@@ -543,11 +544,12 @@ class TestOneSynthesisLoop:
     )
     def test_nap_is_the_baseline_of_the_kept_spectra(self, config, key, levels, data):
         stops = sorted(data.draw(st.sets(st.integers(1, config.sensors_per_set), min_size=1)))
-        kept = synthesize_observations(config, seed=key, keep_full_rate=True, noise_levels=levels)
-        lean = synthesize_observations(config, seed=key, noise_levels=levels)
-        naps = synthesize_observations(config, seed=key, nap=stops, noise_levels=levels)
-        for runs in zip(kept, lean, naps, strict=True):
-            for with_spectra, without, got in zip(*(run.sets for run in runs), strict=True):
+        runs = [(config.sync, level) for level in levels]
+        kept = synthesize_observations(config, seed=key, keep_full_rate=True, runs=runs)
+        lean = synthesize_observations(config, seed=key, runs=runs)
+        naps = synthesize_observations(config, seed=key, nap=stops, runs=runs)
+        for same in zip(kept, lean, naps, strict=True):
+            for with_spectra, without, got in zip(*(run.sets for run in same), strict=True):
                 assert got.spectra is None
                 for row, stop in zip(got.nap, stops, strict=True):
                     spectra = with_spectra.spectra[:stop]
@@ -608,7 +610,8 @@ class TestOneSynthesisLoop:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(capspec.sensing, "BLOCK_BYTES", block_bytes)
                 runs = synthesize_observations(
-                    config, seed=key, keep_full_rate=keep, noise_levels=levels, nap=stops
+                    config, seed=key, keep_full_rate=keep, nap=stops,
+                    runs=[(config.sync, level) for level in levels],
                 )
             outputs.append([(s.dtft, s.spectra, s.nap) for run in runs for s in run.sets])
         for other in outputs[1:]:
@@ -631,7 +634,8 @@ class TestOneSynthesisLoop:
             tracemalloc.start()
             try:
                 runs = synthesize_observations(
-                    config, seed=(5, 0), noise_levels=(0.0, 3.0), nap=(sensors // 2, sensors)
+                    config, seed=(5, 0), runs=[(config.sync, 0.0), (config.sync, 3.0)],
+                    nap=(sensors // 2, sensors),
                 )
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -655,7 +659,7 @@ class TestOneSynthesisLoop:
     )
     def test_each_noise_level_matches_its_own_call(self, config, key, levels):
         runs = synthesize_observations(
-            config, seed=key, keep_full_rate=True, noise_levels=levels
+            config, seed=key, keep_full_rate=True, runs=[(config.sync, level) for level in levels]
         )
         assert len(runs) == len(levels)
         for level, run in zip(levels, runs):
@@ -684,9 +688,8 @@ class TestOneSynthesisLoop:
     def test_each_sync_mode_and_level_matches_its_own_call(self, config, key, pairs, keep, data):
         # the modes share the fading and noise draws, and each keeps its own user part
         stops = sorted(data.draw(st.sets(st.integers(1, config.sensors_per_set))))
-        syncs, levels = zip(*pairs)
         runs = synthesize_observations(
-            config, seed=key, keep_full_rate=keep, noise_levels=levels, syncs=syncs, nap=stops
+            config, seed=key, keep_full_rate=keep, runs=pairs, nap=stops
         )
         assert len(runs) == len(pairs)
         for (sync, level), run in zip(pairs, runs):
@@ -702,16 +705,17 @@ class TestOneSynthesisLoop:
 
     def test_one_sync_mode_alone_is_a_one_run_list(self):
         config = noise_only_config(tau=2)
-        (run,) = synthesize_observations(config, seed=3, syncs=("synchronized",))
+        (run,) = synthesize_observations(config, seed=3, runs=[("synchronized", config.noise_dbm)])
         assert np.array_equal(run.sets[0].dtft, synthesize_observations(config, seed=3).sets[0].dtft)
 
     @pytest.mark.parametrize(
-        "syncs", [(), ("synchronized", "synchronized"), ("sync",), ("unsynchronized", None)]
+        "runs", [[], [("sync", 0.0)], [("unsynchronized", 0.0), (None, 0.0)]]
     )
-    def test_syncs_give_one_known_mode_per_level(self, syncs, monkeypatch):
+    def test_runs_are_one_or_more_known_modes(self, runs, monkeypatch):
+        # an empty list is refused here, not deep in numpy
         monkeypatch.setattr(capspec.sensing, "_rng", lambda *_: pytest.fail("drew"))
-        with pytest.raises(ValueError, match="syncs"):
-            synthesize_observations(noise_only_config(tau=1), seed=0, noise_levels=(0.0,), syncs=syncs)
+        with pytest.raises(ValueError, match="runs"):
+            synthesize_observations(noise_only_config(tau=1), seed=0, runs=runs)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -734,7 +738,9 @@ class TestOneSynthesisLoop:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_noise_levels_reject_nan_and_plus_inf(self, bad):
         with pytest.raises(ValueError, match="noise_dbm"):
-            synthesize_observations(noise_only_config(tau=1), seed=0, noise_levels=(0.0, bad))
+            synthesize_observations(
+                noise_only_config(tau=1), seed=0, runs=[("synchronized", 0.0), ("synchronized", bad)]
+            )
 
     @pytest.mark.parametrize(
         "stops", [(0,), (-1, 2), (4,), (1, 4), (2, 2), (3, 1), (2.0,), (True,), ("2",), (None,)]
