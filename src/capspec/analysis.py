@@ -16,10 +16,10 @@ from functools import partial
 
 import numpy as np
 
-from .estimator import NAP, Periodogram, estimate_multicluster
+from .estimator import NAP, Periodogram, assemble_cap, average_periodograms, ls_reconstruct_rbar
+from .estimator import sample_covariance
 from .patterns import CosetPattern
 from .sensing import (
-    CosetObservationSet,
     ScenarioConfig,
     _check_band,
     _unwrapped,
@@ -126,53 +126,63 @@ def dispatch_runs(one, runs: int, workers: int = 1) -> list:
         raise
 
 
+def cap_values(config: ScenarioConfig, stacks, nap=None) -> np.ndarray:
+    """The default reducer of ``mc_caps``: the values of the average of the
+    CAPs of the clusters' covariance ``stacks``, refused if not finite."""
+    cap = average_periodograms([assemble_cap(ls_reconstruct_rbar(stack)) for stack in stacks])
+    cap.require_finite()
+    return cap.values
+
+
 # a worker process does not run under its caller's errstate
 @np.errstate(over="ignore", invalid="ignore")
-def _mc_run(configs: tuple[ScenarioConfig, ...], seed: int, run: int) -> np.ndarray:
-    """Run ``run`` of one group of ``mc_caps`` configs: each config's
-    averaged CAP, one row per config, refused if not finite.
+def _mc_run(configs: tuple[ScenarioConfig, ...], reduce, nap: bool, seed: int, run: int):
+    """Run ``run`` of one group of ``mc_caps`` configs: ``reduce(config,
+    stacks, nap)`` of each config, one row per config.
 
     One synthesis serves the group: at its largest tau, with its distinct
-    (sync mode, noise level) pairs as its ``runs``, so its modes share the
-    fading and noise draws.  A config reads its pair's run, its sets cut to
-    its first tau sensors, which are bit for bit those of its own
+    (sync mode, noise level) pairs as its ``runs`` and, if ``nap``, its
+    taus as the NAP's stops.  A config reads its pair's run: ``stacks`` are
+    its clusters' ``sample_covariance``s over their first tau sensors, and
+    ``nap`` their mean NAP, or None; both are bit for bit those of its own
     synthesis, since a group's first tau sensors do not depend on its
     sensor count.
     """
     pairs = list(dict.fromkeys((config.sync, config.noise_dbm) for config in configs))
+    stops = sorted({config.sensors_per_cluster for config in configs}) if nap else []
     widest = max(configs, key=lambda config: config.sensors_per_cluster)
-    sensed = synthesize_observations(widest, seed=(seed, run), runs=pairs)
-    caps = []
+    sensed = synthesize_observations(widest, seed=(seed, run), runs=pairs, nap=stops)
+    rows = []
     for config in configs:
         tau = config.sensors_per_cluster
-        _, averaged = estimate_multicluster([
-            CosetObservationSet(s.pattern, s.dtft[:tau], s.label)
-            for s in sensed[pairs.index((config.sync, config.noise_dbm))].sets
-        ])
-        averaged.require_finite()
-        caps.append(averaged.values)
-    return np.array(caps)
+        sets = sensed[pairs.index((config.sync, config.noise_dbm))].sets
+        stacks = [sample_covariance(replace(s, dtft=s.dtft[:tau])) for s in sets]
+        mean_nap = np.mean([s.nap[stops.index(tau)] for s in sets], axis=0) if nap else None
+        rows.append(reduce(config, stacks, mean_nap))
+    return np.array(rows)
 
 
 def mc_caps(
-    configs: Sequence[ScenarioConfig], runs: int, seed: int, threads: int = 1
+    configs: Sequence[ScenarioConfig], runs: int, seed: int, threads: int = 1,
+    reduce=cap_values, nap: bool = False,
 ) -> np.ndarray:
-    """Monte Carlo reconstructions: one averaged periodogram per config and run.
+    """Monte Carlo runs, each reduced where it is made: the (configs, runs,
+    ...) array of ``reduce(config, stacks, nap)`` (see ``_mc_run``), by
+    default the (configs, runs, grid) CAP values.  ``reduce`` must pickle.
 
-    Returns the (configs, runs, grid) array of CAP values of any
-    uncorrelated-bins configs.  Configs that differ only in sensor count,
-    noise level and sync mode form a group, and within a run a group shares
-    one synthesis (see ``_mc_run``), one of its runs per distinct (sync
-    mode, noise level) pair, so comparisons within it are paired, as
-    the nmse-sweep's taus and levels and the roc's settings are: its modes
-    share the fading and noise draws.  Every config's rows equal those
-    of a call with it alone.  Each group makes one dispatch of its runs,
-    seeded by (seed, run), to ``threads`` worker processes (see
-    ``dispatch_runs``), so results are identical for any worker count.  The
-    workers, forked on the first multi-worker call, keep the module state
-    of that moment and live until the process exits.
+    Configs, all uncorrelated-bins, that differ only in sensor count, noise
+    level and sync mode form a group, and within a run a group shares one
+    synthesis, one of its runs per distinct (sync mode, noise level) pair,
+    so comparisons within it are paired, as the nmse-sweep's taus and levels
+    and the roc's settings are: its modes share the fading and noise draws.
+    Every config's rows equal those of a call with it alone.  Each group
+    makes one dispatch of its ``runs`` (at least one), seeded by (seed,
+    run), to ``threads`` worker processes (see ``dispatch_runs``), so results
+    are identical for any worker count; only the reduced rows come back.
     """
     configs = tuple(configs)
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     if any(config.bin_mode != "uncorrelated" for config in configs):
         raise ValueError("Monte Carlo CAP-UB runs need uncorrelated-bins configs")
     groups = {}
@@ -182,8 +192,8 @@ def mc_caps(
     rows = {}
     for group in groups.values():
         # group by group: interleaving their runs cost 36% more page faults (table4 roc)
-        caps = dispatch_runs(partial(_mc_run, tuple(group), seed), runs, threads)
-        rows.update(zip(group, np.stack(caps, axis=1)))
+        one = partial(_mc_run, tuple(group), reduce, nap, seed)
+        rows.update(zip(group, np.stack(dispatch_runs(one, runs, threads), axis=1)))
     return np.array([rows[config] for config in configs])
 
 
@@ -212,6 +222,8 @@ def whitenoise_variance_report(
     clusters, one report per config, from one ``mc_caps`` call over all of them."""
     if any(config.users for config in configs):
         raise ValueError("variance check expects a noise-only scenario")
+    if runs < 2:
+        raise ValueError(f"the variance check needs runs >= 2, got {runs}")
     reports = []
     for config, caps in zip(configs, mc_caps(configs, runs, seed, threads=threads)):
         sigma2, tau = dbm_to_linear(config.noise_dbm), config.sensors_per_cluster
@@ -328,6 +340,12 @@ def roc_from_scores(active: np.ndarray, quiet: np.ndarray) -> RocCurve:
     return RocCurve(thresholds=thresholds, pfa=pfa, pd=pd)
 
 
+def _block_means(blocks: np.ndarray, config: ScenarioConfig, stacks, nap) -> np.ndarray:
+    """The roc reducer: the mean of the averaged CAP over each row of
+    ``blocks``, refused if not finite."""
+    return cap_values(config, stacks, nap)[blocks].mean(axis=1)
+
+
 def roc_harness(
     configs: Sequence[ScenarioConfig],
     detector: DetectorSpec,
@@ -336,15 +354,10 @@ def roc_harness(
     threads: int = 1,
 ) -> list[RocCurve]:
     """Monte Carlo detection experiment on the reconstructed periodogram,
-    one curve per config: each run's statistics are the block means of its
-    row of one ``mc_caps`` call over all the configs, so each curve equals
-    that of a call with its config alone."""
-    active_blocks, quiet_blocks = detection_blocks(detector, configs[0].grid_size)
-    # row by row: a 3-D mean over all runs at once sums in another order
-    return [
-        roc_from_scores(
-            np.array([cap[active_blocks].mean(axis=1) for cap in caps]),
-            np.array([cap[quiet_blocks].mean(axis=1) for cap in caps]),
-        )
-        for caps in mc_caps(configs, runs, seed, threads=threads)
-    ]
+    one curve per config, from one ``mc_caps`` call over all the configs,
+    so each curve equals that of a call with its config alone.  Each run
+    keeps only its active then quiet block means (see ``_block_means``)."""
+    active, quiet = detection_blocks(detector, configs[0].grid_size)
+    reduce = partial(_block_means, np.vstack([active, quiet]))
+    return [roc_from_scores(means[:, : len(active)], means[:, len(active) :])
+            for means in mc_caps(configs, runs, seed, threads, reduce)]

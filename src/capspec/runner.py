@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .analysis import DetectorSpec, dispatch_runs, nmse
+from .analysis import DetectorSpec, nmse
 from .estimator import (
     NAP,
     CovarianceStack,
@@ -308,63 +308,49 @@ def run_reconstruct(manifest: ExperimentManifest) -> dict:
     return _write_outputs(manifest, files, summary)
 
 
-# a worker process does not run under its caller's errstate
-@np.errstate(over="ignore", invalid="ignore")
-def _nmse_run(
-    config: ScenarioConfig, sweep: SweepSpec, combos: list, seed: int, run: int
-) -> list[float]:
-    """Run ``run`` of an nmse-sweep: its NMSE per entry of ``combos``.
+def _pattern_scores(patterns, config: ScenarioConfig, stacks, nap) -> list[float]:
+    """The nmse-sweep reducer: each pattern's NMSE against ``nap``, its CAP
+    (refused if not finite) solved from its M x M submatrices of the
+    covariances ``stacks`` over ``config``'s pattern, the sweep's union."""
+    scores = []
+    for pattern in patterns:
+        idx = np.searchsorted(config.pattern.marks, pattern.marks)
+        sub = [CovarianceStack(s.matrices[:, idx[:, None], idx], s.count, pattern) for s in stacks]
+        scores.append(nmse(analysis.cap_values(config, sub), nap))
+    return scores
 
-    One synthesis senses the union of the sweep's patterns, with one run
-    per noise level at the scenario's sync mode and the NAP at the sorted
-    taus.  Per noise level, tau and cluster, the covariance
-    over the union comes from that tau's first sensors alone, as
-    ``sample_covariance`` gives it, and each pattern's solve reads its
-    M x M submatrix; so a row does not depend on the other taus and
-    levels in the sweep.
-    """
-    taus = sorted(sweep.taus)
-    union = CosetPattern(config.period, {mark for p in sweep.patterns for mark in p.marks})
-    config = replace(config, pattern=union, sensors_per_cluster=taus[-1])
-    runs = [(config.sync, level) for level in sweep.sigmas_dbm]
-    levels = synthesize_observations(config, (seed, run), runs=runs, nap=taus)
-    rows = {p: np.searchsorted(union.marks, p.marks) for p in sweep.patterns}
-    scores = {}
-    for sigma, sensed in zip(sweep.sigmas_dbm, levels):
-        for i, tau in enumerate(taus):
-            means = [sample_covariance(replace(s, dtft=s.dtft[:tau])).matrices for s in sensed.sets]
-            nap = np.mean([s.nap[i] for s in sensed.sets], axis=0)
-            for pattern, idx in rows.items():
-                stacks = [CovarianceStack(c[:, idx[:, None], idx], tau, pattern) for c in means]
-                caps = [assemble_cap(ls_reconstruct_rbar(stack)) for stack in stacks]
-                scores[pattern, tau, sigma] = nmse(average_periodograms(caps), nap)
-    return [scores[combo] for combo in combos]
+
+def _sweep_cells(scenario: ScenarioConfig, sweep: SweepSpec) -> tuple[list, partial]:
+    """An nmse-sweep's ``mc_caps`` configs, one per (tau, level) cell in that
+    order, each at the union of the sweep's marks, and their reducer."""
+    union = CosetPattern(scenario.period, {mark for p in sweep.patterns for mark in p.marks})
+    cells = [replace(scenario, pattern=union, sensors_per_cluster=tau, noise_dbm=sigma)
+             for tau, sigma in product(sweep.taus, sweep.sigmas_dbm)]
+    return cells, partial(_pattern_scores, sweep.patterns)
 
 
 def run_nmse_sweep(manifest: ExperimentManifest) -> dict:
     """Monte Carlo NMSE against the Nyquist baseline over a config grid.
 
-    Within a run, every noise level adds its noise to the same user
-    signals, all tau values slice the same synthesized sensors and all
-    patterns read their cosets of one synthesis over the union of their
-    marks, so comparisons across the sweep are paired.  The patterns come
-    from ``[sweep] patterns`` alone: the scenario's own marks are not read.
+    Each run of its (tau, level) cells shares one synthesis, with the NAP at
+    every tau, and scores every pattern on its submatrices of the union's
+    covariances, so the sweep's comparisons are paired, and each row is what
+    its (pattern set, tau, level) gives alone.  The patterns come from
+    ``[sweep] patterns`` alone: the scenario's own marks are not read.
     """
     sweep = manifest.sweep
-    combos = list(product(sweep.patterns, sweep.taus, sweep.sigmas_dbm))
-    one = partial(_nmse_run, manifest.scenario, sweep, combos, manifest.seed)
-    # one row per combo, its runs contiguous
-    scores = np.array(dispatch_runs(one, manifest.runs, manifest.threads)).T.copy()
-
+    cells, reduce = _sweep_cells(manifest.scenario, sweep)
+    # (cells, runs, patterns)
+    scores = analysis.mc_caps(cells, manifest.runs, manifest.seed, manifest.threads, reduce, True)
     rows = [
-        (tau, float(pattern.size / pattern.period), float(sigma), float(np.mean(row)),
-         manifest.runs, '"' + _marks_text(pattern.marks) + '"')
-        for (pattern, tau, sigma), row in zip(combos, scores)
+        (cell.sensors_per_cluster, float(pattern.size / pattern.period), float(cell.noise_dbm),
+         float(np.mean(runs[:, i])), manifest.runs, '"' + _marks_text(pattern.marks) + '"')
+        for i, pattern in enumerate(sweep.patterns) for cell, runs in zip(cells, scores)
     ]
     return _write_outputs(
         manifest,
         {"nmse.csv": partial(_csv_rows, header="tau,rate,sigma2,nmse,runs,marks", rows=rows)},
-        {"runs": manifest.runs, "combos": len(combos)},
+        {"runs": manifest.runs, "combos": len(rows)},
     )
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from capspec.analysis import _mc_run
 from capspec.patterns import CosetPattern
+from capspec.runner import _sweep_cells
 
 
 @pytest.fixture
@@ -33,3 +35,12 @@ def random_pattern(rng, n_max=11):
     size = int(rng.integers(1, n + 1))
     marks = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
     return CosetPattern(n, marks)
+
+
+def sweep_scores(config, sweep, seed, run) -> dict:
+    """Run ``run`` of an nmse-sweep of ``sweep`` on ``config``, through the
+    Monte Carlo worker on the sweep's cells: (pattern, tau, level) -> NMSE."""
+    cells, reduce = _sweep_cells(config, sweep)
+    rows = _mc_run(tuple(cells), reduce, True, seed, run)
+    return {(pattern, cell.sensors_per_cluster, cell.noise_dbm): float(score)
+            for cell, row in zip(cells, rows) for pattern, score in zip(sweep.patterns, row)}

@@ -79,6 +79,17 @@ MUTANTS = {
         STRUCTURE,
         "matrix = np.exp(2j * np.pi * rows * cols / n) / n",
         "matrix = np.exp(-2j * np.pi * rows * cols / n) / n"),
+    # the one Monte Carlo worker and its reducers
+    "every config reads the first NAP stop": (
+        ANALYSIS, "s.nap[stops.index(tau)]", "s.nap[0]"),
+    "every config reads the first (sync, level) run": (
+        ANALYSIS, "sensed[pairs.index((config.sync, config.noise_dbm))]", "sensed[0]"),
+    "active and quiet block means swapped": (
+        ANALYSIS, "roc_from_scores(means[:, : len(active)], means[:, len(active) :])",
+        "roc_from_scores(means[:, len(active) :], means[:, : len(active)])"),
+    "a pattern reads the union's first M rows": (
+        RUNNER, "np.searchsorted(config.pattern.marks, pattern.marks)",
+        "np.arange(pattern.size)"),
 }
 
 SKIP = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -16,6 +17,7 @@ from capspec.analysis import (
     RocCurve,
     VarianceReport,
     _mc_run,
+    cap_values,
     detection_blocks,
     dispatch_runs,
     mc_caps,
@@ -35,7 +37,7 @@ from capspec.estimator import (
     sample_covariance,
 )
 from capspec.patterns import CosetPattern, PatternFamily
-from capspec.runner import ExperimentManifest, RocSetting, SweepSpec, _nmse_run, run_manifest
+from capspec.runner import ExperimentManifest, RocSetting, SweepSpec, _sweep_cells, run_manifest
 from capspec.scenarios import (
     EXPERIMENT1_EXTRA_COSETS,
     extend_pattern,
@@ -51,6 +53,7 @@ from capspec.sensing import (
     synthesize_observations,
 )
 from capspec.structure import build_modulation_matrix, build_system_matrix
+from conftest import sweep_scores
 from oracles import (
     analytical_gaussian_covariance,
     build_repetition_matrix,
@@ -346,6 +349,9 @@ class TestMonteCarloWhiteNoise:
         )
         with pytest.raises(ValueError):
             whitenoise_variance_report([config], runs=2, seed=0)
+        # one run has no sample variance
+        with pytest.raises(ValueError, match="runs"):
+            whitenoise_variance_report([replace(config, users=())], runs=1, seed=0)
 
 
     def test_mixed_configs_match_each_config_alone(self):
@@ -374,6 +380,11 @@ class TestMonteCarloWhiteNoise:
         )
         with pytest.raises(ValueError, match="uncorrelated-bins"):
             mc_caps([base, correlated], runs=2, seed=0)
+        detector = DetectorSpec(active_bands=((0.2, 0.3),), quiet_bands=((0.6, 0.8),), avg_width=2)
+        with pytest.raises(ValueError, match="runs"):
+            mc_caps([base], runs=0, seed=0)
+        with pytest.raises(ValueError, match="runs"):
+            roc_harness([base], detector, runs=0, seed=0)
 
     def test_a_group_spans_sync_modes(self):
         # the synchronized config is the widest, and only the synchronized mode has a -inf level
@@ -411,6 +422,24 @@ class TestMonteCarloWhiteNoise:
         ))
         assert calls == [("unsynchronized", "unsynchronized", "synchronized")] * 2
 
+    def test_an_nmse_sweep_run_makes_one_synthesis(self, tmp_path, monkeypatch):
+        # every level is one of its runs, and it stops the NAP at every tau
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append((args[0].sensors_per_cluster, kwargs["runs"], kwargs["nap"]))
+            return synthesize_observations(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "synthesize_observations", counted)
+        table2 = load_fixture("table2.ini")
+        rich = extend_pattern(table2.pattern, EXPERIMENT1_EXTRA_COSETS, 3)
+        sweep = SweepSpec(taus=(4, 2), sigmas_dbm=(10.0, 7.0), patterns=(table2.pattern, rich))
+        run_manifest(ExperimentManifest(
+            kind="nmse-sweep", scenario=table2, output=tmp_path, runs=2, sweep=sweep,
+        ))
+        sync = table2.sync
+        assert calls == [(4, [(sync, 10.0), (sync, 7.0)], [2, 4])] * 2
+
     def test_sweep_rows_match_each_tau_alone(self):
         # each (pattern, tau, level) NMSE of an nmse-sweep run is the one its tau gives alone
         table2 = load_fixture("table2.ini")
@@ -418,9 +447,7 @@ class TestMonteCarloWhiteNoise:
 
         def scores(taus, run):
             sweep = SweepSpec(taus=taus, sigmas_dbm=(7.0, 10.0), patterns=patterns)
-            combos = [(p, tau, sigma) for p in sweep.patterns for tau in sweep.taus
-                      for sigma in sweep.sigmas_dbm]
-            return dict(zip(combos, _nmse_run(table2, sweep, combos, 7, run)))
+            return sweep_scores(table2, sweep, 7, run)
 
         for run in range(2):
             both = scores((20, 100), run)
@@ -493,7 +520,9 @@ class TestWorkerThreads:
     def test_a_worker_run_starts_no_blas_thread(self):
         table2 = replace(load_fixture("table2.ini"), sensors_per_cluster=2)
         table5 = replace(load_fixture("table5.ini"), sensors_per_group=2)
-        cap_ub = dispatch_runs(partial(_threads_after, _mc_run, (table2,), 11), 2, 2)
+        cap_ub = dispatch_runs(
+            partial(_threads_after, _mc_run, (table2,), cap_values, False, 11), 2, 2
+        )
         assert cap_ub == [1, 1]
         cap_cb = dispatch_runs(partial(_threads_after, _correlated_bins_cap, table5, 11), 2, 2)
         assert cap_cb == [1, 1]
@@ -503,9 +532,8 @@ class TestWorkerThreads:
         rich = extend_pattern(table2.pattern, EXPERIMENT1_EXTRA_COSETS, 3)
         sweep = SweepSpec(taus=(20, 100), sigmas_dbm=(7.0, 10.0), patterns=(table2.pattern, rich))
         config = replace(table2, sensors_per_cluster=100)
-        combos = [(p, tau, sigma) for p in sweep.patterns for tau in sweep.taus
-                  for sigma in sweep.sigmas_dbm]
-        run = partial(_threads_after, _nmse_run, config, sweep, combos, 11)
+        cells, reduce = _sweep_cells(config, sweep)
+        run = partial(_threads_after, _mc_run, tuple(cells), reduce, True, 11)
         assert dispatch_runs(run, 2, 2) == [1, 1]
 
     def test_large_products_start_no_blas_thread(self):
@@ -725,3 +753,26 @@ class TestDetection:
         (got,) = roc_harness([config], detector, runs=5, seed=8, threads=2)
         for field in ("thresholds", "pfa", "pd"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_memory_does_not_grow_with_the_runs_by_whole_caps(self):
+        # a run keeps its four block means, not its 2400-point CAP
+        config = ScenarioConfig(
+            period=6, samples_per_coset=400, users=(), noise_dbm=0.0,
+            pattern=CosetPattern(6, (0, 1, 3)), sensors_per_cluster=2,
+        )
+        detector = DetectorSpec(
+            active_bands=((0.1, 0.2),), quiet_bands=((0.6, 0.7),), avg_width=120
+        )
+
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                roc_harness([config], detector, runs=runs, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(50)    # the design constants' caches fill on a first call
+        small, large = peak(50), peak(550)
+        # one kept CAP per run would add 500 x 2400 x 8 B
+        assert large - small < 500 * 2400 * 8 / 10

@@ -410,7 +410,7 @@ BAD_INPUTS = {
         + SMALL_SCENARIO.replace("power_dbm = 14", "power_dbm = 1600"),
         "not finite",
     ),
-    # the same overflow in an nmse-sweep, whose NMSE refuses the sums
+    # the same overflow in an nmse-sweep, whose CAP is refused as a roc run's is
     "sigma2_dbm overflowing the covariance": (
         "nmse-sweep",
         "[experiment]\nkind = nmse-sweep\noutput = OUT\n" + SMALL_SCENARIO
@@ -921,7 +921,7 @@ class TestSweeps:
 
     @pytest.mark.skipif(analysis.usable_cpus() < 2, reason="runs stay in the caller on one CPU")
     def test_dead_worker_exits_3_with_one_line(self, tmp_path, capfd, monkeypatch):
-        monkeypatch.setattr(runner, "_nmse_run", partial(_exit_in_worker, os.getpid()))
+        monkeypatch.setattr(analysis, "_mc_run", partial(_exit_in_worker, os.getpid()))
         out = tmp_path / "out"
         manifest = write_manifest(
             tmp_path,

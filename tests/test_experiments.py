@@ -11,7 +11,7 @@ from capspec.analysis import (
 )
 from capspec.patterns import CosetPattern, design_pair_cover_family
 from capspec.scenarios import extend_pattern, load_fixture
-from capspec.runner import SweepSpec, _nmse_run
+from capspec.runner import SweepSpec
 from capspec.sensing import (
     CosetObservationSet,
     ScenarioConfig,
@@ -29,6 +29,7 @@ from capspec.estimator import (
     estimate_correlated_bins,
     estimate_multicluster,
 )
+from conftest import sweep_scores
 from oracles import is_circular_sparse_ruler
 
 # Two fixture sets of (base ruler, activation order of extra cosets) per period.
@@ -230,7 +231,8 @@ class TestSweepAgainstRecords:
             for tau in sweep.taus
             for sigma in sweep.sigmas_dbm
         ]
-        got = _nmse_run(config, sweep, combos, 13, 1)
+        scores = sweep_scores(config, sweep, 13, 1)
+        got = [scores[combo] for combo in combos]
 
         # the sweep senses the union of its patterns' marks
         union = replace(config, pattern=CosetPattern(6, (0, 1, 2, 3)))
@@ -270,7 +272,8 @@ class TestSweepAgainstRecords:
             for tau in sweep.taus
             for sigma in sweep.sigmas_dbm
         ]
-        got = _nmse_run(config, sweep, combos, 21, 0)
+        scores = sweep_scores(config, sweep, 21, 0)
+        got = [scores[combo] for combo in combos]
 
         union = replace(config, pattern=CosetPattern(6, (0, 1, 2, 3, 4)))
         levels = synthesize_observations(
