@@ -80,7 +80,8 @@ def _close_pool() -> None:
     global _pool    # a pool inherited from a parent process is dropped, not shut down
     pool, _pool = _pool, None
     if pool is not None and pool[0] == os.getpid():
-        pool[2].shutdown()
+        # runs not yet started, as after an interrupt, are dropped
+        pool[2].shutdown(cancel_futures=True)
 
 
 def usable_cpus() -> int:

@@ -5,6 +5,8 @@ is still written), 2 on identifiability or configuration errors, 3 on I/O
 errors, a worker that died or an array too large to allocate; stderr
 carries the reason in one line.  A run
 that fails before its outputs are written leaves no output directory behind.
+An interrupted run (SIGINT, Ctrl-C) exits 130 with one line, after its
+worker processes have ended.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import whitenoise_variance_closed_form
+from .analysis import _close_pool, whitenoise_variance_closed_form
 from .estimator import IdentifiabilityError
 from .patterns import (
     NODE_BUDGET,
@@ -137,6 +139,11 @@ def main(argv=None) -> int:
     except BenchGateError as exc:
         print(f"error: bench: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # the runs not yet started were dropped; wait for the running ones
+        _close_pool()
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@ covariance, the one step whose cost grows with the sensor count, is a
 batched BLAS product, one M x M matrix per point, taken over chunks of
 sensors small enough that OpenBLAS runs each product on the calling
 thread: a helper thread would compete with the other worker processes
-for the cores.
+for the cores.  CAP-CB, which stacks every group's covariances, takes
+and solves them one block of points at a time, each block's stack at
+most ``sensing.BLOCK_BYTES``; every step is per point, so the lags do
+not depend on the block size.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import sensing
 from .patterns import CosetPattern, PatternFamily
 from .sensing import BLAS_SPLIT_SIZE, CosetObservationSet
 from .structure import build_psi, build_system_matrix
@@ -173,10 +177,18 @@ def estimate_correlated_bins(group_observations: list[CosetObservationSet]) -> P
     each bin-covariance entry is the mean of its observations across the
     groups that saw that pair.  The family's averaging operator folds
     that mean and the mean over each modular diagonal into one pass,
-    and the periodogram is assembled as for CAP-UB.
+    and the periodogram is assembled as for CAP-UB.  The covariances
+    are taken and solved one block of points at a time, at most
+    ``sensing.BLOCK_BYTES`` of all groups' stacked M x M matrices per
+    block (one point at least), into the (L, N) lags; each point's lags
+    are those of the whole grid, bit for bit.  Groups whose grids differ
+    are refused before any covariance is taken.
     """
     if not group_observations:
         raise ValueError("no groups to estimate from")
+    l_pts = group_observations[0].dtft.shape[2]
+    if any(obs.dtft.shape[2] != l_pts for obs in group_observations):
+        raise ValueError("groups disagree on grid size")
     family = PatternFamily(
         period=group_observations[0].pattern.period,
         patterns=tuple(obs.pattern for obs in group_observations),
@@ -190,7 +202,10 @@ def estimate_correlated_bins(group_observations: list[CosetObservationSet]) -> P
             "the bin covariance is not identifiable",
             missing=missing,
         )
-    stacks = [sample_covariance(obs) for obs in group_observations]
-    if len({s.matrices.shape[0] for s in stacks}) != 1:
-        raise ValueError("groups disagree on grid size")
-    return replace(assemble_cap(psi.solve([s.matrices for s in stacks])), estimator=CAP_CB)
+    # each point's stacked covariances, one slot per entry of every group's M x M matrix
+    step = max(1, sensing.BLOCK_BYTES // (16 * psi.slots.size))
+    lags = []
+    for lo in range(0, l_pts, step):
+        block = [replace(obs, dtft=obs.dtft[:, :, lo : lo + step]) for obs in group_observations]
+        lags.append(psi.solve([sample_covariance(obs).matrices for obs in block]))
+    return replace(assemble_cap(np.concatenate(lags)), estimator=CAP_CB)

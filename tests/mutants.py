@@ -9,7 +9,8 @@ one pytest process at a time.  A mutant survives when that run passes.
 The unchanged copy runs first, so that a suite that already fails kills
 no mutant.
 
-    python tests/mutants.py      # about 45 s per mutant
+    python tests/mutants.py              # about 45 s per mutant
+    python tests/mutants.py NAME ...     # only the named mutants
 
 It prints the tests that fail on each mutant, then the survivors, and
 exits 1 if any survive.  pytest does not collect this file, and it is
@@ -90,6 +91,11 @@ MUTANTS = {
     "a pattern reads the union's first M rows": (
         RUNNER, "np.searchsorted(config.pattern.marks, pattern.marks)",
         "np.arange(pattern.size)"),
+    # CAP-CB's blocks of grid points
+    "CAP-CB drops its last block of points": (
+        ESTIMATOR, "range(0, l_pts, step)", "range(0, l_pts - step, step)"),
+    "CAP-CB blocks end one point early": (
+        ESTIMATOR, "obs.dtft[:, :, lo : lo + step]", "obs.dtft[:, :, lo : lo + step - 1]"),
 }
 
 SKIP = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
@@ -127,22 +133,26 @@ def failed_tests(mutant=None) -> list[str]:
     return failed
 
 
-def main() -> int:
+def main(names) -> int:
     check_table()
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        raise SystemExit(f"no such mutants: {unknown}")
+    chosen = {name: MUTANTS[name] for name in names or MUTANTS}
     broken = failed_tests()
     if broken:
         raise SystemExit(f"the unchanged tests fail: {broken}")
     survivors = []
-    for name, mutant in MUTANTS.items():
+    for name, mutant in chosen.items():
         failed = failed_tests(mutant)
         print(f"{name}: " + (f"killed by {', '.join(failed)}" if failed else "SURVIVES"),
               flush=True)
         if not failed:
             survivors.append(name)
-    print(f"{len(survivors)} of {len(MUTANTS)} mutants survive"
+    print(f"{len(survivors)} of {len(chosen)} mutants survive"
           + (f": {', '.join(survivors)}" if survivors else ""))
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -3,7 +3,11 @@ import itertools
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 from functools import partial
 from pathlib import Path
 
@@ -1073,6 +1077,72 @@ class TestOutputs:
         assert summary["warnings"] == ([] if kind == "variance-check" else [
             "1 user band(s) exceed the bin width 1/6; the uncorrelated-bins model is violated"
         ])
+
+
+def _child_pids(parent: int) -> set[int]:
+    """The processes whose parent is ``parent``, read from /proc."""
+    pids = set()
+    for entry in Path("/proc").iterdir():
+        try:
+            # the field after the parenthesized command name is the state, then the parent
+            fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if entry.name.isdigit() and int(fields[1]) == parent:
+            pids.add(int(entry.name))
+    return pids
+
+
+class TestInterrupt:
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or analysis.usable_cpus() < 2,
+        reason="reads /proc; runs stay in the caller on one CPU",
+    )
+    def test_sigint_ends_the_run_and_its_workers_in_one_line(self, tmp_path):
+        # some 10 ms per run: the 5000 runs outlast the test by far
+        scenario = SMALL_SCENARIO.replace("samples_per_coset = 20", "samples_per_coset = 1000")
+        scenario = scenario.replace("sensors_per_cluster = 6", "sensors_per_cluster = 20")
+        out = tmp_path / "out"
+        manifest = write_manifest(
+            tmp_path,
+            f"[experiment]\nkind = nmse-sweep\nruns = 5000\noutput = {out}\n" + scenario
+            + "\n[sweep]\ntau = 20\nsigma2_dbm = 0\npatterns = 0,1,3\n",
+        )
+        # Python's own SIGINT handler, as at a terminal: a job started in the
+        # background of a shell, like this test run may be, inherits SIGINT ignored
+        code = (
+            "import signal, sys\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "from capspec.cli import main\n"
+            "raise SystemExit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(analysis.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, "nmse-sweep", "--manifest", str(manifest),
+             "--seed", "1", "--threads", "2"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        workers = set()
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and child.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = _child_pids(child.pid)
+            assert len(workers) == 2, workers
+            time.sleep(0.5)    # into the runs
+            child.send_signal(signal.SIGINT)
+            _, stderr = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:
+                for pid in _child_pids(child.pid):
+                    os.kill(pid, signal.SIGKILL)
+                child.kill()
+            child.wait()
+        assert child.returncode == 130
+        assert stderr.splitlines() == ["error: interrupted"]
+        assert not any(Path(f"/proc/{pid}").exists() for pid in workers)
+        assert not out.exists()
 
 
 RULERS = ((4, (0, 1, 2)), (6, (0, 1, 3)), (7, (0, 1, 3)), (8, (0, 1, 2, 4)))

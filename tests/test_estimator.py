@@ -1,8 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capspec import estimator, sensing
 from capspec.estimator import (
     CovarianceStack,
     IdentifiabilityError,
@@ -21,7 +25,7 @@ from capspec.sensing import (
     ScenarioConfig,
     synthesize_observations,
 )
-from capspec.structure import build_modulation_matrix
+from capspec.structure import build_modulation_matrix, build_psi
 from conftest import random_identifiable_pattern
 from oracles import build_repetition_matrix, build_selection_matrix, dense_psi, dense_rc
 
@@ -332,6 +336,64 @@ class TestCorrelatedBins:
         with pytest.raises(IdentifiabilityError) as err:
             estimate_correlated_bins(obs)
         assert (3, 4) in err.value.missing
+
+    def test_groups_on_different_grids_are_refused_before_any_covariance(
+        self, rng, monkeypatch
+    ):
+        family = design_pair_cover_family(8, 3)
+        obs = [random_observations(rng, pattern, tau=2, l_pts=4) for pattern in family.patterns]
+        obs[-1] = random_observations(rng, family.patterns[-1], tau=2, l_pts=5)
+
+        def no_covariance(observations):
+            raise AssertionError("a covariance was taken")
+
+        monkeypatch.setattr(estimator, "sample_covariance", no_covariance)
+        with pytest.raises(ValueError, match="groups disagree on grid size"):
+            estimate_correlated_bins(obs)
+
+
+def family_sets(rng, family, l_pts, tau=2):
+    """Random coset DTFTs of ``tau`` sensors per group of ``family``."""
+    return [
+        replace(random_observations(rng, pattern, tau=tau, l_pts=l_pts), label=z)
+        for z, pattern in enumerate(family.patterns)
+    ]
+
+
+class TestCorrelatedBinsInBlocks:
+    def test_identical_values_at_any_block_size(self, rng, monkeypatch):
+        family = design_pair_cover_family(8, 3)
+        sets = family_sets(rng, family, l_pts=1000)
+        psi = build_psi(family)
+        # the whole grid's covariances stacked and solved at once
+        whole = assemble_cap(psi.solve([sample_covariance(obs).matrices for obs in sets]))
+        point_bytes = 16 * psi.slots.size
+        # the default's blocks of 303 points, one point, and blocks of 3: each leaves a ragged
+        # last block but the one-point blocks
+        assert 1000 % (sensing.BLOCK_BYTES // point_bytes) and 1000 % 3
+        for block_bytes in (sensing.BLOCK_BYTES, 1, 3 * point_bytes):
+            monkeypatch.setattr(sensing, "BLOCK_BYTES", block_bytes)
+            cap = estimate_correlated_bins(sets)
+            assert np.array_equal(cap.values, whole.values), block_bytes
+            assert cap.max_imag_ratio == whole.max_imag_ratio
+            assert cap.estimator == "CAP-CB"
+
+    def test_working_memory_stays_below_the_stacked_covariances(self, rng):
+        # numpy reports its buffers to tracemalloc, so the peak is exact;
+        # the sets exist before the call, and a first call builds psi
+        family = design_pair_cover_family(16, 6)
+        l_pts = 400
+        sets = family_sets(rng, family, l_pts=l_pts)
+        stacked = sum(16 * l_pts * pattern.size**2 for pattern in family.patterns)
+        assert stacked > 4 * sensing.BLOCK_BYTES
+        estimate_correlated_bins(sets)
+        tracemalloc.start()
+        try:
+            estimate_correlated_bins(sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stacked, (peak, stacked)
 
 
 def crandn(rng, *shape):
