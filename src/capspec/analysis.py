@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -101,9 +102,11 @@ def dispatch_runs(one, runs: int, workers: int = 1) -> list:
     module-level function with ``functools.partial``.  Each run is keyed
     by its index, so the results do not depend on the worker count.  The
     first failing run, in run order, raises in the caller, and the runs
-    not yet started are dropped.  The workers, forked by the first call that
-    needs them, keep that moment's module state and serve later calls until
-    the process exits; another worker count or a dead worker replaces them.
+    not yet started are dropped.  The workers, started by the first call
+    that needs them, serve later calls until the process exits; another
+    worker count or a dead worker replaces them.  On Linux they are forked,
+    whatever the default start method, and keep that moment's module state
+    and one thread; elsewhere the platform's default method starts them.
     """
     global _pool
     workers = min(workers, runs)
@@ -112,12 +115,14 @@ def dispatch_runs(one, runs: int, workers: int = 1) -> list:
     if workers <= 1:
         return [one(run) for run in range(runs)]
     # imported here, so that ``import capspec`` does not load multiprocessing
+    import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     from multiprocessing.util import Finalize
 
     if _pool is None or _pool[:2] != (os.getpid(), workers):
         _close_pool()
-        _pool = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
+        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+        _pool = (os.getpid(), workers, ProcessPoolExecutor(workers, mp_context=context))
         # run at exit, and in a worker before it joins its own children
         Finalize(None, _close_pool, exitpriority=0)
     try:

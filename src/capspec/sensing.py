@@ -12,7 +12,7 @@ draw that unsynchronized users on uncorrelated bins share per group.
 Each group is built a block of consecutive sensors at a time, so only
 outputs grow with the sensor count.  Spectra are built on request: kept,
 one sensors x grid array per group and level, records derived from them;
-or, for the Nyquist baseline alone, in block scratch reduced to their NAP.
+or, for the Nyquist baseline alone, in block scratch added to a running sum.
 """
 
 from __future__ import annotations
@@ -199,7 +199,8 @@ class CosetObservationSet:
     ``pattern.marks[m]`` at sensor t, at theta = l / grid_size.
     ``spectra``, when kept, is the sensors x grid DFT of the full-rate
     records; ``full_rate`` derives the records from it on each read.
-    ``nap``, when asked for, is ``nap_values`` of those spectra at the stops.
+    ``nap``, when asked for, holds one row per stop: ``nap_values`` of the
+    first ``stop`` sensors' spectra.
     """
 
     pattern: CosetPattern
@@ -338,33 +339,14 @@ def extract_coset_observations(
     return CosetObservationSet(pattern=pattern, dtft=dtft, label=label)
 
 
-def nap_values(spectra: np.ndarray, stops=None, sums=None, first: int = 0):
+def nap_values(spectra: np.ndarray) -> np.ndarray:
     """Nyquist averaged periodogram of spectra X (sensors x grid points, the
-    DFTs of full-rate records): mean |X|^2 over sensors, divided by the
-    grid size.  ``stops``, ascending sensor counts, give one row per stop, a
-    running sum over the sensors in order, as a mean adds them: each row is
-    bit for bit the NAP of the first ``stop`` sensors alone.
-
-    Blocks of consecutive sensors below the last stop add up the same:
-    ``spectra`` holds sensors ``first``, ``first + 1``, ..., and ``sums``,
-    one row per stop, carries the sums from block to block; a block that
-    does not reach the last stop returns None."""
-    counts = [len(spectra)] if stops is None else list(stops)
-    rows = np.empty((len(counts), spectra.shape[1])) if sums is None else sums
-    power = np.abs(spectra[: counts[-1] - first]) ** 2
-    # a row's sum continues the sum so far: the row before it when this
-    # block starts the row, else its own part from the blocks before
-    for j, (start, stop) in enumerate(zip([0, *counts], counts)):
-        lo = max(start, first)
-        segment = power[lo - first : max(stop - first, 0)]
-        if len(segment):
-            if lo:
-                segment[0] += rows[j - (lo == start)]
-            np.add.reduce(segment, axis=0, out=rows[j])
-    if first + len(spectra) < counts[-1]:
-        return None
-    rows /= np.array(counts)[:, None]
-    return (rows[0] if stops is None else rows) / spectra.shape[1]
+    DFTs of full-rate records): the sum of |X|^2 over the sensors in order,
+    divided by the sensor count and then by the grid size.  No sensors are
+    refused."""
+    if not len(spectra):
+        raise ValueError(f"no sensors to average: spectra of shape {spectra.shape}")
+    return np.add.reduce(np.abs(spectra) ** 2, axis=0) / len(spectra) / spectra.shape[1]
 
 
 def synthesize_observations(
@@ -395,11 +377,12 @@ def synthesize_observations(
     part's coset DTFT, alike whether or not spectra are kept.
     ``keep_full_rate`` draws z's other cosets, keyed (seed, off-mark role,
     group), and keeps X, with W = fft(z) along the cosets, as ``spectra``.
-    ``nap``, ascending sensor counts ("stops"), stores ``nap_values`` of the
-    same X at the stops as each set's ``nap``.  Each group is built in
-    blocks of consecutive sensors, ``BLOCK_BYTES`` of sensors x grid rows,
-    in scratch made once per call: each generator draws its next rows and
-    the NAP's sums carry over, so no output depends on the block size.
+    ``nap``, ascending sensor counts ("stops"), stores each set's ``nap``,
+    one row per stop, ``nap_values`` of X's first ``stop`` rows.  Each group
+    is built in blocks of consecutive sensors, at most ``BLOCK_BYTES`` of
+    sensors x grid rows and ending at each stop, in scratch made once per
+    call: each generator draws its next rows and each run's sum of |X|^2
+    runs on, so no output depends on the block size.
     Only outputs grow with the sensors: ``dtft``, sensors x M x L x 16 B per
     group and run, and kept spectra, sensors x grid x 16 B.
     ``runs``, (sync mode, noise dBm) pairs in place of (``config.sync``,
@@ -458,7 +441,7 @@ def synthesize_observations(
     z_rows = np.empty((block, period, l_per), dtype=complex) if with_spectra else None
     part_dtfts = np.empty((len(distinct), block, groups[0][1].size, l_per), dtype=complex)
     signal_rows = np.empty((len(distinct), block, n_grid), dtype=complex)
-    sums = np.empty((len(pairs), len(stops), n_grid))
+    sums = np.empty((len(pairs), n_grid))    # each run's running NAP sum
     # the outputs, one array per kind for all runs and groups: the allocator keeps so large a
     # block for the next call (a table2 nmse-sweep run faults in no page; 3363 with one per group)
     outputs = (len(pairs), len(groups), sensors)
@@ -483,10 +466,11 @@ def synthesize_observations(
         off = [c for c in range(period) if c not in pattern.marks]
         noise_rng = _rng(seed, _R_NOISE, label)
         off_rng = _rng(seed, _R_OFF_MARK_NOISE, label) if with_spectra else None
-        naps = [None for _ in pairs]
-        # one block of consecutive sensors at a time; each generator draws its next rows
-        for lo in range(0, sensors, block):
-            part, count = slice(lo, lo + block), min(block, sensors - lo)
+        naps = [np.empty((len(stops), n_grid)) if stops else None for _ in pairs]
+        # blocks of consecutive sensors that end at every stop; each generator draws its next rows
+        bounds = sorted({*range(0, sensors, block), *stops, sensors})
+        for lo, hi in zip(bounds, bounds[1:]):
+            part, count = slice(lo, hi), hi - lo
             for j, mode in enumerate(distinct):
                 signal_dtft, signal = part_dtfts[j, :count], signal_rows[j, :count]
                 if mode not in rows:
@@ -528,7 +512,16 @@ def synthesize_observations(
                     np.multiply(noise_spectra, scale, out=spectra)
                     spectra += signal_rows[j, :count]
                     if stops and lo < stops[-1]:
-                        naps[i] = nap_values(spectra, stops, sums[i], lo)
+                        # the run's running sum of |X|^2 from the group's first sensor, with
+                        # one float block alive: squared in place, and gone before the next
+                        power = np.abs(spectra)
+                        power **= 2
+                        if lo:
+                            power[0] += sums[i]
+                        np.add.reduce(power, axis=0, out=sums[i])
+                        del power
+                        if hi in stops:
+                            naps[i][stops.index(hi)] = sums[i] / hi / n_grid
         kept_rows = kept[:, label] if keep_full_rate else [None for _ in pairs]
         for run_sets, dtft, spectra, nap_rows in zip(sets, dtfts[:, label], kept_rows, naps):
             run_sets.append(CosetObservationSet(pattern, dtft, label, spectra, nap_rows))

@@ -91,6 +91,11 @@ MUTANTS = {
     "a pattern reads the union's first M rows": (
         RUNNER, "np.searchsorted(config.pattern.marks, pattern.marks)",
         "np.arange(pattern.size)"),
+    # the NAP's running sum over a group's blocks of sensors
+    "NAP running sum not reset per group": (SENSING, "if lo:", "if lo or label:"),
+    "NAP stop row divided by the wrong count": (
+        SENSING, "sums[i] / hi / n_grid", "sums[i] / count / n_grid"),
+    "NAP |X|^2 block not released": (SENSING, "del power", "pass"),
     # CAP-CB's blocks of grid points
     "CAP-CB drops its last block of points": (
         ESTIMATOR, "range(0, l_pts, step)", "range(0, l_pts - step, step)"),

@@ -50,6 +50,7 @@ from capspec.sensing import (
     UserSpec,
     coset_dtft,
     dbm_to_linear,
+    nap_values,
     synthesize_observations,
 )
 from capspec.structure import build_modulation_matrix, build_system_matrix
@@ -76,6 +77,13 @@ class TestNyquistAp:
     def test_zero_signal(self):
         ap = nyquist_ap(np.zeros((3, 64), complex))
         assert np.all(ap.values == 0)
+
+    def test_no_sensors_refused(self):
+        # an average over no sensors has no value to give
+        with pytest.raises(ValueError, match=r"no sensors to average: spectra of shape \(0, 8\)"):
+            nap_values(np.zeros((0, 8), complex))
+        with pytest.raises(ValueError, match="no sensors to average"):
+            nyquist_ap(np.zeros((0, 8)))
 
     def test_white_noise_level(self, rng):
         sigma2 = 2.0
@@ -620,6 +628,35 @@ class TestDispatchRuns:
         assert done.returncode == 0 and done.stderr == ""
         pids = done.stdout.split()
         assert pids and not any(Path(f"/proc/{pid}").exists() for pid in pids)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+        reason="workers are forked on Linux alone; runs stay in the caller on one CPU",
+    )
+    def test_the_workers_are_forked_whatever_the_default_start_method(self, tmp_path):
+        # Python 3.14 makes forkserver the default on Linux; a worker it
+        # started would be the server's child, not the caller's
+        (tmp_path / "probe.py").write_text(
+            "import os\n"
+            "def parent(run):\n"
+            "    return os.getppid()\n"
+        )
+        code = (
+            "import multiprocessing, os\n"
+            "multiprocessing.set_start_method('forkserver')\n"
+            "from capspec.analysis import dispatch_runs\n"
+            "from probe import parent\n"
+            "print(os.getpid(), *dispatch_runs(parent, 4, 2))\n"
+        )
+        src = str(Path(analysis.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join((src, str(tmp_path)))},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        caller, *parents = done.stdout.split()
+        assert parents == [caller] * 4
 
     def test_worker_errors_reach_the_caller_intact(self):
         config = ScenarioConfig(

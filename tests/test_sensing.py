@@ -620,34 +620,47 @@ class TestOneSynthesisLoop:
                     assert (a is None) == (b is None)
                     assert a is None or np.array_equal(a, b)
 
-    def test_working_memory_does_not_grow_with_the_sensor_count(self):
-        # numpy reports its buffers to tracemalloc, so the peaks are exact;
-        # beyond its outputs, synthesis holds a few blocks of scratch
-        period, per_coset = 20, 40
+    @staticmethod
+    def working_bytes(sensors, **keep):
+        """The traced peak of a two-run synthesis on a 20 x 40 point grid, less
+        its outputs; numpy reports its buffers to tracemalloc, so the peaks
+        are exact."""
+        period = 20
         user = UserSpec(band=(0.1, 0.3), power_dbm=10.0, path_loss_db=(0.0,))
-
-        def working_bytes(sensors):
-            config = ScenarioConfig(
-                period=period, samples_per_coset=per_coset, noise_dbm=0.0, users=(user,),
-                pattern=CosetPattern(period, (0, 1, 3)), sensors_per_cluster=sensors,
+        config = ScenarioConfig(
+            period=period, samples_per_coset=40, noise_dbm=0.0, users=(user,),
+            pattern=CosetPattern(period, (0, 1, 3)), sensors_per_cluster=sensors,
+        )
+        tracemalloc.start()
+        try:
+            runs = synthesize_observations(
+                config, seed=(5, 0), runs=[(config.sync, 0.0), (config.sync, 3.0)], **keep
             )
-            tracemalloc.start()
-            try:
-                runs = synthesize_observations(
-                    config, seed=(5, 0), runs=[(config.sync, 0.0), (config.sync, 3.0)],
-                    nap=(sensors // 2, sensors),
-                )
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak - sum(s.dtft.nbytes + s.nap.nbytes for run in runs for s in run.sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = [out for run in runs for s in run.sets for out in (s.dtft, s.spectra, s.nap)]
+        return peak - sum(out.nbytes for out in outputs if out is not None)
 
-        # four blocks of sensors x grid rows, then sixteen, after a call that
+    def test_working_memory_does_not_grow_with_the_sensor_count(self):
+        # beyond its outputs, synthesis holds a few blocks of scratch: four
+        # blocks of sensors x grid rows, then sixteen, after a call that
         # fills what a first call fills once, such as numpy's FFT plan cache
-        sensors = 4 * capspec.sensing.BLOCK_BYTES // (16 * period * per_coset)
-        working_bytes(sensors)
+        sensors = 4 * capspec.sensing.BLOCK_BYTES // (16 * 20 * 40)
+        self.working_bytes(sensors, nap=(sensors // 2, sensors))
         for count in (sensors, 4 * sensors):
-            assert working_bytes(count) < 8 * capspec.sensing.BLOCK_BYTES, count
+            nap = (count // 2, count)
+            assert self.working_bytes(count, nap=nap) < 8 * capspec.sensing.BLOCK_BYTES, count
+
+    def test_nap_holds_less_than_one_power_block_more_than_kept_spectra(self):
+        # the NAP's |X|^2 of a block, float sensors x grid rows and so half
+        # of BLOCK_BYTES, is squared in place and released before the next
+        # block's is made
+        sensors = 4 * capspec.sensing.BLOCK_BYTES // (16 * 20 * 40)
+        self.working_bytes(sensors, nap=(sensors // 2, sensors))
+        kept = self.working_bytes(sensors, keep_full_rate=True)
+        nap = self.working_bytes(sensors, nap=(sensors // 2, sensors))
+        assert nap < kept + capspec.sensing.BLOCK_BYTES // 2
 
     @settings(max_examples=60, deadline=None)
     @given(
